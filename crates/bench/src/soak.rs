@@ -164,8 +164,9 @@ pub struct SoakRow {
 
 /// The NI cost-model binding used by the soak loop: i960 decision and
 /// dispatch pricing plus Ethernet wire occupancy, with a trace ring the
-/// probe tick drains. (`serversim::niload` keeps its own richer platform;
-/// this one holds only what the SLO fold needs.)
+/// probe tick drains. (The chassis cards, and with them the single-NI
+/// experiment, run the richer `serversim::niload::NiWirePlatform`; this
+/// one holds only what the SLO fold needs.)
 struct SoakPlatform {
     now_ns: u64,
     core: I960Core,
@@ -851,7 +852,7 @@ mod tests {
     fn gate_flags_missing_scenarios() {
         let rows = synthetic_rows();
         let base_doc = render_doc(SoakMode::Quick, &rows);
-        let new_doc = render_doc(SoakMode::Quick, &rows[..1].to_vec());
+        let new_doc = render_doc(SoakMode::Quick, &rows[..1]);
         let v = gate_against(&new_doc, &base_doc).unwrap();
         assert!(v.iter().any(|m| m.contains("missing")), "{v:?}");
     }

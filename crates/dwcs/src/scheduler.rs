@@ -18,6 +18,15 @@
 //! **decoupled** (decisions fill a bounded dispatch queue that a separate
 //! dispatcher drains — decisions can run ahead at a higher rate at the cost
 //! of dispatch-queue delay), matching the paper's §3.1.1 trade-off.
+//!
+//! There is one service pass, [`DwcsScheduler::service_pass`]: decide,
+//! route through the dispatch mode, report to a [`BatchSink`], drain the
+//! decoupled queue. Every placement runs it — one pass at a time through
+//! `SchedService::service_once`, or `budget` in a row through
+//! [`DwcsScheduler::schedule_batch`]. [`DwcsScheduler::schedule_next`] is
+//! the bare decide-and-route half for harnesses that price decisions
+//! themselves; it hands dropped frames to a callback
+//! ([`DwcsScheduler::schedule_next_with`]) and keeps none of them.
 
 use crate::key::HeadKey;
 use crate::metrics::StreamStats;
@@ -145,16 +154,14 @@ pub struct SchedDecision {
     pub work: Work,
 }
 
-/// Observer driving [`DwcsScheduler::schedule_batch`]: supplies the clock
-/// and receives each pass's events in the exact order the service core
-/// emits them one pass at a time (drops, then the decision, then
-/// dispatches, then end-of-pass). The fused batch loop is monomorphized
-/// over the sink, so a trivial sink (the benchmark drain) compiles down to
-/// the bare scheduling work.
+/// Observer driving [`DwcsScheduler::service_pass`]: supplies the clock
+/// and receives each pass's events in order (drops, then the decision,
+/// then dispatches, then end-of-pass). The pass is monomorphized over the
+/// sink, so a trivial sink (the benchmark drain) compiles down to the bare
+/// scheduling work.
 pub trait BatchSink {
     /// Current time. Called once at the start of every pass and once per
-    /// decoupled dispatch-queue pop — the same clock reads
-    /// `SchedService::service_once` performs.
+    /// decoupled dispatch-queue pop.
     fn now(&mut self) -> Time;
 
     /// A late frame dropped (within loss budget) during the pass that
@@ -231,7 +238,6 @@ pub struct DwcsScheduler<R> {
     dispatch_q: VecDeque<DispatchedFrame>,
     decisions: u64,
     live_streams: usize,
-    dropped_frames: Vec<FrameDesc>,
     /// Frames queued across all active streams, maintained incrementally
     /// at every queue mutation so [`DwcsScheduler::total_backlog`] — read
     /// twice per service pass — is O(1) instead of an O(streams) scan.
@@ -255,7 +261,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             dispatch_q: VecDeque::new(),
             decisions: 0,
             live_streams: 0,
-            dropped_frames: Vec::new(),
             queued_frames: 0,
         }
     }
@@ -374,23 +379,37 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     }
 
     /// Make one scheduling decision at time `now` (coupled mode — the
-    /// returned frame is considered transmitted immediately).
+    /// returned frame is considered transmitted immediately). Frames
+    /// dropped on the way are counted in [`SchedDecision::dropped`] and
+    /// otherwise discarded; see [`DwcsScheduler::schedule_next_with`].
     pub fn schedule_next(&mut self, now: Time) -> SchedDecision {
-        let mut decision = self.decide(now);
-        if let DispatchMode::Decoupled { queue_cap } = self.cfg.dispatch {
-            if let Some(frame) = decision.frame.take() {
-                if self.dispatch_q.len() < queue_cap {
-                    // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
-                    self.dispatch_q.push_back(frame);
-                } else {
-                    // Queue full: undo is impossible (window already
-                    // adjusted), so dispatch directly — the bound exists to
-                    // cap memory, not to drop scheduled frames.
-                    decision.frame = Some(frame);
-                    self.account_dispatch(frame, now);
-                }
+        self.schedule_next_with(now, |_| {})
+    }
+
+    /// [`DwcsScheduler::schedule_next`], handing each frame dropped while
+    /// reaching the decision to `on_drop`, in drop order. Nothing is kept
+    /// for later: a caller that needs the descriptors takes them here.
+    ///
+    /// The decision is metered and routed through the dispatch mode:
+    /// coupled, the frame is accounted as sent now; decoupled, it joins the
+    /// dispatch queue, or — queue full — goes out directly and stays in the
+    /// returned decision.
+    pub fn schedule_next_with(&mut self, now: Time, mut on_drop: impl FnMut(FrameDesc)) -> SchedDecision {
+        // One ratio evaluation per decision (the priority computation the
+        // soft-float build pays dearly for).
+        self.meter.record(LogicalOp::RatioDivide, 1);
+        let mut decision = self.decide_core(now, &mut on_drop);
+        self.charge(&decision.work);
+        if let (DispatchMode::Decoupled { queue_cap }, Some(frame)) = (self.cfg.dispatch, decision.frame) {
+            if self.dispatch_q.len() < queue_cap {
+                // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
+                self.dispatch_q.push_back(frame);
+                decision.frame = None;
+                return decision;
             }
-            return decision;
+            // Queue full: undo is impossible (window already adjusted), so
+            // dispatch directly — the bound exists to cap memory, not to
+            // drop scheduled frames.
         }
         if let Some(f) = decision.frame {
             self.account_dispatch(f, now);
@@ -410,28 +429,9 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         self.dispatch_q.len()
     }
 
-    /// One scheduling decision with per-decision metering: the single-pass
-    /// path used by `schedule_next`. Drops stage into the internal buffer
-    /// drained by [`DwcsScheduler::take_dropped`].
-    fn decide(&mut self, now: Time) -> SchedDecision {
-        // One ratio evaluation per decision (the priority computation the
-        // soft-float build pays dearly for).
-        self.meter.record(LogicalOp::RatioDivide, 1);
-        let mut staged = core::mem::take(&mut self.dropped_frames);
-        let decision = self.decide_core(now, &mut |desc| {
-            // analysis: allow(ni-no-alloc) reason="drop staging recycles capacity with the service pass's buffer via take_dropped"
-            staged.push(desc);
-        });
-        self.dropped_frames = staged;
-        self.charge(&decision.work);
-        decision
-    }
-
     /// Core decision: pick, drop-late-if-lossy, adjust windows. Dropped
-    /// descriptors go to `on_drop` in drop order. Metering of the
-    /// per-decision ratio evaluation and of the accumulated [`Work`] is the
-    /// caller's job — `decide` charges per decision, `schedule_batch` once
-    /// per batch — so the two paths report identical totals.
+    /// descriptors go to `on_drop` in drop order. Metering is the caller's
+    /// job ([`DwcsScheduler::schedule_next_with`]).
     fn decide_core(&mut self, now: Time, on_drop: &mut dyn FnMut(FrameDesc)) -> SchedDecision {
         self.decisions += 1;
         let mut dropped = 0u32;
@@ -550,79 +550,58 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         }
     }
 
-    /// Run up to `budget` fused service passes in one sweep — the
-    /// amortized batch path. Each pass performs exactly the work of one
-    /// `schedule_next` (decide, route through the dispatch mode, drain the
-    /// decoupled queue) and reports it through `sink` in the order the
-    /// placement-facing service pass emits events: drops first, then the
-    /// decision, then dispatches, then end-of-pass. Per-decision overheads
-    /// are hoisted out of the inner loop: the ratio-evaluation meter record
-    /// and the [`Work`] charge happen **once per batch** (identical totals
-    /// to `budget` single passes), and drops bypass the staging buffer
-    /// straight into the sink.
-    ///
-    /// The batch stops early at the first pass that makes no progress —
-    /// nothing decided, dropped, or dispatched. With a non-decreasing
-    /// clock, every remaining pass at the same instant would also be idle,
-    /// so stopping is equivalent to running the rest of the budget.
+    /// One service pass — the only one; every placement runs it. At the
+    /// sink's clock it makes one decision (drops go to
+    /// [`BatchSink::on_drop`] as they happen, so reclaim precedes dispatch,
+    /// DESIGN.md §8), routes it through the dispatch mode, reports it to
+    /// [`BatchSink::on_decision`], delivers the coupled frame and then
+    /// drains the decoupled dispatch queue through
+    /// [`BatchSink::on_dispatch`], and ends with [`BatchSink::end_pass`].
+    /// Returns the decision and the number of frames dispatched.
+    pub fn service_pass<S: BatchSink>(&mut self, sink: &mut S) -> (SchedDecision, u32) {
+        let now = sink.now();
+        let decision = self.schedule_next_with(now, |desc| sink.on_drop(desc, now));
+        sink.on_decision(&decision, self.total_backlog(), now);
+        let mut dispatched = 0u32;
+        if let Some(frame) = decision.frame {
+            sink.on_dispatch(frame, decision.dropped, now);
+            dispatched += 1;
+        }
+        // Drain the decoupled dispatch queue dry, re-reading the clock per
+        // pop. A pass enqueues at most one frame and every pass drains the
+        // queue, so it never holds more than the admitted stream count
+        // (≤ 16 on the NI).
+        // analysis: bound 16
+        loop {
+            let t = sink.now();
+            let Some(frame) = self.pop_dispatch(t) else {
+                break;
+            };
+            sink.on_dispatch(frame, 0, t);
+            dispatched += 1;
+        }
+        sink.end_pass(self.total_backlog(), now);
+        (decision, dispatched)
+    }
+
+    /// Run up to `budget` service passes back to back. The batch stops
+    /// early at the first pass that makes no progress — nothing decided,
+    /// dropped, or dispatched. With a non-decreasing clock, every remaining
+    /// pass at the same instant would also be idle, so stopping is
+    /// equivalent to running the rest of the budget.
     pub fn schedule_batch<S: BatchSink>(&mut self, budget: u32, sink: &mut S) -> BatchSummary {
         let mut summary = BatchSummary::default();
         // analysis: allow(ni-cycle-budget) reason="budget-bounded host-side batch sweep; NI placements keep the single-decision service path"
         for _ in 0..budget {
-            let now = sink.now();
-            let mut decision = self.decide_core(now, &mut |desc| sink.on_drop(desc, now));
+            let (decision, dispatched) = self.service_pass(sink);
             summary.passes += 1;
             summary.dropped += decision.dropped;
-            summary.work.add(decision.work);
-            let decided = decision.frame.is_some();
-            // Route exactly like `schedule_next`: couple, or queue with
-            // overflow-direct fallback (the overflow frame stays in
-            // `decision.frame`, as the single-pass path reports it).
-            match self.cfg.dispatch {
-                DispatchMode::Coupled => {
-                    if let Some(f) = decision.frame {
-                        self.account_dispatch(f, now);
-                    }
-                }
-                DispatchMode::Decoupled { queue_cap } => {
-                    if let Some(frame) = decision.frame.take() {
-                        if self.dispatch_q.len() < queue_cap {
-                            // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
-                            self.dispatch_q.push_back(frame);
-                        } else {
-                            decision.frame = Some(frame);
-                            self.account_dispatch(frame, now);
-                        }
-                    }
-                }
-            }
-            let backlog = self.total_backlog();
-            sink.on_decision(&decision, backlog, now);
-            let mut dispatched = 0u32;
-            if let Some(frame) = decision.frame {
-                sink.on_dispatch(frame, decision.dropped, now);
-                dispatched += 1;
-            }
-            // Drain the decoupled dispatch queue dry, re-reading the clock
-            // per pop — the same loop (and the same clock reads) as the
-            // single-pass service path.
-            // analysis: bound 16
-            loop {
-                let t = sink.now();
-                let Some(frame) = self.pop_dispatch(t) else {
-                    break;
-                };
-                sink.on_dispatch(frame, 0, t);
-                dispatched += 1;
-            }
             summary.dispatched += dispatched;
-            sink.end_pass(self.total_backlog(), now);
-            if !decided && decision.dropped == 0 && dispatched == 0 {
+            summary.work.add(decision.work);
+            if decision.frame.is_none() && decision.dropped == 0 && dispatched == 0 {
                 break;
             }
         }
-        self.meter.record(LogicalOp::RatioDivide, u64::from(summary.passes));
-        self.charge(&summary.work);
         summary
     }
 
@@ -697,26 +676,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     /// Total decisions made.
     pub fn decisions(&self) -> u64 {
         self.decisions
-    }
-
-    /// Drain descriptors of frames dropped since the last call — the real
-    /// engine reclaims their payload-pool slots ("single copy of frames in
-    /// NI memory"); experiment harnesses may simply clear them.
-    pub fn drain_dropped(&mut self, mut f: impl FnMut(FrameDesc)) {
-        for d in self.dropped_frames.drain(..) {
-            f(d);
-        }
-    }
-
-    /// Move descriptors of frames dropped since the last drain into
-    /// `into` (appended in drop order). The allocation-free sibling of
-    /// [`DwcsScheduler::drain_dropped`]: both sides recycle their buffer
-    /// capacity, so a steady-state service pass never allocates
-    /// ([`crate::svc::SchedService`] hoists `into` into the service
-    /// struct).
-    pub fn take_dropped(&mut self, into: &mut Vec<FrameDesc>) {
-        // analysis: allow(ni-no-alloc) reason="both buffers recycle capacity; `into` stops growing once it has seen the largest drop burst"
-        into.append(&mut self.dropped_frames);
     }
 
     /// Access the representation (e.g. `DualHeap::most_constrained`).
@@ -1075,24 +1034,6 @@ mod tests {
         s.remove_stream(a);
         assert_eq!(s.total_backlog(), 0);
         let _ = b;
-    }
-
-    #[test]
-    fn take_dropped_matches_drain_dropped() {
-        let mut s = sched();
-        let sid = s.add_stream(StreamQos::new(MILLISECOND, 4, 4));
-        for seq in 0..3 {
-            s.enqueue(sid, frame(0, seq), 0);
-        }
-        let d = s.schedule_next(SECOND);
-        assert!(d.dropped >= 1);
-        let mut got = Vec::new();
-        s.take_dropped(&mut got);
-        assert_eq!(got.len(), d.dropped as usize);
-        // Buffer drained: a second take yields nothing.
-        let mut again = Vec::new();
-        s.take_dropped(&mut again);
-        assert!(again.is_empty());
     }
 
     #[test]

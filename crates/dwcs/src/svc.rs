@@ -10,13 +10,19 @@
 //! placement supplies only its environment through a small [`Platform`]
 //! trait (a clock, a dispatch sink, a drop reclaimer, an op meter).
 //!
+//! The pass itself is [`DwcsScheduler::service_pass`];
+//! [`SchedService::service_once`] runs it once and
+//! [`SchedService::service_batch`] up to `budget` times, both through the
+//! one [`BatchSink`] that binds a [`Platform`] (and the trace ring it may
+//! carry) to the scheduler.
+//!
 //! Three placements bind to this core:
 //!
 //! * the real threaded engine (`nistream-core::engine`) — wall clock,
 //!   frame-pool payload resolution, pluggable frame sinks;
 //! * the DVCM media-scheduler extension (`dvcm::media_sched`) — NI time,
 //!   an outbox the embedding drains onto the wire;
-//! * the simulation worlds (`serversim::{hostload,niload,ninode}`) —
+//! * the simulation worlds (`serversim::{hostload,chassis,ninode}`) —
 //!   simulated time, cost-model pricing per decision and per dispatch.
 //!
 //! Like the rest of this crate the core is NI-resident code: no floating
@@ -157,10 +163,6 @@ pub trait Platform {
 pub struct SchedService<R, P> {
     sched: DwcsScheduler<R>,
     platform: P,
-    /// Per-pass drop staging, hoisted here so the steady-state service
-    /// pass allocates nothing: the buffer trades capacity back and forth
-    /// with the scheduler's internal drop list every pass.
-    drops: Vec<FrameDesc>,
     /// Which chassis card this core runs on (0 for single-card
     /// placements; a multi-card placement layer stamps its own id).
     card: CardId,
@@ -179,7 +181,6 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
         SchedService {
             sched,
             platform,
-            drops: Vec::new(),
             card: CardId::default(),
             congestion: Congestion::default(),
         }
@@ -259,13 +260,14 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
         self.sched.enqueue(sid, desc, now);
     }
 
-    /// One full service pass at the platform's current time:
+    /// One full service pass at the platform's current time
+    /// ([`DwcsScheduler::service_pass`]):
     ///
-    /// 1. make one scheduling decision;
-    /// 2. reclaim every frame dropped reaching it (before any dispatch —
-    ///    see the type-level docs);
-    /// 3. report the pass to [`Platform::on_decision`];
-    /// 4. deliver the coupled decision's frame, then drain the decoupled
+    /// 1. make one scheduling decision, reclaiming every frame dropped
+    ///    reaching it as it drops (before any dispatch — see the
+    ///    type-level docs);
+    /// 2. report the pass to [`Platform::on_decision`];
+    /// 3. deliver the coupled decision's frame, then drain the decoupled
     ///    dispatch queue, through [`Platform::dispatch`].
     ///
     /// When the platform carries a [`Platform::tracer`] ring the pass
@@ -275,114 +277,27 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     /// is what [`DispatchRecord::decided_at`] already records).
     // analysis: hot
     pub fn service_once(&mut self) -> ServiceOutcome {
-        let now = self.platform.now();
-        let decision = self.sched.schedule_next(now);
-        self.sched.take_dropped(&mut self.drops);
-        // One decision's drops: bounded by `max_drops_per_decision` ≤ 16
-        // on the NI, doubled for the same stale slack as decide's bound.
-        // analysis: bound 32
-        for desc in self.drops.drain(..) {
-            if let Some(ring) = self.platform.tracer() {
-                ring.push(TraceEvent::Drop {
-                    at: now,
-                    stream: desc.stream.0,
-                    seq: desc.seq,
-                });
-            }
-            self.platform.reclaim(&desc);
-        }
-        let backlog = self.sched.total_backlog();
-        if let Some(ring) = self.platform.tracer() {
-            ring.push(TraceEvent::Decision {
-                at: now,
-                stream: decision.frame.map(|f| f.desc.stream.0),
-                dropped: decision.dropped,
-                backlog,
-                compares: decision.work.compares,
-                touches: decision.work.touches,
-            });
-        }
-        self.platform.on_decision(&decision, backlog);
-        self.congestion.passes = self.congestion.passes.saturating_add(1);
-        self.congestion.drops = self.congestion.drops.saturating_add(decision.dropped);
-        let mut dispatched = 0u32;
-        if let Some(frame) = decision.frame {
-            let rec = DispatchRecord {
-                frame,
-                decided_at: now,
-                dropped_before: decision.dropped,
-            };
-            if !rec.frame.on_time {
-                self.congestion.late = self.congestion.late.saturating_add(1);
-            }
-            Self::trace_dispatch(&mut self.platform, &rec);
-            self.platform.dispatch(&rec);
-            dispatched += 1;
-        }
-        // Decoupled dispatch backlog: schedule_next enqueues at most one
-        // frame per pass and every pass drains the queue dry, so the
-        // backlog never exceeds the admitted stream count (≤ 16 on the NI).
-        // analysis: bound 16
-        loop {
-            let now = self.platform.now();
-            let Some(frame) = self.sched.pop_dispatch(now) else {
-                break;
-            };
-            let rec = DispatchRecord {
-                frame,
-                decided_at: now,
-                dropped_before: 0,
-            };
-            if !rec.frame.on_time {
-                self.congestion.late = self.congestion.late.saturating_add(1);
-            }
-            Self::trace_dispatch(&mut self.platform, &rec);
-            self.platform.dispatch(&rec);
-            dispatched += 1;
-        }
-        if let Some(ring) = self.platform.tracer() {
-            ring.push(TraceEvent::QueueDepth {
-                at: now,
-                depth: self.sched.total_backlog(),
-            });
-        }
+        let (decision, dispatched) = self.sched.service_pass(&mut PlatformSink {
+            platform: &mut self.platform,
+            congestion: &mut self.congestion,
+        });
         ServiceOutcome { decision, dispatched }
     }
 
-    /// Run up to `budget` service passes in one fused sweep — the
-    /// amortized batch path. Observationally this is `budget` calls to
-    /// [`SchedService::service_once`]: every pass delivers the identical
-    /// platform-call and trace-event sequence (drops reclaimed first, then
-    /// `Decision`/`on_decision`, then dispatches, then `QueueDepth`), and
-    /// meter totals match exactly — but the per-decision repr probe, the
-    /// meter charge, and the drop-staging round trip are hoisted out of
-    /// the inner loop, which is what holds 10M+ decisions/s at 100k
-    /// streams on the `batch-soa` representation. The sweep stops early
-    /// at the first pass that makes no progress (nothing decided, dropped,
-    /// or dispatched); with a non-advancing clock the remaining passes
-    /// would all be idle.
+    /// Run up to `budget` service passes in one sweep: exactly `budget`
+    /// calls to [`SchedService::service_once`], except that the sweep
+    /// stops at the first pass that makes no progress (nothing decided,
+    /// dropped, or dispatched); with a non-advancing clock the remaining
+    /// passes would all be idle.
     // analysis: hot
     pub fn service_batch(&mut self, budget: u32) -> BatchSummary {
-        let mut sink = PlatformSink {
-            platform: &mut self.platform,
-            congestion: &mut self.congestion,
-        };
-        self.sched.schedule_batch(budget, &mut sink)
-    }
-
-    /// Trace one dispatch just before it is delivered, stamped with the
-    /// record's decision time.
-    fn trace_dispatch(platform: &mut P, rec: &DispatchRecord) {
-        if let Some(ring) = platform.tracer() {
-            ring.push(TraceEvent::Dispatch {
-                at: rec.decided_at,
-                stream: rec.frame.desc.stream.0,
-                seq: rec.frame.desc.seq,
-                len: rec.frame.desc.len,
-                deadline: rec.frame.deadline,
-                on_time: rec.frame.on_time,
-            });
-        }
+        self.sched.schedule_batch(
+            budget,
+            &mut PlatformSink {
+                platform: &mut self.platform,
+                congestion: &mut self.congestion,
+            },
+        )
     }
 
     /// Snapshot congestion since the previous probe and reset the
@@ -430,9 +345,9 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
 }
 
 /// The [`BatchSink`] binding a [`Platform`] (plus the service core's
-/// congestion counters) to the fused batch loop. Borrows the service
-/// struct's fields disjointly from the scheduler, and reproduces exactly
-/// the trace/platform sequence of [`SchedService::service_once`].
+/// congestion counters) to the service pass: traces each event, then hands
+/// it to the platform. Borrows the service struct's fields disjointly from
+/// the scheduler.
 struct PlatformSink<'a, P> {
     platform: &'a mut P,
     congestion: &'a mut Congestion,

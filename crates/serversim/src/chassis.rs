@@ -30,9 +30,10 @@
 //!   bus. Frames in flight during the migration window are parked and
 //!   flushed to the new owner, so no frame is lost or double-dispatched.
 //!
-//! A 1-card chassis with [`Sourcing::Preloaded`] reproduces the
-//! single-card `niload` simulation byte-identically — dispatches, drops,
-//! stats and trace — which the conformance suite gates on.
+//! A 1-card chassis with [`Sourcing::Preloaded`] *is* the single-NI
+//! experiment of Figures 9–10: [`niload`](crate::niload) runs exactly that
+//! configuration next to its host web-load world, so the repro golden
+//! files pin the single-card bytes.
 
 use crate::hostload::StreamSeries;
 use crate::niload::NiWirePlatform;
@@ -55,8 +56,8 @@ use workload::vbr::{self, VbrTraceGen};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Sourcing {
     /// Every frame descriptor is injected at stream connect time through
-    /// the DVCM instruction path, exactly as `niload` does — the mode the
-    /// 1-card conformance gate runs.
+    /// the DVCM instruction path — the single-NI experiment
+    /// ([`niload`](crate::niload)) runs a 1-card chassis in this mode.
     Preloaded,
     /// Producers DMA each frame across the shared PCI bus to the owning
     /// card on its production period (Path B of the paper's Figure 3);
@@ -92,12 +93,11 @@ pub struct ChassisConfig {
     pub sourcing: Sourcing,
     /// Optional deterministic card-death injection.
     pub failure: Option<CardFailure>,
-    /// Decisions a card may fuse into one service pass. `1` (the
-    /// default) is the classic one-decision-per-pass cadence; larger
-    /// budgets use the amortized batch path
-    /// ([`MediaSchedExt::poll_batch`]), which delivers the identical
-    /// dispatch sequence at the same NI timestamps in fewer engine
-    /// events.
+    /// Service passes a card may run per engine event
+    /// ([`MediaSchedExt::poll_batch`]). `1` (the default) is the classic
+    /// one-decision-per-event cadence; larger budgets deliver the
+    /// identical dispatch sequence at the same NI timestamps in fewer
+    /// engine events.
     pub batch_budget: u32,
 }
 
@@ -337,9 +337,9 @@ fn card_tid(c: usize) -> Tid {
 /// The host / producer-side initiator id.
 const HOST_TID: Tid = Tid(0x001);
 
-/// Schedule (or tighten) card `c`'s next service pass. Mirrors the
-/// `niload` drive loop: the pass fires at `max(card clock, next eligible
-/// deadline)` and stops once either passes the run end.
+/// Schedule (or tighten) card `c`'s next service pass: the pass fires at
+/// `max(card clock, next eligible deadline)`, and none is armed once either
+/// passes the run end.
 fn schedule_pass(w: &mut World, eng: &mut Engine<World>, c: usize) {
     let run_end = w.run_end_ns;
     let (at_ns, epoch) = {
@@ -371,14 +371,12 @@ fn schedule_pass(w: &mut World, eng: &mut Engine<World>, c: usize) {
     w.cards[c].pass_ev = Some((at_ns, ev));
 }
 
-/// One service pass on card `c`: one `poll_decision` at the time
-/// [`schedule_pass`] computed (or a fused `poll_batch` sweep when
-/// [`ChassisConfig::batch_budget`] exceeds one), then re-arm. The pass
-/// does *not* re-probe
-/// `next_eligible` — the probe happens once per pass, when it is armed,
-/// which is exactly the probe-then-poll cadence of the single-card
-/// `niload` loop (the probe is work-metered, so an extra one per pass
-/// would perturb decision pricing).
+/// One service event on card `c`: a `poll_batch` of up to
+/// [`ChassisConfig::batch_budget`] passes (one pass at the default budget
+/// of 1) at the time [`schedule_pass`] computed, then re-arm. The event
+/// does *not* re-probe `next_eligible` — the probe happens once per event,
+/// when it is armed (the probe is work-metered, so an extra one would
+/// perturb decision pricing).
 fn run_pass(w: &mut World, eng: &mut Engine<World>, c: usize, epoch: u64, at_ns: u64) {
     let run_end = w.run_end_ns;
     let budget = w.batch_budget;
@@ -394,15 +392,7 @@ fn run_pass(w: &mut World, eng: &mut Engine<World>, c: usize, epoch: u64, at_ns:
         if card_now >= run_end {
             return;
         }
-        let poll_t = card_now.max(at_ns);
-        if budget > 1 {
-            // Fused sweep: same dispatch sequence at the same NI
-            // timestamps as `batch_budget` single passes, fewer engine
-            // events (the sweep self-terminates at the first idle pass).
-            let _ = card.ext.poll_batch(poll_t, budget);
-        } else {
-            let _ = card.ext.poll_decision(poll_t);
-        }
+        let _ = card.ext.poll_batch(card_now.max(at_ns), budget);
     }
     schedule_pass(w, eng, c);
 }
@@ -817,7 +807,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
         });
     }
 
-    // --- Preloaded sourcing: inject every descriptor now, as niload does. ---
+    // --- Preloaded sourcing: inject every descriptor now. ---
     if cfg.sourcing == Sourcing::Preloaded {
         for (g, c) in cfg.plan.clients.iter().enumerate() {
             if !streams[g].admitted {
@@ -910,8 +900,8 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
         let sent = s.prior_sent + cur_sent;
         let dropped = s.prior_dropped + cur_dropped;
         let violations = s.prior_violations + cur_violations;
-        // Bit-exact with niload when the stream never migrated; weighted
-        // mean across cards otherwise.
+        // The serving card's own mean when the stream never migrated;
+        // weighted mean across cards otherwise.
         let mean_jitter_ms = if s.prior_sent == 0 {
             cur_jitter_ns as f64 / 1e6
         } else if sent == 0 {
@@ -1087,40 +1077,6 @@ pub fn sweep_cards(card_counts: &[usize], per_card: usize, run_for: SimDuration)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::niload::{self, NiLoadConfig};
-
-    fn quick_cfg() -> ChassisConfig {
-        ChassisConfig {
-            cards: 1,
-            plan: ClientPlan::two_streams(30),
-            frames_per_stream: 900,
-            run: SimDuration::from_secs(30),
-            trace_capacity: 1 << 16,
-            ..ChassisConfig::default()
-        }
-    }
-
-    #[test]
-    fn one_card_preloaded_matches_niload() {
-        let chassis = run(quick_cfg());
-        let ni = niload::run(NiLoadConfig {
-            plan: ClientPlan::two_streams(30),
-            frames_per_stream: 900,
-            run: SimDuration::from_secs(30),
-            trace_capacity: 1 << 16,
-            ..NiLoadConfig::default()
-        });
-        assert_eq!(chassis.streams.len(), ni.streams.len());
-        for (c, n) in chassis.streams.iter().zip(&ni.streams) {
-            assert_eq!(c.series.sent, n.sent);
-            assert_eq!(c.series.dropped, n.dropped);
-            assert_eq!(c.series.qdelay, n.qdelay);
-            assert_eq!(c.series.bandwidth.points(), n.bandwidth.points());
-        }
-        assert_eq!(chassis.mean_decision_us, ni.mean_decision_us);
-        assert_eq!(chassis.cards[0].trace.capture, ni.trace);
-        assert_eq!(chassis.lost_frames, 0);
-    }
 
     #[test]
     fn placement_spreads_identical_streams_round_robin() {

@@ -151,15 +151,16 @@ fn run_inner(cfg: &MicroConfig, mut trace: Option<&mut TraceRing>) -> MicroResul
         // service, so query at each head deadline like the firmware's
         // paced loop.
         let t = sched.next_eligible().expect("frames remain");
-        let d = sched.schedule_next(t);
-        if let Some(ring) = trace.as_deref_mut() {
-            sched.drain_dropped(|desc| {
+        let d = sched.schedule_next_with(t, |desc| {
+            if let Some(ring) = trace.as_deref_mut() {
                 ring.push(TraceEvent::Drop {
                     at: t,
                     stream: desc.stream.0,
                     seq: desc.seq,
                 });
-            });
+            }
+        });
+        if let Some(ring) = trace.as_deref_mut() {
             ring.push(TraceEvent::Decision {
                 at: t,
                 stream: d.frame.map(|f| f.desc.stream.0),

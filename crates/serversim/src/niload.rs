@@ -7,28 +7,27 @@
 //! services; frame producers DMA descriptors in without consuming NI-CPU
 //! at service time; and the dispatch path never crosses the host bus.
 //!
-//! The model composes the full NI stack — frames segmented by `mpeg1`,
-//! descriptors injected through the DVCM media-scheduler extension,
-//! decisions priced by the `hwsim` i960 model, transmissions priced by the
-//! NI Ethernet model — and (structurally) takes no input from the host
-//! load at all. The experiment still *runs* the host web-load world in
-//! parallel to produce Figure 6-style utilization evidence that the host
-//! was indeed busy while the NI streams stayed flat.
+//! The NI side is a one-card [`chassis`](crate::chassis) with every frame
+//! descriptor preloaded ([`Sourcing::Preloaded`]): descriptors injected
+//! through the DVCM media-scheduler extension, decisions priced by the
+//! `hwsim` i960 model, transmissions priced by the NI Ethernet model (the
+//! [`NiWirePlatform`] below, which every chassis card runs on). It
+//! (structurally) takes no input from the host load at all. The experiment
+//! still *runs* the host web-load world in parallel to produce Figure
+//! 6-style utilization evidence that the host was indeed busy while the NI
+//! streams stayed flat.
 
+use crate::chassis::{self, ChassisConfig, Sourcing};
 use crate::hostload::{self, HostLoadConfig, HostLoadResult, StreamSeries};
 use crate::report::RateWindow;
-use dvcm::instr::{StreamSpec, VcmInstruction};
-use dvcm::{ExtensionModule, MediaSchedExt};
-use dwcs::scheduler::{Pacing, SchedDecision};
+use dwcs::scheduler::SchedDecision;
 use dwcs::svc::{DispatchRecord, Platform};
-use dwcs::{SchedulerConfig, StreamId};
 use hwsim::i960::dwcs_work;
 use hwsim::{Ethernet, I960Core};
 use nistream_trace::{TraceCapture, TraceRing};
 use simkit::{SimDuration, SimTime};
 use workload::mpegclient::ClientPlan;
 use workload::profile::LoadProfile;
-use workload::vbr::{self, VbrTraceGen};
 
 /// The NI-placement binding of [`dwcs::svc::Platform`] for this
 /// simulation: every decision the service core takes is priced on the
@@ -150,7 +149,9 @@ impl Default for NiLoadConfig {
 /// evidence.
 #[derive(Clone, Debug)]
 pub struct NiLoadResult {
-    /// Per-stream bandwidth/queuing-delay series (Figures 9/10).
+    /// Per-stream bandwidth/queuing-delay series (Figures 9/10), plan
+    /// order. A stream the card's DWCS admission test refuses reports an
+    /// empty series.
     pub streams: Vec<StreamSeries>,
     /// The host world running the web load concurrently (Figure 6-style
     /// evidence). `None` when `host_web` is empty.
@@ -164,99 +165,17 @@ pub struct NiLoadResult {
 /// Run the NI experiment.
 pub fn run(cfg: NiLoadConfig) -> NiLoadResult {
     // --- The NI pipeline (host load cannot reach it by construction). ---
-    let n = cfg.plan.clients.len();
-    let platform = NiWirePlatform::new(n, cfg.ni_cache, cfg.trace_capacity);
-
-    let sched_cfg = SchedulerConfig {
-        pacing: Pacing::DeadlinePaced,
-        ..SchedulerConfig::default()
-    };
-    let mut ext = MediaSchedExt::with_platform(n.max(1), sched_cfg, platform);
-
-    // Open streams and inject every frame descriptor through the DVCM
-    // instruction path (producers on a disk-NI DMA frames across the PCI
-    // bus; only descriptors reach the scheduler).
-    let mut sids = Vec::new();
-    for c in &cfg.plan.clients {
-        let reply = ext.on_instruction(
-            VcmInstruction::OpenStream(StreamSpec {
-                period: c.period,
-                loss_num: c.loss_num,
-                loss_den: c.loss_den,
-                droppable: true,
-            }),
-            0,
-        );
-        assert_eq!(reply.status, 0, "stream admission");
-        sids.push(StreamId(reply.payload[0]));
-    }
-    for (i, c) in cfg.plan.clients.iter().enumerate() {
-        let mean = ClientPlan::frame_bytes(c);
-        let mut gen = c.vbr.clone().map(|spec| VbrTraceGen::new(spec, mean));
-        let t0 = c.connect_at.as_nanos();
-        // Frames pack back to back in NI memory: a running cursor lays
-        // out variable sizes the same way `k × len` laid out constant
-        // ones (identical addresses when every frame is the mean).
-        let mut addr = 0xA000_0000u64;
-        for k in 0..cfg.frames_per_stream {
-            let (len, kind) = match gen.as_mut() {
-                Some(g) => {
-                    let f = g.frame(k as u64);
-                    (f.len, vbr::frame_kind(f.kind))
-                }
-                None => (mean, dwcs::FrameKind::P),
-            };
-            ext.on_instruction(
-                VcmInstruction::EnqueueFrame {
-                    stream: sids[i],
-                    addr,
-                    len,
-                    kind,
-                },
-                t0,
-            );
-            addr += u64::from(len);
-        }
-    }
-
-    // NI service loop: sleep to the next eligible deadline, then run one
-    // service pass — the platform prices the decision and any dispatch,
-    // advancing the NI clock as a side effect.
-    let mut now = SimTime::ZERO;
-    let end = SimTime::ZERO + cfg.run;
-
-    while now < end {
-        let Some(next) = ext.scheduler_mut().next_eligible() else {
-            break;
-        };
-        let next_t = SimTime::from_nanos(next);
-        if next_t >= end {
-            break;
-        }
-        now = now.max(next_t);
-        let _ = ext.poll_decision(now.as_nanos());
-        now = SimTime::from_nanos(ext.platform().now_ns);
-    }
-
-    let (decision_total, decisions) = {
-        let p = ext.platform();
-        (p.decision_total, p.decisions)
-    };
-    let mut streams = Vec::new();
-    for (i, c) in cfg.plan.clients.iter().enumerate() {
-        let bandwidth = ext.platform_mut().bw.remove(0).finish(end);
-        let qdelay = std::mem::take(&mut ext.platform_mut().qdelay[i]);
-        let stats = ext.scheduler().stats(sids[i]);
-        streams.push(StreamSeries {
-            name: c.name.clone(),
-            bandwidth,
-            qdelay,
-            sent: stats.sent(),
-            dropped: stats.dropped,
-            violations: stats.violations,
-            mean_jitter_ms: stats.mean_jitter() as f64 / 1e6,
-        });
-    }
+    let ni = chassis::run(ChassisConfig {
+        cards: 1,
+        plan: cfg.plan.clone(),
+        frames_per_stream: cfg.frames_per_stream,
+        run: cfg.run,
+        ni_cache: cfg.ni_cache,
+        trace_capacity: cfg.trace_capacity,
+        sourcing: Sourcing::Preloaded,
+        failure: None,
+        batch_budget: 1,
+    });
 
     // --- Host-side web load, for the utilization evidence only. ---
     let host = if cfg.host_web.starts_at().is_some() {
@@ -274,14 +193,10 @@ pub fn run(cfg: NiLoadConfig) -> NiLoadResult {
     };
 
     NiLoadResult {
-        streams,
+        streams: ni.streams.into_iter().map(|s| s.series).collect(),
         host,
-        mean_decision_us: if decisions == 0 {
-            0.0
-        } else {
-            decision_total.as_micros_f64() / decisions as f64
-        },
-        trace: ext.platform_mut().drain_trace(),
+        mean_decision_us: ni.mean_decision_us,
+        trace: ni.cards.into_iter().next().map(|c| c.trace.capture).unwrap_or_default(),
     }
 }
 

@@ -1,15 +1,14 @@
-//! Chassis ⟷ single-card conformance.
+//! Chassis conformance.
 //!
-//! The multi-NI chassis generalises the single-card `niload` experiment;
-//! the degenerate 1-card, preloaded-sourcing chassis must reproduce it
-//! **byte-identically** — same dispatches, drops, stats, per-stream series
-//! and trace events — so every multi-card result stays anchored to the
-//! calibrated single-card model. These tests gate that equivalence field
-//! by field, plus the chassis trace-tagging invariant: a 1-card tagged
-//! export is the single-card export with a constant `card=0 ` prefix.
+//! The degenerate 1-card, preloaded-sourcing chassis is the single-NI
+//! experiment of Figures 9–10 (`niload` runs exactly that configuration),
+//! so the repro golden files pin its bytes. These tests gate the
+//! chassis-side accounting of that configuration — every frame arrives,
+//! the backlog identity holds, the bus is never touched — plus the
+//! chassis trace-tagging invariant: a 1-card tagged export is the card's
+//! untagged export with a constant `card=0 ` prefix.
 
 use nistream::serversim::chassis::{self, ChassisConfig, Sourcing};
-use nistream::serversim::niload::{self, NiLoadConfig};
 use nistream::trace::{tagged_lines, to_lines, ChassisAggregate};
 use nistream::workload::mpegclient::ClientPlan;
 use simkit::SimDuration;
@@ -28,38 +27,14 @@ fn chassis_quick(trace_capacity: usize) -> ChassisConfig {
     }
 }
 
-fn niload_quick(trace_capacity: usize) -> NiLoadConfig {
-    NiLoadConfig {
-        plan: ClientPlan::two_streams(30),
-        frames_per_stream: 900,
-        run: SimDuration::from_secs(30),
-        trace_capacity,
-        ..NiLoadConfig::default()
-    }
-}
-
 #[test]
-fn one_card_chassis_reproduces_niload_byte_identically() {
+fn one_card_preloaded_chassis_accounts_every_frame() {
     let ch = chassis::run(chassis_quick(1 << 16));
-    let ni = niload::run(niload_quick(1 << 16));
 
-    // Per-stream series: every field, exact.
-    assert_eq!(ch.streams.len(), ni.streams.len());
-    for (c, n) in ch.streams.iter().zip(&ni.streams) {
-        assert_eq!(c.name, n.name);
-        assert_eq!(c.series.name, n.name);
-        assert_eq!(c.series.sent, n.sent, "{}", n.name);
-        assert_eq!(c.series.dropped, n.dropped, "{}", n.name);
-        assert_eq!(c.series.violations, n.violations, "{}", n.name);
-        assert_eq!(
-            c.series.mean_jitter_ms.to_bits(),
-            n.mean_jitter_ms.to_bits(),
-            "{}",
-            n.name
-        );
-        assert_eq!(c.series.qdelay, n.qdelay, "{}", n.name);
-        assert_eq!(c.series.bandwidth.points(), n.bandwidth.points(), "{}", n.name);
-        // Chassis-only accounting is consistent with the series.
+    assert_eq!(ch.streams.len(), 2);
+    for c in &ch.streams {
+        assert_eq!(c.series.name, c.name);
+        assert!(c.series.sent > 0, "{} dispatched nothing", c.name);
         assert!(c.admitted && c.alive);
         assert_eq!(c.card, Some(0));
         assert_eq!(c.arrived, 900);
@@ -67,15 +42,8 @@ fn one_card_chassis_reproduces_niload_byte_identically() {
         assert_eq!(c.in_flight_at_end, 0);
         assert_eq!(c.held_at_end, 0);
     }
-
-    // Decision accounting, exact.
-    assert_eq!(ch.mean_decision_us.to_bits(), ni.mean_decision_us.to_bits());
-
-    // Trace: identical event stream, identical serialized bytes.
     assert_eq!(ch.cards.len(), 1);
     assert_eq!(ch.cards[0].trace.card, 0);
-    assert_eq!(ch.cards[0].trace.capture, ni.trace);
-    assert_eq!(to_lines(&ch.cards[0].trace.capture.events), to_lines(&ni.trace.events));
 
     // Nothing chassis-specific happened in the degenerate configuration.
     assert_eq!(ch.lost_frames, 0);
@@ -86,10 +54,10 @@ fn one_card_chassis_reproduces_niload_byte_identically() {
 #[test]
 fn one_card_tagged_trace_is_prefixed_single_card_trace() {
     let ch = chassis::run(chassis_quick(1 << 16));
-    let ni = niload::run(niload_quick(1 << 16));
+    let card = &ch.cards[0].trace;
 
-    let tagged = tagged_lines(std::slice::from_ref(&ch.cards[0].trace));
-    let plain = to_lines(&ni.trace.events);
+    let tagged = tagged_lines(std::slice::from_ref(card));
+    let plain = to_lines(&card.capture.events);
     assert!(!tagged.is_empty());
     let stripped: String = tagged
         .lines()
@@ -105,9 +73,9 @@ fn one_card_tagged_trace_is_prefixed_single_card_trace() {
 
     // And the chassis aggregation of that capture equals the single-card
     // fold: per-card tier for card 0 and the total tier agree.
-    let agg = ChassisAggregate::from_captures(std::slice::from_ref(&ch.cards[0].trace));
+    let agg = ChassisAggregate::from_captures(std::slice::from_ref(card));
     let mut single = nistream::trace::Aggregate::new();
-    single.fold_all(&ni.trace.events);
+    single.fold_all(&card.capture.events);
     assert_eq!(agg.per_card.len(), 1);
     assert_eq!(agg.per_card[&0].total_dispatches(), single.total_dispatches());
     assert_eq!(agg.per_card[&0].total_drops(), single.total_drops());

@@ -5,36 +5,39 @@
 //! so a regression that sneaks past the analysis (e.g. through a trait
 //! object or a std call the lint does not model) still fails CI.
 //!
-//! The counting allocator is gated per-thread: only allocations made by
-//! the test thread between `gate_on` and `gate_off` are counted, so the
-//! harness's own bookkeeping threads cannot pollute the count.
+//! The counting allocator is gated and counts per thread: only
+//! allocations made by the test thread between `gate_on` and `gate_off`
+//! are counted, so neither the harness's bookkeeping threads nor the
+//! other tests of this file, running in parallel, pollute the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use nistream::dwcs::qos::StreamQos;
 use nistream::dwcs::repr::{BatchSoa, LinearScan};
-use nistream::dwcs::scheduler::SchedulerConfig;
+use nistream::dwcs::scheduler::{DwcsScheduler, SchedulerConfig};
 use nistream::dwcs::svc::{DispatchRecord, Platform, SchedService};
 use nistream::dwcs::types::{FrameDesc, FrameKind, StreamId, Time, MILLISECOND};
 use nistream::trace::TraceRing;
 
-static GATED_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static GATE: Cell<bool> = const { Cell::new(false) };
+    static GATED_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_if_gated() {
+    // `try_with` instead of `with`: the allocator runs during TLS
+    // teardown too, where accessing a destroyed key would abort.
+    if GATE.try_with(Cell::get).unwrap_or(false) {
+        let _ = GATED_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with` instead of `with`: the allocator runs during TLS
-        // teardown too, where accessing a destroyed key would abort.
-        if GATE.try_with(Cell::get).unwrap_or(false) {
-            GATED_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_gated();
         // SAFETY: forwarding the caller's layout to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -46,9 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing Vec reaches here rather than `alloc`; count it the same.
-        if GATE.try_with(Cell::get).unwrap_or(false) {
-            GATED_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_gated();
         // SAFETY: same contract as `GlobalAlloc::realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,13 +59,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn gate_on() {
-    GATED_ALLOCS.store(0, Ordering::Relaxed);
+    GATED_ALLOCS.with(|n| n.set(0));
     GATE.with(|c| c.set(true));
 }
 
 fn gate_off() -> u64 {
     GATE.with(|c| c.set(false));
-    GATED_ALLOCS.load(Ordering::Relaxed)
+    GATED_ALLOCS.with(Cell::get)
 }
 
 /// Minimal placement: settable clock, counting sink, NI trace ring.
@@ -248,5 +249,49 @@ fn batch_service_pass_allocates_nothing() {
     assert!(
         svc.platform().reclaimed > warm_reclaimed,
         "gated phase actually exercised the drop path on the batch path"
+    );
+}
+
+/// A scheduler driven through bare `schedule_next` — as the bus
+/// simulator, the fairness and op-metering tests and the Criterion
+/// benches drive it, with nobody collecting dropped descriptors — must
+/// not retain them. Every drop is handed out during the decision that
+/// made it; nothing is staged inside the scheduler, so a long run of
+/// late frames on a lossy stream allocates nothing once warm.
+#[test]
+fn schedule_next_retains_no_dropped_frames() {
+    let mut sched = DwcsScheduler::new(LinearScan::new(8));
+    // Loss tolerance 1/2: every other late head drops within budget.
+    let sid = sched.add_stream(StreamQos::new(PERIOD, 1, 2));
+    let mut t = 0;
+    let mut seq = 0;
+    let mut round = |sched: &mut DwcsScheduler<LinearScan>, t: &mut Time| -> u64 {
+        for _ in 0..4 {
+            sched.enqueue(sid, frame(sid, seq), *t);
+            seq += 1;
+        }
+        *t += 1_000 * MILLISECOND;
+        let mut dropped = 0;
+        while sched.has_pending() {
+            dropped += u64::from(sched.schedule_next(*t).dropped);
+        }
+        dropped
+    };
+    // Warm-up: the stream's queue reaches its depth of four.
+    for _ in 0..64 {
+        round(&mut sched, &mut t);
+    }
+
+    gate_on();
+    let mut dropped = 0;
+    for _ in 0..10_000 {
+        dropped += round(&mut sched, &mut t);
+    }
+    let allocs = gate_off();
+
+    assert!(dropped >= 10_000, "the gated phase dropped only {dropped} frames");
+    assert_eq!(
+        allocs, 0,
+        "schedule_next allocated {allocs} time(s) over {dropped} drops — dropped descriptors are being retained"
     );
 }
