@@ -269,10 +269,7 @@ impl Prog {
                     out.push_str("; }\n");
                 }
                 Stmt::For { trips, target, delta } => {
-                    let _ = write!(
-                        out,
-                        "    for _i in 0..{trips} {{ v{target} = v{target} + ({delta}); }}\n"
-                    );
+                    let _ = writeln!(out, "    for _i in 0..{trips} {{ v{target} = v{target} + ({delta}); }}");
                 }
             }
         }

@@ -97,12 +97,10 @@ fn fill<R: ScheduleRepr>(r: &mut R, streams: u32, arrival: &mut u64) {
 /// winner selection + re-key. Returns decisions per second.
 fn churn<R: ScheduleRepr>(r: &mut R, streams: u32, rounds: u64) -> f64 {
     let ops = rounds * u64::from(streams);
-    let mut arrival = u64::from(streams);
     // analysis: allow(sim-determinism) reason="wall clock is the quantity being measured"
     let t0 = Instant::now();
-    for _ in 0..ops {
+    for arrival in u64::from(streams) + 1..u64::from(streams) + ops + 1 {
         let (sid, key) = r.pop_min().expect("churn keeps the schedule full");
-        arrival += 1;
         r.update(
             sid,
             HeadKey {
@@ -147,11 +145,9 @@ fn cross_check() {
             );
         }
         let mut order = Vec::new();
-        let mut arrival = u64::from(n);
-        for step in 0..u64::from(n) * 4 {
+        for (step, arrival) in (0..u64::from(n) * 4).zip(u64::from(n) + 1..) {
             let (sid, key) = r.pop_min().expect("cross-check keeps the schedule full");
             order.push(sid.0);
-            arrival += 1;
             if step % 5 == 4 {
                 // Periodically leave the popped stream out for a step and
                 // re-admit later, exercising remove/re-insert paths.

@@ -5,7 +5,7 @@
 //! instructions (frames themselves are already in NI memory — only
 //! descriptors travel), the NI task loop polls for scheduling decisions,
 //! and the core hands dispatched frames to the extension's
-//! [`Platform`](dwcs::svc::Platform) — by default [`NiOutbox`], an
+//! [`Platform`] — by default [`NiOutbox`], an
 //! outbox the embedding drains onto the wire (`serversim` charges
 //! Ethernet time; the real engine in `nistream-core` binds the same core
 //! to a sink thread instead).

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no network access (DESIGN.md §6: no external
 //! dependencies), so the subset of the proptest API this workspace's
-//! property tests use is reimplemented here: the [`Strategy`] trait with
-//! `prop_map`/`prop_flat_map`, range and tuple strategies, [`Just`],
+//! property tests use is reimplemented here: the [`Strategy`](strategy::Strategy) trait with
+//! `prop_map`/`prop_flat_map`, range and tuple strategies, [`Just`](strategy::Just),
 //! `any::<T>()`, weighted `prop_oneof!`, `proptest::collection::vec`, and
 //! the `proptest!`/`prop_assert*`/`prop_assume!` macros.
 //!
@@ -374,7 +374,7 @@ mod tests {
             let total: u64 = v.iter().sum();
             prop_assert!(total < 500, "sum {total} out of range");
             if flag {
-                prop_assert_eq!(v.len(), v.iter().count());
+                prop_assert_eq!(v.len() as u64, v.iter().map(|_| 1).sum::<u64>());
             }
         }
     }

@@ -122,7 +122,7 @@ where
     }
 }
 
-/// Box a strategy for storage in heterogeneous unions ([`prop_oneof!`]).
+/// Box a strategy for storage in heterogeneous unions ([`prop_oneof!`](crate::prop_oneof)).
 pub fn boxed<S>(s: S) -> Box<dyn Strategy<Value = S::Value>>
 where
     S: Strategy + 'static,

@@ -7,7 +7,7 @@
 //! services; frame producers DMA descriptors in without consuming NI-CPU
 //! at service time; and the dispatch path never crosses the host bus.
 //!
-//! The NI side is a one-card [`chassis`](crate::chassis) with every frame
+//! The NI side is a one-card [`chassis`] with every frame
 //! descriptor preloaded ([`Sourcing::Preloaded`]): descriptors injected
 //! through the DVCM media-scheduler extension, decisions priced by the
 //! `hwsim` i960 model, transmissions priced by the NI Ethernet model (the

@@ -1,7 +1,7 @@
 //! The event-scheduling executive.
 //!
-//! A hierarchical timing wheel of `(time, sequence)` entries (see
-//! [`crate::wheel`] for the layout) over a slab arena that owns the event
+//! A hierarchical timing wheel of `(time, sequence)` entries (see the
+//! private `wheel` module for the layout) over a slab arena that owns the event
 //! closures. The sequence number makes simultaneous events fire in
 //! scheduling order (FIFO-stable), which the hardware models rely on for
 //! determinism (e.g. two DMA completions in the same nanosecond); the

@@ -30,7 +30,7 @@ fn decode_event(tag: u64) -> TraceEvent {
         },
         2 => TraceEvent::Decision {
             at,
-            stream: if tag % 2 == 0 { Some(stream) } else { None },
+            stream: if tag & 1 == 0 { Some(stream) } else { None },
             dropped: (tag % 4) as u32,
             backlog: tag % 100,
             compares: tag % 64,
@@ -42,7 +42,7 @@ fn decode_event(tag: u64) -> TraceEvent {
             seq,
             len: (tag % 1500) as u32,
             deadline: at.wrapping_add(tag % 1000),
-            on_time: tag % 2 == 0,
+            on_time: tag & 1 == 0,
         },
         4 => TraceEvent::Drop { at, stream, seq },
         _ => TraceEvent::QueueDepth { at, depth: tag % 200 },
