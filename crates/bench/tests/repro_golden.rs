@@ -7,18 +7,16 @@
 //! refactor of the scheduler, the service core or the simulators that
 //! moves a single modelled number shows up here as a diff.
 //!
-//! To regenerate after a deliberate change to the model, run with
-//! `NISTREAM_BLESS=1` and review the diff of `tests/golden/`.
+//! After a deliberate change to the model, regenerate a `.stdout` file by
+//! redirecting the binary's output into it
+//! (`cargo run --release -p nistream-bench --bin <name>`); a `.trace`
+//! file holds the `<len> <fnv1a>` line the failing assertion prints.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
-}
-
-fn bless() -> bool {
-    std::env::var_os("NISTREAM_BLESS").is_some()
 }
 
 fn run(bin: &str, args: &[&str]) -> String {
@@ -41,10 +39,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn check_stdout(name: &str, bin: &str) {
     let path = golden_dir().join(format!("{name}.stdout"));
     let got = run(bin, &[]);
-    if bless() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
     let want = std::fs::read_to_string(&path).expect("golden file present");
     assert!(got == want, "{name} stdout drifted from {}:\n{got}", path.display());
 }
@@ -56,12 +50,7 @@ fn check_trace(name: &str, bin: &str) {
     let stdout = run(bin, &["--trace", doc.to_str().expect("UTF-8 tmp path")]);
     let bytes = std::fs::read(&doc).expect("trace document written");
     let got = format!("{} {:016x}\n", bytes.len(), fnv1a(&bytes));
-    let path = golden_dir().join(format!("{name}.trace"));
-    if bless() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).expect("golden file present");
+    let want = std::fs::read_to_string(golden_dir().join(format!("{name}.trace"))).expect("golden file present");
     assert_eq!(got, want, "{name} --trace document drifted (len fnv1a)");
     let plain = std::fs::read_to_string(golden_dir().join(format!("{name}.stdout"))).expect("golden file present");
     assert!(stdout == plain, "{name} --trace changed stdout");

@@ -161,8 +161,7 @@ impl<P: Platform> MediaSchedExt<P> {
         self.svc.service_once().decision
     }
 
-    /// Up to `budget` scheduling decisions in one fused sweep at NI time
-    /// `now` — the amortized batch path
+    /// Up to `budget` service passes in one call at NI time `now`
     /// ([`dwcs::svc::SchedService::service_batch`]). Observationally
     /// identical to `budget` calls to
     /// [`poll_decision`](MediaSchedExt::poll_decision) at the same `now`:

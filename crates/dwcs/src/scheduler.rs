@@ -19,7 +19,7 @@
 //! dispatcher drains — decisions can run ahead at a higher rate at the cost
 //! of dispatch-queue delay), matching the paper's §3.1.1 trade-off.
 //!
-//! There is one service pass, [`DwcsScheduler::service_pass`]: decide,
+//! There is one service pass, `DwcsScheduler::service_pass`: decide,
 //! route through the dispatch mode, report to a [`BatchSink`], drain the
 //! decoupled queue. Every placement runs it — one pass at a time through
 //! `SchedService::service_once`, or `budget` in a row through
@@ -154,7 +154,7 @@ pub struct SchedDecision {
     pub work: Work,
 }
 
-/// Observer driving [`DwcsScheduler::service_pass`]: supplies the clock
+/// Observer driving `DwcsScheduler::service_pass`: supplies the clock
 /// and receives each pass's events in order (drops, then the decision,
 /// then dispatches, then end-of-pass). The pass is monomorphized over the
 /// sink, so a trivial sink (the benchmark drain) compiles down to the bare
@@ -558,7 +558,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     /// drains the decoupled dispatch queue through
     /// [`BatchSink::on_dispatch`], and ends with [`BatchSink::end_pass`].
     /// Returns the decision and the number of frames dispatched.
-    pub fn service_pass<S: BatchSink>(&mut self, sink: &mut S) -> (SchedDecision, u32) {
+    pub(crate) fn service_pass<S: BatchSink>(&mut self, sink: &mut S) -> (SchedDecision, u32) {
         let now = sink.now();
         let decision = self.schedule_next_with(now, |desc| sink.on_drop(desc, now));
         sink.on_decision(&decision, self.total_backlog(), now);

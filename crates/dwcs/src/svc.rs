@@ -10,11 +10,11 @@
 //! placement supplies only its environment through a small [`Platform`]
 //! trait (a clock, a dispatch sink, a drop reclaimer, an op meter).
 //!
-//! The pass itself is [`DwcsScheduler::service_pass`];
+//! The pass itself is `DwcsScheduler::service_pass`;
 //! [`SchedService::service_once`] runs it once and
 //! [`SchedService::service_batch`] up to `budget` times, both through the
-//! one [`BatchSink`] that binds a [`Platform`] (and the trace ring it may
-//! carry) to the scheduler.
+//! same [`BatchSink`], which traces each event and hands it to the
+//! [`Platform`].
 //!
 //! Three placements bind to this core:
 //!
@@ -261,7 +261,7 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     }
 
     /// One full service pass at the platform's current time
-    /// ([`DwcsScheduler::service_pass`]):
+    /// (`DwcsScheduler::service_pass`):
     ///
     /// 1. make one scheduling decision, reclaiming every frame dropped
     ///    reaching it as it drops (before any dispatch — see the
@@ -277,10 +277,11 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     /// is what [`DispatchRecord::decided_at`] already records).
     // analysis: hot
     pub fn service_once(&mut self) -> ServiceOutcome {
-        let (decision, dispatched) = self.sched.service_pass(&mut PlatformSink {
+        let mut sink = PlatformSink {
             platform: &mut self.platform,
             congestion: &mut self.congestion,
-        });
+        };
+        let (decision, dispatched) = self.sched.service_pass(&mut sink);
         ServiceOutcome { decision, dispatched }
     }
 
@@ -291,13 +292,11 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     /// passes would all be idle.
     // analysis: hot
     pub fn service_batch(&mut self, budget: u32) -> BatchSummary {
-        self.sched.schedule_batch(
-            budget,
-            &mut PlatformSink {
-                platform: &mut self.platform,
-                congestion: &mut self.congestion,
-            },
-        )
+        let mut sink = PlatformSink {
+            platform: &mut self.platform,
+            congestion: &mut self.congestion,
+        };
+        self.sched.schedule_batch(budget, &mut sink)
     }
 
     /// Snapshot congestion since the previous probe and reset the

@@ -7,10 +7,10 @@
 //! services; frame producers DMA descriptors in without consuming NI-CPU
 //! at service time; and the dispatch path never crosses the host bus.
 //!
-//! The NI side is a one-card [`chassis`] with every frame
-//! descriptor preloaded ([`Sourcing::Preloaded`]): descriptors injected
-//! through the DVCM media-scheduler extension, decisions priced by the
-//! `hwsim` i960 model, transmissions priced by the NI Ethernet model (the
+//! The NI side is a one-card [`chassis`] with every frame descriptor
+//! preloaded ([`Sourcing::Preloaded`]): descriptors injected through the
+//! DVCM media-scheduler extension, decisions priced by the `hwsim` i960
+//! model, transmissions priced by the NI Ethernet model (the
 //! [`NiWirePlatform`] below, which every chassis card runs on). It
 //! (structurally) takes no input from the host load at all. The experiment
 //! still *runs* the host web-load world in parallel to produce Figure

@@ -109,7 +109,7 @@ fn on_time_pass(svc: &mut SchedService<LinearScan, NullPlatform>, sid: StreamId,
 }
 
 /// A burst of `n` frames ingested at once, then serviced far past their
-/// deadlines — exercises the drop/reclaim path and its staging buffers.
+/// deadlines — exercises the drop/reclaim path.
 fn drop_burst(svc: &mut SchedService<LinearScan, NullPlatform>, sid: StreamId, seq0: u64, n: u64, t: Time) -> Time {
     for k in 0..n {
         svc.ingest_at(sid, frame(sid, seq0 + k), t);
@@ -135,8 +135,8 @@ fn steady_state_service_pass_allocates_nothing() {
     let sid = svc.open(StreamQos::new(PERIOD, 1, 2));
 
     // Warm-up: reach every buffer's high-water mark — per-stream queue
-    // depth 8, the drop staging buffers, and a full (overflowing) trace
-    // ring — so steady state only recycles capacity.
+    // depth 8 and a full (overflowing) trace ring — so steady state only
+    // recycles capacity.
     let mut t = 0;
     let mut seq = 0;
     for _ in 0..64 {
@@ -178,7 +178,7 @@ fn steady_state_service_pass_allocates_nothing() {
 /// the winner pyramid, and the dirty list are all sized at admission, and
 /// `flush` recycles the dirty buffer (`mem::take` + restore) rather than
 /// replacing it. Drop bursts run through `service_batch` too, so the
-/// drop-staging round trip is covered on the batch path.
+/// drop/reclaim path is covered on the batch path.
 #[test]
 fn batch_service_pass_allocates_nothing() {
     let platform = NullPlatform {
@@ -190,8 +190,8 @@ fn batch_service_pass_allocates_nothing() {
     let mut svc = SchedService::new(BatchSoa::new(8), SchedulerConfig::default(), platform);
     let sids: Vec<StreamId> = (0..3).map(|_| svc.open(StreamQos::new(PERIOD, 1, 2))).collect();
 
-    // Warm-up: per-stream queues, drop staging, trace-ring overflow, and
-    // the pyramid's dirty list all reach their high-water marks.
+    // Warm-up: per-stream queues, trace-ring overflow, and the pyramid's
+    // dirty list all reach their high-water marks.
     let mut t = 0;
     let mut seq = 0;
     for _ in 0..64 {
@@ -261,7 +261,7 @@ fn batch_service_pass_allocates_nothing() {
 #[test]
 fn schedule_next_retains_no_dropped_frames() {
     let mut sched = DwcsScheduler::new(LinearScan::new(8));
-    // Loss tolerance 1/2: every other late head drops within budget.
+    // Loss tolerance 1/2: each round's late head drops within budget.
     let sid = sched.add_stream(StreamQos::new(PERIOD, 1, 2));
     let mut t = 0;
     let mut seq = 0;
