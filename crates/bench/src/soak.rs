@@ -29,6 +29,8 @@ use nistream_trace::{regressions, Aggregate, ChassisAggregate, Slo, SloMargin, S
 use serversim::chassis::{self, CardFailure, ChassisConfig, Sourcing};
 use serversim::hostload;
 use simkit::SimDuration;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use workload::abr::{AbrController, AbrLadder, AbrPolicy};
 use workload::churn::{ChurnConfig, ChurnGen};
 use workload::vbr::{self, mean_frame_bytes, VbrSpec, VbrTraceGen};
@@ -250,7 +252,6 @@ struct Slot {
     mean: u32,
     gen: Option<VbrTraceGen>,
     open: bool,
-    done: bool,
 }
 
 // Discrete event kinds, tie-break order: a session must open before it
@@ -262,24 +263,58 @@ const EV_PROD: u8 = 2;
 const EV_SVC: u8 = 3;
 const EV_PROBE: u8 = 4;
 
-fn consider(best: &mut Option<(u64, u8, usize)>, cand: (u64, u8, usize)) {
+/// One pending event: `(t, kind, session)`, ordered as a tuple, so ties on
+/// `t` break by kind and then by session index.
+type Event = (u64, u8, usize);
+
+/// The session's next frame production, if it falls before both the end of
+/// the run and the session's departure.
+fn next_production(s: &NiSession, slot: &Slot, end: u64, i: usize) -> Option<Event> {
+    let tp = s.connect_ns + slot.next_seq * slot.period_ns;
+    (tp < end.min(s.depart_ns)).then_some((tp, EV_PROD, i))
+}
+
+fn consider(best: &mut Option<Event>, cand: Event) {
     if best.is_none_or(|b| cand < b) {
         *best = Some(cand);
     }
 }
 
+/// What the event picker did over one run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PickerStats {
+    /// Events handed out, every kind counted.
+    pub(crate) events: u64,
+    /// Most session events (open sessions' productions and departures,
+    /// plus the next arrival) competing at once.
+    pub(crate) max_pending: usize,
+}
+
 /// Drive one NI scenario to `run_secs` of virtual time, folding the trace
 /// at every probe tick, and summarize.
-fn run_ni(sc: NiScenario) -> SoakRow {
+///
+/// The picker costs O(log live) per event, however many sessions came and
+/// went before: a min-heap holds each open session's next production and
+/// its departure, arrivals are walked by a cursor (sessions are sorted by
+/// connect time), and the service pass and probe are single candidates
+/// compared against the heap top.
+fn run_ni(sc: NiScenario) -> (SoakRow, PickerStats) {
     let end = sc.run_secs * NS_PER_SEC;
     let period = Cadence::NTSC.period_ns();
     let n = sc.sessions.len();
+    assert!(
+        sc.sessions.windows(2).all(|w| w[0].connect_ns <= w[1].connect_ns),
+        "{}: sessions must be sorted by connect time",
+        sc.name
+    );
 
     let sched_cfg = SchedulerConfig {
         pacing: Pacing::DeadlinePaced,
         ..SchedulerConfig::default()
     };
-    let mut ext = MediaSchedExt::with_platform(n.max(1), sched_cfg, SoakPlatform::new());
+    // Closed streams' ids are reused, so every id stays below the live cap.
+    let live_max = n.min(sc.live_cap);
+    let mut ext = MediaSchedExt::with_platform(live_max.max(1), sched_cfg, SoakPlatform::new());
 
     let mut slots: Vec<Slot> = sc
         .sessions
@@ -294,11 +329,13 @@ fn run_ni(sc: NiScenario) -> SoakRow {
                 mean,
                 gen: s.vbr.clone().map(|spec| VbrTraceGen::new(spec, mean)),
                 open: false,
-                done: false,
             }
         })
         .collect();
     let mut abr = sc.abr.map(|a| AbrController::new(a.ladder, a.policy, a.start));
+    let mut pending: BinaryHeap<Reverse<Event>> = BinaryHeap::with_capacity(2 * live_max);
+    let mut arrivals = 0usize;
+    let mut stats = PickerStats::default();
     let mut live = 0usize;
     let mut clock = 0u64;
     let mut next_probe = PROBE_NS;
@@ -306,24 +343,11 @@ fn run_ni(sc: NiScenario) -> SoakRow {
     let mut switches = 0u64;
 
     loop {
-        let mut best: Option<(u64, u8, usize)> = None;
-        for (i, (s, slot)) in sc.sessions.iter().zip(&slots).enumerate() {
-            if slot.done {
-                continue;
-            }
-            if !slot.open {
-                if s.connect_ns < end {
-                    consider(&mut best, (s.connect_ns, EV_OPEN, i));
-                }
-                continue;
-            }
-            if s.depart_ns < end {
-                consider(&mut best, (s.depart_ns, EV_CLOSE, i));
-            }
-            let tp = s.connect_ns + slot.next_seq * slot.period_ns;
-            if tp < end.min(s.depart_ns) {
-                consider(&mut best, (tp, EV_PROD, i));
-            }
+        let mut best = pending.peek().map(|&Reverse(e)| e);
+        let arrival = sc.sessions.get(arrivals).filter(|s| s.connect_ns < end);
+        stats.max_pending = stats.max_pending.max(pending.len() + usize::from(arrival.is_some()));
+        if let Some(s) = arrival {
+            consider(&mut best, (s.connect_ns, EV_OPEN, arrivals));
         }
         if let Some(t) = ext.scheduler_mut().next_eligible() {
             if t < end {
@@ -335,33 +359,40 @@ fn run_ni(sc: NiScenario) -> SoakRow {
         }
 
         let Some((t, kind, i)) = best else { break };
+        stats.events += 1;
         match kind {
             EV_OPEN => {
-                let slot = &mut slots[i];
+                arrivals += 1;
                 if live >= sc.live_cap {
                     // Admission-capped arrival: the session never starts.
-                    slot.done = true;
-                } else {
-                    let reply = ext.on_instruction(
-                        VcmInstruction::OpenStream(StreamSpec {
-                            period: slot.period_ns,
-                            loss_num: 2,
-                            loss_den: 8,
-                            droppable: true,
-                        }),
-                        t,
-                    );
-                    assert_eq!(reply.status, 0, "soak stream admission");
-                    slot.sid = StreamId(reply.payload[0]);
-                    slot.open = true;
-                    live += 1;
+                    continue;
                 }
+                let (s, slot) = (&sc.sessions[i], &mut slots[i]);
+                let reply = ext.on_instruction(
+                    VcmInstruction::OpenStream(StreamSpec {
+                        period: slot.period_ns,
+                        loss_num: 2,
+                        loss_den: 8,
+                        droppable: true,
+                    }),
+                    t,
+                );
+                assert_eq!(reply.status, 0, "soak stream admission");
+                slot.sid = StreamId(reply.payload[0]);
+                slot.open = true;
+                live += 1;
+                if s.depart_ns < end {
+                    pending.push(Reverse((s.depart_ns, EV_CLOSE, i)));
+                }
+                pending.extend(next_production(s, slot, end, i).map(Reverse));
             }
             EV_CLOSE => {
+                // Productions are pushed only before the departure, so a
+                // closing session leaves nothing else in the heap.
+                pending.pop();
                 let slot = &mut slots[i];
                 ext.on_instruction(VcmInstruction::CloseStream(slot.sid), t);
                 slot.open = false;
-                slot.done = true;
                 live -= 1;
             }
             EV_PROD => {
@@ -386,6 +417,14 @@ fn run_ni(sc: NiScenario) -> SoakRow {
                 );
                 slot.next_seq += 1;
                 slot.next_addr += u64::from(len);
+                // The session's next production takes this one's place.
+                let mut top = pending.peek_mut().expect("production comes from the heap");
+                match next_production(&sc.sessions[i], slot, end, i) {
+                    Some(e) => *top = Reverse(e),
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
             }
             EV_SVC => {
                 clock = clock.max(t);
@@ -420,13 +459,14 @@ fn run_ni(sc: NiScenario) -> SoakRow {
     assert_eq!(cap.overflow, 0, "{}: soak ring overflowed at drain", sc.name);
     agg.fold_all(&cap.events);
 
-    SoakRow {
+    let row = SoakRow {
         scenario: sc.name.to_string(),
         virtual_secs: sc.run_secs,
         streams: n as u64,
         abr_switches: switches,
         slo: Slo::from_aggregate(&agg),
-    }
+    };
+    (row, stats)
 }
 
 /// `n` identical sessions phase-spread across one period, playing to the
@@ -463,6 +503,17 @@ fn churn_sessions(run_secs: u64) -> Vec<NiSession> {
             vbr: Some(VbrSpec::classic(u64::from(s.index))),
         })
         .collect()
+}
+
+/// The churn scenario: heavy-tailed sessions behind a 32-session live cap.
+fn churn_scenario(run_secs: u64) -> NiScenario {
+    NiScenario {
+        name: "ni-churn",
+        run_secs,
+        live_cap: 32,
+        sessions: churn_sessions(run_secs),
+        abr: None,
+    }
 }
 
 /// The overload population: one 10 Mb/s NI sustains ≈39 such streams;
@@ -555,47 +606,42 @@ fn run_chassis(name: &'static str, run_secs: u64, failover: bool) -> SoakRow {
 /// Run one scenario by name.
 pub fn run_scenario(name: &str, mode: SoakMode) -> SoakRow {
     let secs = duration_secs(name, mode);
-    match name {
-        "ni-cbr" => run_ni(NiScenario {
+    let sc = match name {
+        "ni-cbr" => NiScenario {
             name: "ni-cbr",
             run_secs: secs,
             live_cap: usize::MAX,
             sessions: fixed_sessions(4, 260_000, |_| None),
             abr: None,
-        }),
-        "ni-vbr" => run_ni(NiScenario {
+        },
+        "ni-vbr" => NiScenario {
             name: "ni-vbr",
             run_secs: secs,
             live_cap: usize::MAX,
             sessions: fixed_sessions(4, 260_000, |i| Some(VbrSpec::classic(i as u64))),
             abr: None,
-        }),
-        "ni-fixed-hi" => run_ni(NiScenario {
+        },
+        "ni-fixed-hi" => NiScenario {
             name: "ni-fixed-hi",
             run_secs: secs,
             live_cap: usize::MAX,
             sessions: fixed_sessions(OVERLOAD_STREAMS, 260_000, |_| None),
             abr: None,
-        }),
-        "ni-abr" => run_ni(NiScenario {
+        },
+        "ni-abr" => NiScenario {
             name: "ni-abr",
             run_secs: secs,
             live_cap: usize::MAX,
             sessions: fixed_sessions(OVERLOAD_STREAMS, 260_000, |_| None),
             abr: Some(abr_setup()),
-        }),
-        "ni-churn" => run_ni(NiScenario {
-            name: "ni-churn",
-            run_secs: secs,
-            live_cap: 32,
-            sessions: churn_sessions(secs),
-            abr: None,
-        }),
-        "host-vbr" => run_host(secs),
-        "chassis-vbr" => run_chassis("chassis-vbr", secs, false),
-        "chassis-failover" => run_chassis("chassis-failover", secs, true),
+        },
+        "ni-churn" => churn_scenario(secs),
+        "host-vbr" => return run_host(secs),
+        "chassis-vbr" => return run_chassis("chassis-vbr", secs, false),
+        "chassis-failover" => return run_chassis("chassis-failover", secs, true),
         _ => panic!("unknown soak scenario {name}"),
-    }
+    };
+    run_ni(sc).0
 }
 
 /// Run the whole suite across `threads` sweep workers. Results come back
@@ -870,6 +916,26 @@ mod tests {
         for name in SCENARIOS {
             assert!(duration_secs(name, SoakMode::Quick) < duration_secs(name, SoakMode::Full));
         }
+    }
+
+    #[test]
+    fn churn_picker_cost_tracks_live_sessions_not_history() {
+        let scenario = churn_scenario(30);
+        let cap = scenario.live_cap;
+        let (short, short_picks) = run_ni(scenario);
+        let (long, long_picks) = run_ni(churn_scenario(600));
+        assert_eq!((short.streams, long.streams), (77, 1_346));
+        for picks in [short_picks, long_picks] {
+            assert!(picks.max_pending <= 2 * cap + 1, "{picks:?}");
+        }
+        // Each event costs O(log live) in the picker, so a flat event count
+        // per dispatch keeps the cost per dispatch flat as history grows.
+        let per_dispatch = |row: &SoakRow, picks: PickerStats| picks.events as f64 / row.slo.dispatches as f64;
+        let (a, b) = (per_dispatch(&short, short_picks), per_dispatch(&long, long_picks));
+        assert!(
+            (a - b).abs() <= 0.1 * a.min(b),
+            "events per dispatch {a:.3} at 30 s vs {b:.3} at 600 s"
+        );
     }
 
     #[test]

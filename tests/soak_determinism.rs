@@ -5,10 +5,13 @@
 //! bytes. This suite pins that: the rendered quick-mode document is
 //! byte-identical across sweep thread counts (1 vs 4) and across
 //! invocations, and the checked-in `BENCH_slo.json` baseline carries the
-//! expected schema and scenario set.
+//! expected schema and scenario set. Full mode has no checked-in
+//! document, so its longest-history scenario, `ni-churn`, is pinned here
+//! row for row.
 
 use nistream_bench::benchout::{repo_root, validate_doc};
-use nistream_bench::soak::{self, SoakMode};
+use nistream_bench::soak::{self, SoakMode, SoakRow};
+use nistream_trace::Slo;
 
 #[test]
 fn quick_document_is_byte_identical_across_threads_and_reruns() {
@@ -47,4 +50,25 @@ fn checked_in_baseline_has_the_stable_schema() {
         body.contains("\"mode\": \"quick\""),
         "baseline is the quick-mode document"
     );
+}
+
+#[test]
+fn full_mode_churn_row_is_pinned() {
+    let expected = SoakRow {
+        scenario: "ni-churn".to_string(),
+        virtual_secs: 600,
+        streams: 1_346,
+        abr_switches: 0,
+        slo: Slo {
+            dispatches: 272_507,
+            drops: 9_447,
+            late: 30_794,
+            drop_ppm: 33_505,
+            miss_ppm: 142_721,
+            p99_late_ns: 2_097_151,
+            max_late_ns: 5_290_530,
+            max_backlog: 57,
+        },
+    };
+    assert_eq!(soak::run_scenario("ni-churn", SoakMode::Full), expected);
 }
