@@ -4,8 +4,10 @@
 //!    DVCM lineage's co-processors and hosts.
 //! 2. Scheduler/producer NI split for a 6-slot node (§6's "careful
 //!    balance").
-//! 3. Shared-PCI-bus contention sweep (producer NIs vs delivered
-//!    throughput, bus utilization, DMA wait).
+//! 3. Shared-PCI-bus contention: a one-card Path-B chassis
+//!    (`serversim::chassis`) under rising offered load. Admitted and
+//!    sustained streams show the card saturating on CPU and wire while
+//!    bus utilization and DMA wait show the bus far from full.
 //!
 //! The three sections are independent: each renders to a string in its own
 //! sweep cell and the strings print in section order.
@@ -15,8 +17,9 @@
 use fixedpt::ops::MathMode;
 use hwsim::profiles::{decision_us, ALL};
 use nistream_bench::{format_table, par_sweep, trace_path, write_trace, Cell, TraceCapture};
+use serversim::chassis;
 use serversim::cluster::{node_capacity, sweep_ni_split, NodeConfig};
-use serversim::pcibus_sim;
+use simkit::SimDuration;
 use std::fmt::Write as _;
 
 /// Ablation 1: offload targets.
@@ -73,40 +76,46 @@ fn ni_split() -> String {
     out
 }
 
-/// Ablation 3: shared-PCI-bus contention.
+/// Ablation 3: shared-PCI contention on a one-card Path-B chassis.
 fn bus_contention() -> String {
-    let rows: Vec<Vec<String>> = pcibus_sim::sweep(&[1, 2, 4, 8, 16])
+    let run_for = SimDuration::from_secs(5);
+    let rows: Vec<Vec<String>> = [8, 16, 32, 64, 128]
         .into_iter()
-        .map(|(p, r)| {
+        .flat_map(|offered| chassis::sweep_cards(&[1], offered, run_for))
+        .map(|r| {
             vec![
-                p.to_string(),
-                format!("{}", r.delivered),
-                format!("{:.2}", r.throughput_bps / 1e6),
+                r.offered_streams.to_string(),
+                r.admitted_streams.to_string(),
+                r.delivered_frames.to_string(),
+                format!("{:.1}", r.sustained_streams),
                 format!("{:.1}", r.bus_utilization * 100.0),
                 format!("{:.3}", r.mean_dma_wait_ms),
-                format!("{:.1}", r.sched_ni_utilization * 100.0),
             ]
         })
         .collect();
     let mut out = format_table(
-        "Ablation 3: shared-PCI contention, 5 s runs (8 x 30fps streams per producer NI)",
+        "Ablation 3: shared-PCI contention, one-card Path-B chassis, 5 s runs (30 fps streams)",
         &[
-            "producer NIs",
+            "offered",
+            "admitted",
             "delivered",
-            "Mb/s",
+            "sustained",
             "bus util %",
             "DMA wait ms",
-            "sched-NI util %",
         ],
         &rows,
     );
     let _ = writeln!(
         out,
-        "the bus never becomes the bottleneck — the scheduler NI's CPU+wire"
+        "one scheduler card saturates its CPU+wire budget at ~47 streams with the bus"
     );
     let _ = writeln!(
         out,
-        "budget saturates first, which is why peer-to-peer offload scales (§4.2.2)."
+        "under 14 % busy; the bus itself saturates only at ~460 streams (~12 cards,"
+    );
+    let _ = writeln!(
+        out,
+        "BENCH_cluster.json), which is why peer-to-peer offload scales (§4.2.2)."
     );
     out
 }
@@ -118,8 +127,8 @@ fn main() {
         print!("{section}");
     }
     if let Some(p) = trace_path() {
-        // The ablations price decisions analytically (no service core
-        // runs), so the document carries a labeled run with no events.
+        // Ablations 1-2 are analytic and Ablation 3's chassis runs with
+        // tracing off, so the document carries a labeled run with no events.
         write_trace(&p, &[("ablations", &TraceCapture::default())]);
     }
 }

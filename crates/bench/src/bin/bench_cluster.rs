@@ -1,130 +1,19 @@
-//! Multi-NI chassis capacity: aggregate scheduling throughput and
-//! sustained streams vs card count, measured on the event-driven
-//! `serversim::chassis` simulation (Path-B sourcing over the shared,
-//! FIFO-arbitrated PCI bus), plus one fault-injected run exercising the
-//! stream rebalancer.
-//!
-//! These are *simulated-time* rates — decisions per simulated second and
-//! full-rate stream-equivalents actually dispatched — so the document is
-//! deterministic run to run; it replaces the closed-form `cluster` module
-//! numbers with measured ones.
-//!
-//! Emits `BENCH_cluster.json` (schema `nistream-bench/cluster/v1`) at the
+//! Multi-NI chassis capacity vs card count, plus one fault-injected run
+//! (see `nistream_bench::cluster`). Prints the table and writes
+//! `BENCH_cluster.json` (schema `nistream-bench/cluster/v1`) at the
 //! repository root.
 //!
-//! Flags: `--quick` (CI smoke: fewer card counts, shorter run, same
-//! schema), `--check` (validate the existing document and exit).
+//! Flag: `--check` (validate the existing document and exit).
 
-use nistream_bench::benchout::{check_flag, quick_flag, run_check, write_doc};
-use serversim::chassis::{self, CardFailure, ChassisConfig, Sourcing};
-use simkit::SimDuration;
-use std::fmt::Write as _;
-
-const FILE: &str = "BENCH_cluster.json";
-const SCHEMA: &str = "nistream-bench/cluster/v1";
-const REQUIRED_KEYS: [&str; 10] = [
-    "schema",
-    "mode",
-    "per_card",
-    "run_secs",
-    "results",
-    "cards",
-    "sustained_streams",
-    "decisions_per_sec",
-    "bus_utilization",
-    "fault",
-];
-
-/// Streams offered per card: comfortably above one card's ≈47-stream
-/// service capacity but inside its ≈63-stream admission cap, so capacity
-/// (not admission) is what the sweep measures.
-const PER_CARD: usize = 40;
+use nistream_bench::benchout::{check_flag, run_check, write_doc};
+use nistream_bench::cluster;
 
 fn main() {
     if check_flag() {
-        run_check(FILE, SCHEMA, &REQUIRED_KEYS);
+        run_check(cluster::FILE, cluster::SCHEMA, &cluster::REQUIRED_KEYS);
     }
-    let quick = quick_flag();
-    let (card_counts, run_secs): (&[usize], u64) = if quick {
-        (&[1, 2, 4], 1)
-    } else {
-        (&[1, 2, 4, 8, 12, 16], 2)
-    };
-    let mode = if quick { "quick" } else { "full" };
-    let run_for = SimDuration::from_secs(run_secs);
-
-    println!("bench_cluster: {mode} mode, {PER_CARD} streams/card offered, {run_secs} s simulated\n");
-    println!(
-        "{:<6} {:>8} {:>9} {:>10} {:>11} {:>15} {:>9} {:>13} {:>6}",
-        "cards", "offered", "admitted", "delivered", "sustained", "decisions/sec", "bus util", "dma wait ms", "lost"
-    );
-
-    let mut rows = String::new();
-    for row in chassis::sweep_cards(card_counts, PER_CARD, run_for) {
-        println!(
-            "{:<6} {:>8} {:>9} {:>10} {:>11.1} {:>15.0} {:>9.3} {:>13.3} {:>6}",
-            row.cards,
-            row.offered_streams,
-            row.admitted_streams,
-            row.delivered_frames,
-            row.sustained_streams,
-            row.decisions_per_sec,
-            row.bus_utilization,
-            row.mean_dma_wait_ms,
-            row.lost_frames
-        );
-        let _ = write!(
-            rows,
-            "{}    {{ \"cards\": {}, \"offered_streams\": {}, \"admitted_streams\": {}, \
-             \"delivered_frames\": {}, \"sustained_streams\": {:.3}, \"decisions_per_sec\": {:.1}, \
-             \"bus_utilization\": {:.6}, \"mean_dma_wait_ms\": {:.6}, \"lost_frames\": {} }}",
-            if rows.is_empty() { "" } else { ",\n" },
-            row.cards,
-            row.offered_streams,
-            row.admitted_streams,
-            row.delivered_frames,
-            row.sustained_streams,
-            row.decisions_per_sec,
-            row.bus_utilization,
-            row.mean_dma_wait_ms,
-            row.lost_frames
-        );
-    }
-
-    // Fault-injection scenario: a 4-card chassis loses card 1 mid-run; the
-    // rebalancer must migrate its streams with zero lost frames.
-    let fault_cards = 4;
-    let plan = chassis::uniform_plan(fault_cards * 8, run_for);
-    let period = 33_333_333u64;
-    let frames = (run_for.as_nanos() / period) as usize + 2;
-    let r = chassis::run(ChassisConfig {
-        cards: fault_cards,
-        plan,
-        frames_per_stream: frames,
-        run: run_for,
-        ni_cache: true,
-        trace_capacity: 0,
-        sourcing: Sourcing::PathB,
-        failure: Some(CardFailure {
-            card: 1,
-            at: SimDuration::from_nanos(run_for.as_nanos() / 2),
-        }),
-        batch_budget: 1,
-    });
-    let migrated = r.migrations.iter().filter(|m| m.to.is_some()).count();
-    println!(
-        "\nfault run: {fault_cards} cards, card 1 dies at {:.1} s -> {migrated} stream(s) migrated, {} frame(s) lost",
-        run_for.as_secs_f64() / 2.0,
-        r.lost_frames
-    );
-    let fault = format!(
-        "{{ \"cards\": {fault_cards}, \"failed_card\": 1, \"migrated_streams\": {migrated}, \"lost_frames\": {} }}",
-        r.lost_frames
-    );
-
-    let body = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"per_card\": {PER_CARD},\n  \"run_secs\": {run_secs},\n  \"results\": [\n{rows}\n  ],\n  \"fault\": {fault}\n}}\n"
-    );
-    let path = write_doc(FILE, &body);
+    let bench = cluster::render();
+    print!("{}", bench.table);
+    let path = write_doc(cluster::FILE, &bench.doc);
     println!("wrote {}", path.display());
 }

@@ -18,6 +18,7 @@ use workload::mpegclient::ClientPlan;
 use workload::profile::LoadProfile;
 
 pub mod benchout;
+pub mod cluster;
 pub mod soak;
 pub mod sweep;
 

@@ -5,12 +5,15 @@
 //! traced experiments must keep their length and FNV-1a digest (the
 //! documents themselves are 60 KB–3 MB, too large to check in). Any
 //! refactor of the scheduler, the service core or the simulators that
-//! moves a single modelled number shows up here as a diff.
+//! moves a single modelled number shows up here as a diff. The same holds
+//! for the modelled `BENCH_cluster.json` at the repository root.
 //!
 //! After a deliberate change to the model, regenerate a `.stdout` file by
 //! redirecting the binary's output into it
 //! (`cargo run --release -p nistream-bench --bin <name>`); a `.trace`
-//! file holds the `<len> <fnv1a>` line the failing assertion prints.
+//! file holds the `<len> <fnv1a>` line the failing assertion prints, and
+//! `cargo run --release -p nistream-bench --bin bench_cluster` rewrites
+//! `BENCH_cluster.json`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -96,6 +99,22 @@ golden_trace!(
     repro_figure9_trace => repro_figure9,
     repro_figure10_trace => repro_figure10,
 );
+
+/// `BENCH_cluster.json` holds modelled (simulated-time) results, so the
+/// checked-in document is part of the contract too: the freshly rendered
+/// document must match it byte for byte.
+#[test]
+fn bench_cluster_document_matches_checked_in_file() {
+    use nistream_bench::{benchout, cluster};
+    let path = benchout::repo_root().join(cluster::FILE);
+    let want = std::fs::read_to_string(&path).expect("BENCH_cluster.json present");
+    let got = cluster::render().doc;
+    assert!(
+        got == want,
+        "{} drifted from the checked-in document:\n{got}",
+        path.display()
+    );
+}
 
 #[test]
 fn fnv1a_matches_the_reference_vectors() {

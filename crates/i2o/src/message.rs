@@ -255,6 +255,9 @@ pub struct PeerFrameXfer {
 }
 
 impl PeerFrameXfer {
+    /// Payload length in words.
+    pub const WORDS: usize = 6;
+
     /// Payload words: `[stream, seq_hi, seq_lo, len, addr_hi, addr_lo]`.
     pub fn to_payload(self) -> Vec<u32> {
         vec![
@@ -269,7 +272,7 @@ impl PeerFrameXfer {
 
     /// Decode from payload words; `None` if the shape is wrong.
     pub fn from_payload(words: &[u32]) -> Option<PeerFrameXfer> {
-        if words.len() != 6 {
+        if words.len() != Self::WORDS {
             return None;
         }
         Some(PeerFrameXfer {
@@ -407,7 +410,7 @@ mod tests {
             addr: 0xA_B000_0000,
         };
         let payload = x.to_payload();
-        assert_eq!(payload.len(), 6);
+        assert_eq!(payload.len(), PeerFrameXfer::WORDS);
         assert_eq!(PeerFrameXfer::from_payload(&payload), Some(x));
         assert_eq!(PeerFrameXfer::from_payload(&payload[..5]), None);
         // Rides in a frame end-to-end.

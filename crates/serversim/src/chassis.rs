@@ -21,7 +21,7 @@
 //! * **Path-B sourcing** ([`Sourcing::PathB`]) — producers DMA each frame
 //!   descriptor across the shared bus to the owning scheduler card as an
 //!   I2O `PeerFrameWrite` (PIO message post + payload DMA + completion
-//!   read, all priced by `hwsim::PciBus` and serialized by the bus
+//!   read, priced once by `path_b_frame_hold` and serialized by the bus
 //!   resource).
 //! * **Rebalancer** — a deterministic card-death event
 //!   ([`CardFailure`]) drains every stream the dead card owned, re-admits
@@ -44,6 +44,7 @@ use dwcs::admission;
 use dwcs::scheduler::Pacing;
 use dwcs::{CardId, FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
 use hwsim::PciBus;
+use i2o::message::HEADER_WORDS;
 use i2o::{I2oFunction, MessageFrame, PeerFrameXfer, PeerMigrate, Tid};
 use mpeg1::Cadence;
 use nistream_trace::chassis::TaggedCapture;
@@ -131,9 +132,10 @@ pub struct CardLoad {
 }
 
 /// Estimated per-frame service time (ns) on one scheduler card: one
-/// decision, one dispatch, and send-side wire occupancy — the same
-/// primitives `cluster::node_capacity` prices, evaluated on fresh cost
-/// models so the estimate is a pure function of the frame size.
+/// decision, one dispatch, and send-side wire occupancy, evaluated on
+/// fresh cost models so the estimate is a pure function of the frame
+/// size. Placement admits against it and `cluster::node_capacity` derives
+/// its per-card CPU limit from it.
 pub fn service_estimate_ns(frame_bytes: u32, ni_cache: bool) -> u64 {
     let mut core = hwsim::I960Core::new().with_cache(ni_cache);
     let mut eth = hwsim::Ethernet::new();
@@ -146,6 +148,18 @@ pub fn service_estimate_ns(frame_bytes: u32, ni_cache: bool) -> u64 {
     ) + core.dispatch_time()
         + eth.send_occupancy(u64::from(frame_bytes));
     per_frame.as_nanos()
+}
+
+/// Shared-bus hold of one Path-B frame of `len` bytes: the producer posts
+/// an I2O `PeerFrameWrite` message by PIO, DMAs the payload, and reads the
+/// 6-word completion back, all at Table 5's PCI costs. This is the only
+/// price of a Path-B frame on the bus: the chassis holds the arbitrated
+/// bus for it per frame, and `cluster::node_capacity` divides a stream
+/// period by it. (Table 4's `pci_ms` is the paper's bare payload DMA, a
+/// transfer latency rather than a bus hold.)
+pub(crate) fn path_b_frame_hold(bus: &mut PciBus, len: u64) -> SimDuration {
+    let msg_words = (HEADER_WORDS + PeerFrameXfer::WORDS) as u64;
+    bus.pio_write_time(msg_words) + bus.dma_time(len) + bus.pio_read_time(6)
 }
 
 /// Choose a card for `qos`: the least-utilized alive card that passes the
@@ -334,9 +348,6 @@ fn card_tid(c: usize) -> Tid {
     Tid((0x100 + c) as u16)
 }
 
-/// The host / producer-side initiator id.
-const HOST_TID: Tid = Tid(0x001);
-
 /// Schedule (or tighten) card `c`'s next service pass: the pass fires at
 /// `max(card clock, next eligible deadline)`, and none is armed once either
 /// passes the run end.
@@ -409,7 +420,7 @@ fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
     if now_ns >= run_end {
         return;
     }
-    let (seq, len, kind, addr, period, owner) = {
+    let (seq, len, kind, addr, period) = {
         let s = &mut w.streams[g];
         if !s.alive || s.produced >= cap {
             return;
@@ -426,26 +437,9 @@ fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
         };
         let addr = s.next_addr;
         s.next_addr += u64::from(len);
-        (seq, len, kind, addr, s.qos.period, s.owner)
+        (seq, len, kind, addr, s.qos.period)
     };
-    // Price the Path-B transfer as the I2O exchange it models: post the
-    // PeerFrameWrite message by PIO, DMA the payload, read the completion.
-    let xfer = PeerFrameXfer {
-        stream: g as u32,
-        seq,
-        len,
-        addr,
-    };
-    let msg = MessageFrame::new(
-        I2oFunction::PeerFrameWrite,
-        card_tid(owner),
-        HOST_TID,
-        g as u32,
-        xfer.to_payload(),
-    );
-    let hold = w.bus_model.pio_write_time(msg.words() as u64)
-        + w.bus_model.dma_time(u64::from(len))
-        + w.bus_model.pio_read_time(6);
+    let hold = path_b_frame_hold(&mut w.bus_model, u64::from(len));
     Resource::acquire_held(w, eng, bus_of, hold, move |w, eng| {
         deliver(w, eng, g, seq, len, kind, addr)
     });

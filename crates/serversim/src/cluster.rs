@@ -17,8 +17,13 @@
 //! The *measured* counterpart is [`crate::chassis`]: an event-driven
 //! multi-card run whose sustained-stream counts replace these closed-form
 //! numbers in the capacity benchmarks; the analytic figures remain as the
-//! cross-check the conformance suite compares against.
+//! cross-check the conformance suite compares against. Both models price
+//! a scheduler card's frame with [`service_estimate_ns`] and a
+//! Path-B frame's bus hold with `chassis::path_b_frame_hold`, so the
+//! closed-form card and bus limits are the chassis's own saturation
+//! points.
 
+use crate::chassis::{path_b_frame_hold, service_estimate_ns};
 use dwcs::admission;
 use dwcs::StreamQos;
 use hwsim::calib;
@@ -121,7 +126,8 @@ pub struct NodeCapacity {
     /// Streams one producer NI's disks can source (disk service per frame
     /// period, two SCSI ports).
     pub streams_per_producer_ni: u32,
-    /// PCI-bus-limited stream count (producer→scheduler DMA per period).
+    /// PCI-bus-limited stream count (one Path-B frame exchange per stream
+    /// period on the shared bus).
     pub pci_stream_limit: u32,
     /// The node's bottleneck stream count given its NI mix.
     pub node_streams: u32,
@@ -133,19 +139,10 @@ pub fn node_capacity(cfg: &NodeConfig) -> NodeCapacity {
 
     // Scheduler NI: per frame it pays one decision, one dispatch, and the
     // send-side wire occupancy of its 100 Mb/s port (two ports per card).
-    let mut core = hwsim::I960Core::new().with_cache(true);
-    let mut eth = hwsim::Ethernet::new();
-    let per_frame = core.decision_time(
-        hwsim::i960::dwcs_work::Work {
-            compares: 8,
-            touches: 8,
-        },
-        16,
-    ) + core.dispatch_time()
-        + eth.send_occupancy(cfg.frame_bytes);
-    let cpu_limit = (period.as_nanos() / per_frame.as_nanos().max(1)) as u32;
+    let per_frame = service_estimate_ns(cfg.frame_bytes as u32, true);
+    let cpu_limit = (period.as_nanos() / per_frame.max(1)) as u32;
     // Wire limit across both ports.
-    let wire = eth.wire_time(cfg.frame_bytes);
+    let wire = hwsim::Ethernet::new().wire_time(cfg.frame_bytes);
     let wire_limit = 2 * (period.as_nanos() / wire.as_nanos().max(1)) as u32;
     let streams_per_scheduler_ni = cpu_limit.min(wire_limit);
 
@@ -156,10 +153,10 @@ pub fn node_capacity(cfg: &NodeConfig) -> NodeCapacity {
     let per_disk_frame = fs.mean_read_frame(&disk, cfg.frame_bytes);
     let streams_per_producer_ni = 2 * (period.as_nanos() / per_disk_frame.as_nanos().max(1)) as u32;
 
-    // PCI: each producer frame crosses the bus once (card-to-card DMA).
-    let mut bus = hwsim::PciBus::new();
-    let per_dma = bus.dma_time(cfg.frame_bytes);
-    let pci_stream_limit = (period.as_nanos() / per_dma.as_nanos().max(1)) as u32;
+    // PCI: each producer frame holds the shared bus for one Path-B
+    // exchange, priced exactly as the chassis prices it.
+    let per_frame_hold = path_b_frame_hold(&mut hwsim::PciBus::new(), cfg.frame_bytes);
+    let pci_stream_limit = (period.as_nanos() / per_frame_hold.as_nanos().max(1)) as u32;
 
     let producers = cfg.slots.saturating_sub(cfg.scheduler_nis) as u32;
     let sched = cfg.scheduler_nis as u32;

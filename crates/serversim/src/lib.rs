@@ -20,14 +20,15 @@
 //! * [`ninode`] — the integrated embedded NI: the DVCM service loop as a
 //!   *wind* task on the `vxkit` kernel, watchdog-paced, with interference
 //!   tasks quantifying the "few system tasks" argument.
-//! * [`pcibus_sim`] — shared-PCI contention: producer NIs DMA through a
-//!   FIFO-arbitrated bus (`simkit::Resource`) into one scheduler NI.
 //! * [`cluster`] — the multi-node topology of the paper's Figure 1, for
 //!   capacity exploration beyond the single-node evaluation.
-//! * [`chassis`] — the multi-NI chassis: N independent scheduler cards
-//!   behind one host sharing an arbitrated PCI bus, with DWCS-feasibility
-//!   placement, Path-B cross-card frame sourcing, and a deterministic
-//!   rebalancer that migrates streams off a fault-injected card.
+//! * [`chassis`] — the multi-NI chassis and the only shared-bus model:
+//!   N independent scheduler cards behind one host sharing an arbitrated
+//!   PCI bus, with DWCS-feasibility placement, Path-B cross-card frame
+//!   sourcing (one `chassis::path_b_frame_hold` per frame), and a
+//!   deterministic rebalancer that migrates streams off a fault-injected
+//!   card. A one-card Path-B chassis under rising offered load is the
+//!   shared-bus contention ablation.
 //! * [`report`] — windowed-rate collectors and table formatting shared by
 //!   the `repro_*` binaries.
 
@@ -41,5 +42,4 @@ pub mod micro;
 pub mod niload;
 pub mod ninode;
 pub mod paths;
-pub mod pcibus_sim;
 pub mod report;

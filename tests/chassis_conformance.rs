@@ -9,6 +9,7 @@
 //! untagged export with a constant `card=0 ` prefix.
 
 use nistream::serversim::chassis::{self, ChassisConfig, Sourcing};
+use nistream::serversim::cluster::{node_capacity, NodeConfig};
 use nistream::trace::{tagged_lines, to_lines, ChassisAggregate};
 use nistream::workload::mpegclient::ClientPlan;
 use simkit::SimDuration;
@@ -105,11 +106,24 @@ fn measured_capacity_cross_checks_analytic_cluster_model() {
     let run_for = SimDuration::from_secs(2);
     let rows = chassis::sweep_cards(&[1], 60, run_for);
     let measured = rows[0].sustained_streams;
-    let analytic = nistream::serversim::cluster::node_capacity(&nistream::serversim::cluster::NodeConfig::default())
-        .streams_per_scheduler_ni as f64;
+    let cap = node_capacity(&NodeConfig::default());
+    let analytic = cap.streams_per_scheduler_ni as f64;
     let ratio = measured / analytic;
     assert!(
         (0.7..=1.3).contains(&ratio),
         "measured {measured:.1} vs analytic {analytic:.0} streams (ratio {ratio:.2})"
     );
+
+    // Bus case: past saturation (12 and 16 cards at 40 streams each) the
+    // chassis sustains what the analytic PCI limit predicts, within ±5 %.
+    let pci_limit = cap.pci_stream_limit as f64;
+    for row in chassis::sweep_cards(&[12, 16], 40, run_for) {
+        let ratio = row.sustained_streams / pci_limit;
+        assert!(
+            (0.95..=1.05).contains(&ratio),
+            "{} cards: measured {:.1} vs analytic PCI limit {pci_limit:.0} streams (ratio {ratio:.3})",
+            row.cards,
+            row.sustained_streams
+        );
+    }
 }

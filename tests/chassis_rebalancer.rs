@@ -130,7 +130,7 @@ fn fault_run_is_deterministic() {
 
 #[test]
 fn capacity_scales_monotonically_to_bus_saturation() {
-    let rows = chassis::sweep_cards(&[1, 2, 4, 6], 40, SimDuration::from_secs(1));
+    let rows = chassis::sweep_cards(&[1, 2, 4, 6, 12, 16], 40, SimDuration::from_secs(1));
     for w in rows.windows(2) {
         assert!(
             w[1].sustained_streams >= w[0].sustained_streams * 0.98,
@@ -143,6 +143,74 @@ fn capacity_scales_monotonically_to_bus_saturation() {
         assert!(w[1].bus_utilization >= w[0].bus_utilization);
     }
     assert_eq!(rows.iter().map(|r| r.lost_frames).sum::<u64>(), 0);
+    // From 12 cards on the shared bus is the bottleneck: it is held the
+    // whole run and adding cards adds no sustained streams.
+    let saturated: Vec<_> = rows.iter().filter(|r| r.cards >= 12).collect();
+    for r in &saturated {
+        assert!(
+            r.bus_utilization >= 0.99,
+            "{} cards: bus {:.3}",
+            r.cards,
+            r.bus_utilization
+        );
+    }
+    let (first, last) = (saturated[0], saturated[saturated.len() - 1]);
+    assert!(
+        (last.sustained_streams - first.sustained_streams).abs() <= first.sustained_streams * 0.01,
+        "no plateau past bus saturation: {} cards -> {:.1}, {} cards -> {:.1}",
+        first.cards,
+        first.sustained_streams,
+        last.cards,
+        last.sustained_streams
+    );
+}
+
+/// One scheduler card under rising offered load: delivery tracks the
+/// offered rate until the card's CPU and wire saturate, then holds flat,
+/// while the shared bus stays far from full — the card, not the bus, is
+/// the one-card bottleneck.
+#[test]
+fn one_card_saturates_on_cpu_and_wire_not_the_bus() {
+    let run_for = SimDuration::from_secs(5);
+    let rows: Vec<_> = [8, 16, 32, 64, 128]
+        .into_iter()
+        .flat_map(|offered| chassis::sweep_cards(&[1], offered, run_for))
+        .collect();
+    for r in &rows {
+        assert!(
+            r.bus_utilization < 0.20,
+            "{} offered: bus {:.3}",
+            r.offered_streams,
+            r.bus_utilization
+        );
+        assert_eq!(r.lost_frames, 0);
+    }
+    // Below saturation every offered stream is served at full rate.
+    for r in rows.iter().filter(|r| r.offered_streams <= 32) {
+        assert_eq!(r.admitted_streams, r.offered_streams);
+        assert!(
+            r.sustained_streams >= r.offered_streams as f64 * 0.95,
+            "{} offered: sustained {:.1}",
+            r.offered_streams,
+            r.sustained_streams
+        );
+    }
+    for w in rows.windows(2) {
+        assert!(
+            w[1].delivered_frames as f64 >= w[0].delivered_frames as f64 * 0.99,
+            "delivery fell: {} offered -> {}, {} offered -> {}",
+            w[0].offered_streams,
+            w[0].delivered_frames,
+            w[1].offered_streams,
+            w[1].delivered_frames
+        );
+    }
+    // Saturated: doubling the offered load moves delivery by under 1 %,
+    // and the card delivers well under what was offered.
+    let (sat, over) = (&rows[3], &rows[4]);
+    let drift = (over.delivered_frames as f64 - sat.delivered_frames as f64).abs();
+    assert!(drift <= sat.delivered_frames as f64 * 0.01, "{sat:?} vs {over:?}");
+    assert!(over.sustained_streams < over.offered_streams as f64 * 0.5, "{over:?}");
 }
 
 proptest! {
