@@ -3,11 +3,10 @@
 //! This is a *tolerant* AST: it models exactly the shapes the lint
 //! families reason about (items, function signatures, statement
 //! sequencing, the expression forms that carry calls, casts, arithmetic
-//! and control flow) and collapses everything else into [`Span`]s of raw
-//! tokens. Spans that the parser could not (or deliberately does not)
-//! model are collected on [`File::lexical`] so that token-level lints
-//! keep full coverage — no token ever silently escapes analysis just
-//! because the grammar around it was exotic.
+//! and control flow, macro arguments) and collapses everything else into
+//! [`Span`]s of raw tokens. Inside function bodies an unmodelled span is
+//! an explicit `Opaque` node, so a gap in coverage is visible in the tree
+//! rather than silently skipped.
 //!
 //! All positions are indices into the *full* token stream produced by
 //! [`crate::lexer::lex`] (comments included), so exemption masks from
@@ -34,10 +33,6 @@ impl Span {
 pub struct File {
     /// Top-level items in source order.
     pub items: Vec<Item>,
-    /// Token ranges the AST does not model (attributes, generics, where
-    /// clauses, macro bodies, unparsed statements, opaque items). Token
-    /// lints scan these to retain full coverage.
-    pub lexical: Vec<Span>,
 }
 
 /// A top-level or nested item.
@@ -54,7 +49,7 @@ pub enum Item {
     /// A `struct` definition (field names and types captured).
     Struct(StructDef),
     /// Anything else (`use`, `enum`, `const`, `static`, `type`,
-    /// `macro_rules!`, …) — covered lexically.
+    /// `macro_rules!`, …) — kept as its token span.
     Other(Span),
 }
 
@@ -241,7 +236,7 @@ pub enum Stmt {
     Expr(Expr),
     /// A nested item.
     Item(Box<Item>),
-    /// Tokens the statement parser could not model (scanned lexically).
+    /// Tokens the statement parser could not model.
     Opaque(Span),
 }
 
@@ -414,17 +409,17 @@ pub enum Expr {
         /// `[` token.
         tok: usize,
     },
-    /// `name!( … )` — body retained as a lexical span. For the
-    /// assert-family and `matches!`, the leading comma-separated
-    /// expression arguments are parsed into `args` (and excluded from
-    /// the lexical fallback); anything unparsed (patterns, format
-    /// tails) stays lexical.
+    /// `name!( … )` / `name![ … ]` / `name!{ … }`. The body parses as
+    /// comma-separated expressions (`[…]`: array or repeat elements;
+    /// `matches!`: scrutinee, then the guard when present — the pattern
+    /// is skipped). A tail the grammar cannot model is a trailing
+    /// [`Expr::Opaque`] argument.
     MacroCall {
         /// Macro name (last path segment).
         name: String,
         /// Token span of the delimited body (including delimiters).
         inner: Span,
-        /// Parsed expression arguments (assert-family / `matches!`).
+        /// Parsed arguments in source order.
         args: Vec<Expr>,
         /// Name token.
         tok: usize,
@@ -544,7 +539,7 @@ pub enum Expr {
         /// `..` token.
         tok: usize,
     },
-    /// Tokens the expression parser could not model (scanned lexically).
+    /// Tokens the expression parser could not model.
     Opaque(Span),
 }
 

@@ -37,7 +37,7 @@
 use crate::ast::{self, Block, Expr, LitKind, Stmt, TypeRef};
 use crate::callgraph::{CallGraph, FnNode, INIT_CTORS};
 use crate::config::LintConfig;
-use crate::dataflow::{abs_join, AbsTy, Domain, Env, StructTable, TyCx, TypeDomain};
+use crate::dataflow::{abs_join, AbsTy, Bound, Check, Checked, Interval, StructTable, TyCx, TypeDomain, NONNEG};
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::lints::{NI_CYCLE_BUDGET, NI_STACK_DEPTH};
@@ -80,15 +80,12 @@ pub const CALL_CYCLES: u64 = 12;
 /// Loop-iterator advance + test per iteration.
 pub const ITER_STEP_CYCLES: u64 = 4;
 /// A memory access: hit..miss.
-pub const TOUCH: CycleInterval = CycleInterval {
-    lo: TOUCH_HIT_CYCLES,
-    hi: TOUCH_MISS_CYCLES,
-};
+pub const TOUCH: Interval = Interval::new(TOUCH_HIT_CYCLES as i128, TOUCH_MISS_CYCLES as i128);
 /// A call whose body the analyzer cannot see (std, out-of-set, allowed,
 /// init-time constructor): assumed O(1) within this envelope.
-pub const OPAQUE_CALL: CycleInterval = CycleInterval { lo: 4, hi: 160 };
+pub const OPAQUE_CALL: Interval = Interval::new(4, 160);
 /// A method on a known machine-integer receiver (`saturating_add`, …).
-pub const INT_METHOD: CycleInterval = CycleInterval { lo: 1, hi: 8 };
+pub const INT_METHOD: Interval = Interval::new(1, 8);
 /// Stack charged to a call the analyzer cannot see into.
 pub const OPAQUE_FRAME_BYTES: u64 = 64;
 /// Per-frame bookkeeping bytes (return address, saved registers).
@@ -185,61 +182,14 @@ const LAZY_ADAPTERS: [&str; 25] = [
 ];
 
 // ---------------------------------------------------------------------------
-// The cost domain.
+// The cost domain: [`Interval`] over cycle counts. Bounds are
+// `Bound::Int` counts; `hi == Bound::PInf` is *unbounded* (an
+// unannotated data-dependent loop). Trip counts are exact or `[0, N]`,
+// so `mul` scales a per-iteration cost by them exactly.
 
-/// A saturating interval of i960 cycles. `hi == u64::MAX` means
-/// *unbounded* (an unannotated data-dependent loop).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CycleInterval {
-    /// Best case.
-    pub lo: u64,
-    /// Worst case (`u64::MAX` = unbounded).
-    pub hi: u64,
-}
-
-impl CycleInterval {
-    /// The zero-cost interval.
-    pub const ZERO: CycleInterval = CycleInterval { lo: 0, hi: 0 };
-
-    /// `[n, n]`.
-    pub const fn exact(n: u64) -> CycleInterval {
-        CycleInterval { lo: n, hi: n }
-    }
-
-    /// `[lo, hi]` (callers keep `lo <= hi`).
-    pub const fn new(lo: u64, hi: u64) -> CycleInterval {
-        CycleInterval { lo, hi }
-    }
-
-    /// Sequential composition (saturating).
-    #[allow(clippy::should_implement_trait)] // interval algebra, not operator sugar
-    pub fn add(self, o: CycleInterval) -> CycleInterval {
-        CycleInterval {
-            lo: self.lo.saturating_add(o.lo),
-            hi: self.hi.saturating_add(o.hi),
-        }
-    }
-
-    /// Repeat this cost `iters` times (saturating).
-    pub fn scale(self, iters: CycleInterval) -> CycleInterval {
-        CycleInterval {
-            lo: self.lo.saturating_mul(iters.lo),
-            hi: self.hi.saturating_mul(iters.hi),
-        }
-    }
-
-    /// Either-branch join: the smallest interval containing both.
-    pub fn join(self, o: CycleInterval) -> CycleInterval {
-        CycleInterval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
-    /// Whether the worst case failed to bound.
-    pub fn is_unbounded(&self) -> bool {
-        self.hi == u64::MAX
-    }
+/// `[n, n]` cycles.
+const fn exact_cycles(n: u64) -> Interval {
+    Interval::of(n as i128)
 }
 
 /// Tunable limits, loaded from `analysis.toml` numeric keys.
@@ -294,7 +244,7 @@ impl CostModel {
 #[derive(Clone, Debug)]
 pub struct FnSummary {
     /// Body cost, callees included (excludes the caller's `CALL_CYCLES`).
-    pub cycles: CycleInterval,
+    pub cycles: Interval,
     /// Worst-case frames on the stack, this function included.
     pub depth: u64,
     /// Worst-case stack bytes, this frame included.
@@ -313,7 +263,7 @@ pub struct RootReport {
     /// 1-based column.
     pub col: u32,
     /// Worst-case decision cost, [`NI_DECISION_BASE_CYCLES`] included.
-    pub cycles: CycleInterval,
+    pub cycles: Interval,
     /// Worst-case call depth (frames).
     pub call_depth: u64,
     /// Worst-case stack bytes.
@@ -332,6 +282,22 @@ pub struct CostReport {
 
 // ---------------------------------------------------------------------------
 // The analyzer.
+
+/// Method-name token → receiver abstract type, joined over every walk
+/// that reaches the call.
+struct RecvTypes(BTreeMap<usize, AbsTy>);
+
+impl Check<TypeDomain<'_>> for RecvTypes {
+    fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
+        if let Expr::MethodCall { tok, .. } = e {
+            let joined = match self.0.get(tok) {
+                None | Some(AbsTy::Unknown) => children[0].clone(),
+                Some(old) => abs_join(old, &children[0]),
+            };
+            self.0.insert(*tok, joined);
+        }
+    }
+}
 
 enum St {
     Unvisited,
@@ -362,25 +328,25 @@ struct FnCx {
 /// by the drain that consumes it (or folded in once if never drained).
 #[derive(Clone, Copy)]
 struct Cost {
-    total: CycleInterval,
-    pending: CycleInterval,
+    total: Interval,
+    pending: Interval,
 }
 
 impl Cost {
     const ZERO: Cost = Cost {
-        total: CycleInterval::ZERO,
-        pending: CycleInterval::ZERO,
+        total: exact_cycles(0),
+        pending: exact_cycles(0),
     };
 
-    fn of(total: CycleInterval) -> Cost {
+    fn of(total: Interval) -> Cost {
         Cost {
             total,
-            pending: CycleInterval::ZERO,
+            pending: exact_cycles(0),
         }
     }
 
     /// Consume: an undrained chain's deferred work counts once.
-    fn fold(self) -> CycleInterval {
+    fn fold(self) -> Interval {
         self.total.add(self.pending)
     }
 }
@@ -436,7 +402,7 @@ pub fn analyze(files: &[&FileAnalysis], structs: &StructTable, opts: &CostModel,
         };
         let fa = a.files[n.file];
         let tok = &fa.toks[n.item.name_tok];
-        let cycles = summary.cycles.add(CycleInterval::exact(NI_DECISION_BASE_CYCLES));
+        let cycles = summary.cycles.add(exact_cycles(NI_DECISION_BASE_CYCLES));
         report.roots.push(RootReport {
             root: label.clone(),
             file: fa.rel.clone(),
@@ -469,29 +435,28 @@ impl<'a> Analyzer<'a> {
         });
     }
 
-    fn root_findings(&mut self, idx: usize, label: &str, cycles: CycleInterval, s: &FnSummary) {
+    fn root_findings(&mut self, idx: usize, label: &str, cycles: Interval, s: &FnSummary) {
         let (file, name_tok) = (self.fns[idx].file, self.fns[idx].item.name_tok);
-        if cycles.is_unbounded() {
-            self.emit(
+        match cycles.hi {
+            Bound::Int(hi) if hi <= i128::from(self.opts.budget_cycles) => {}
+            Bound::Int(hi) => self.emit(
+                NI_CYCLE_BUDGET,
+                file,
+                name_tok,
+                format!(
+                    "hot root `{label}` may cost {hi} cycles per decision — over the budget of {} ({} µs at 66 MHz)",
+                    self.opts.budget_cycles,
+                    self.opts.budget_cycles / (I960_HZ / 1_000_000)
+                ),
+                "tighten loop bounds, move work off the hot path, or raise budget_cycles in analysis.toml",
+            ),
+            _ => self.emit(
                 NI_CYCLE_BUDGET,
                 file,
                 name_tok,
                 format!("hot root `{label}` has no static cycle bound (see the unbounded-loop findings above)"),
                 "every loop reachable from a hot root needs a counted range or `// analysis: bound N`",
-            );
-        } else if cycles.hi > self.opts.budget_cycles {
-            self.emit(
-                NI_CYCLE_BUDGET,
-                file,
-                name_tok,
-                format!(
-                    "hot root `{label}` may cost {} cycles per decision — over the budget of {} ({} µs at 66 MHz)",
-                    cycles.hi,
-                    self.opts.budget_cycles,
-                    self.opts.budget_cycles / (I960_HZ / 1_000_000)
-                ),
-                "tighten loop bounds, move work off the hot path, or raise budget_cycles in analysis.toml",
-            );
+            ),
         }
         if s.depth > self.opts.max_call_depth {
             self.emit(
@@ -573,59 +538,18 @@ impl<'a> Analyzer<'a> {
     /// Receiver types for every method call in `idx`'s body, keyed by
     /// method-name token (a [`TypeDomain`] run that records receivers).
     fn recv_types(&self, idx: usize) -> BTreeMap<usize, AbsTy> {
-        struct Probe<'x, 'a> {
-            inner: TypeDomain<'a>,
-            seen: &'x mut BTreeMap<usize, AbsTy>,
-        }
-        impl Domain for Probe<'_, '_> {
-            type V = AbsTy;
-            fn bottom(&self) -> AbsTy {
-                self.inner.bottom()
-            }
-            fn join(&self, a: &AbsTy, b: &AbsTy) -> AbsTy {
-                self.inner.join(a, b)
-            }
-            fn param_value(&mut self, p: &ast::Param, self_ty: Option<&str>) -> AbsTy {
-                self.inner.param_value(p, self_ty)
-            }
-            fn transfer(&mut self, e: &Expr, children: &[AbsTy], env: &Env<AbsTy>) -> AbsTy {
-                if let Expr::MethodCall { tok, .. } = e {
-                    let old = self.seen.get(tok).cloned().unwrap_or(AbsTy::Unknown);
-                    let joined = if matches!(old, AbsTy::Unknown) {
-                        children[0].clone()
-                    } else {
-                        abs_join(&old, &children[0])
-                    };
-                    self.seen.insert(*tok, joined);
-                }
-                self.inner.transfer(e, children, env)
-            }
-            fn bind_split(&self, v: &AbsTy) -> AbsTy {
-                self.inner.bind_split(v)
-            }
-            fn iter_elem(&self, v: &AbsTy) -> AbsTy {
-                self.inner.iter_elem(v)
-            }
-            fn let_decl(&mut self, ty: &TypeRef, inferred: AbsTy) -> AbsTy {
-                self.inner.let_decl(ty, inferred)
-            }
-            fn assign_field(&mut self, old: &AbsTy, value: &AbsTy) -> AbsTy {
-                self.inner.assign_field(old, value)
-            }
-        }
-        let mut seen = BTreeMap::new();
         let fa = self.files[self.fns[idx].file];
-        let mut probe = Probe {
+        let mut probe = Checked {
             inner: TypeDomain {
                 cx: TyCx {
                     structs: self.structs,
                     toks: &fa.toks,
                 },
             },
-            seen: &mut seen,
+            hook: RecvTypes(BTreeMap::new()),
         };
         crate::dataflow::flow_fn(self.fns[idx].item, self.fns[idx].self_ty, &mut probe);
-        seen
+        probe.hook.0
     }
 
     /// Bound annotations whose anchor falls inside `idx`'s span.
@@ -646,7 +570,7 @@ impl<'a> Analyzer<'a> {
     /// annotation > counted inference > allow exemption > unbounded
     /// (finding). Must be called *before* walking the loop body so inner
     /// loops cannot steal the outer annotation.
-    fn loop_bound(&mut self, cx: &mut FnCx, tok: usize, counted: Option<u64>, what: &str) -> CycleInterval {
+    fn loop_bound(&mut self, cx: &mut FnCx, tok: usize, counted: Option<u64>, what: &str) -> Interval {
         let mark = cx
             .marks
             .iter_mut()
@@ -654,14 +578,14 @@ impl<'a> Analyzer<'a> {
             .find(|&&mut (anchor, _, used)| !used && anchor <= tok);
         if let Some(m) = mark {
             m.2 = true;
-            return CycleInterval::new(0, m.1);
+            return Interval::new(0, i128::from(m.1));
         }
         if let Some(n) = counted {
-            return CycleInterval::exact(n);
+            return exact_cycles(n);
         }
         if self.files[cx.file].scopes.is_exempt(NI_CYCLE_BUDGET, tok) {
             // An allowed loop contributes a single iteration.
-            return CycleInterval::new(0, 1);
+            return Interval::new(0, 1);
         }
         self.emit(
             NI_CYCLE_BUDGET,
@@ -670,11 +594,11 @@ impl<'a> Analyzer<'a> {
             format!("{what} on an NI hot path has no static trip-count bound"),
             "use a counted range, annotate `// analysis: bound N`, or allow(ni-cycle-budget) with a reason",
         );
-        CycleInterval::new(0, u64::MAX)
+        NONNEG
     }
 
     fn cost_block(&mut self, cx: &mut FnCx, b: &Block) -> Cost {
-        let mut total = CycleInterval::ZERO;
+        let mut total = exact_cycles(0);
         for st in &b.stmts {
             total = total.add(match st {
                 Stmt::Let {
@@ -688,17 +612,15 @@ impl<'a> Analyzer<'a> {
                     let mut c = init
                         .as_ref()
                         .map(|e| self.cost_expr(cx, e).fold())
-                        .unwrap_or(CycleInterval::ZERO);
+                        .unwrap_or(exact_cycles(0));
                     if let Some(eb) = els {
                         let eb = self.cost_block(cx, eb).fold();
-                        c = c
-                            .add(CycleInterval::exact(BRANCH_CYCLES))
-                            .add(CycleInterval::ZERO.join(eb));
+                        c = c.add(exact_cycles(BRANCH_CYCLES)).add(exact_cycles(0).join(eb));
                     }
-                    c.add(CycleInterval::exact(ALU_CYCLES))
+                    c.add(exact_cycles(ALU_CYCLES))
                 }
                 Stmt::Expr(e) => self.cost_expr(cx, e).fold(),
-                Stmt::Item(_) => CycleInterval::ZERO,
+                Stmt::Item(_) => exact_cycles(0),
                 Stmt::Opaque(sp) => self.opaque_span(cx, sp.start, sp.end),
             });
         }
@@ -736,7 +658,7 @@ impl<'a> Analyzer<'a> {
 
     /// Price unmodelled tokens one ALU cycle per code token; a loop
     /// keyword hiding in there defeats bound analysis and is reported.
-    fn opaque_span(&mut self, cx: &mut FnCx, start: usize, end: usize) -> CycleInterval {
+    fn opaque_span(&mut self, cx: &mut FnCx, start: usize, end: usize) -> Interval {
         let fa = self.files[cx.file];
         let mut n = 0u64;
         let mut loop_tok = None;
@@ -764,15 +686,18 @@ impl<'a> Analyzer<'a> {
                     "a loop inside a statement the analyzer could not model cannot be cycle-bounded".into(),
                     "simplify the statement so the tolerant parser models the loop, or allow(ni-cycle-budget)",
                 );
-                return CycleInterval::new(n, u64::MAX);
+                return Interval {
+                    lo: Bound::Int(i128::from(n)),
+                    hi: Bound::PInf,
+                };
             }
         }
-        CycleInterval::exact(n)
+        exact_cycles(n)
     }
 
     fn cost_expr(&mut self, cx: &mut FnCx, e: &Expr) -> Cost {
-        let alu = CycleInterval::exact(ALU_CYCLES);
-        let branch = CycleInterval::exact(BRANCH_CYCLES);
+        let alu = exact_cycles(ALU_CYCLES);
+        let branch = exact_cycles(BRANCH_CYCLES);
         match e {
             Expr::Path { .. } | Expr::Lit { .. } => Cost::ZERO,
             Expr::Unary { expr, .. } | Expr::Ref { expr, .. } | Expr::Cast { expr, .. } => {
@@ -787,7 +712,7 @@ impl<'a> Analyzer<'a> {
                     ast::BinOp::And | ast::BinOp::Or => BRANCH_CYCLES,
                     _ => ALU_CYCLES,
                 };
-                Cost::of(c.add(CycleInterval::exact(w)))
+                Cost::of(c.add(exact_cycles(w)))
             }
             Expr::Assign { target, value, .. } => {
                 let store = match target.as_ref() {
@@ -838,14 +763,14 @@ impl<'a> Analyzer<'a> {
                 }
             }
             Expr::StructLit { fields, .. } => {
-                let mut c = CycleInterval::exact(ALU_CYCLES * fields.len().max(1) as u64);
+                let mut c = exact_cycles(ALU_CYCLES * fields.len().max(1) as u64);
                 for (_, f) in fields {
                     c = c.add(self.cost_expr(cx, f).fold());
                 }
                 Cost::of(c)
             }
             Expr::Tuple { elems, .. } | Expr::Array { elems, .. } => {
-                let mut c = CycleInterval::exact(ALU_CYCLES * elems.len() as u64);
+                let mut c = exact_cycles(ALU_CYCLES * elems.len() as u64);
                 for el in elems {
                     c = c.add(self.cost_expr(cx, el).fold());
                 }
@@ -858,36 +783,36 @@ impl<'a> Analyzer<'a> {
                 let a = alt
                     .as_ref()
                     .map(|a| self.cost_expr(cx, a).fold())
-                    .unwrap_or(CycleInterval::ZERO);
+                    .unwrap_or(exact_cycles(0));
                 Cost::of(c.add(t.join(a)))
             }
             Expr::Match { scrutinee, arms, .. } => {
                 let c = self
                     .cost_expr(cx, scrutinee)
                     .fold()
-                    .add(CycleInterval::exact(BRANCH_CYCLES * arms.len().max(1) as u64));
-                let mut joined: Option<CycleInterval> = None;
+                    .add(exact_cycles(BRANCH_CYCLES * arms.len().max(1) as u64));
+                let mut joined: Option<Interval> = None;
                 for arm in arms {
                     let mut ac = arm
                         .guard
                         .as_ref()
                         .map(|g| self.cost_expr(cx, g).fold())
-                        .unwrap_or(CycleInterval::ZERO);
+                        .unwrap_or(exact_cycles(0));
                     ac = ac.add(self.cost_expr(cx, &arm.body).fold());
                     joined = Some(joined.map_or(ac, |j| j.join(ac)));
                 }
-                Cost::of(c.add(joined.unwrap_or(CycleInterval::ZERO)))
+                Cost::of(c.add(joined.unwrap_or(exact_cycles(0))))
             }
             Expr::While { cond, body, tok, .. } => {
                 let iters = self.loop_bound(cx, *tok, None, "`while` loop");
                 let c = self.cost_expr(cx, cond).fold().add(branch);
                 let b = self.cost_block(cx, body).fold();
-                Cost::of(c.add(c.add(b).scale(iters)))
+                Cost::of(c.add(c.add(b).mul(iters)))
             }
             Expr::Loop { body, tok } => {
                 let iters = self.loop_bound(cx, *tok, None, "`loop`");
                 let b = self.cost_block(cx, body).fold().add(branch);
-                Cost::of(b.scale(iters))
+                Cost::of(b.mul(iters))
             }
             Expr::For { iter, body, tok, .. } => {
                 let counted = counted_range(iter, &self.files[cx.file].toks);
@@ -895,11 +820,8 @@ impl<'a> Analyzer<'a> {
                 let ic = self.cost_expr(cx, iter);
                 let b = self.cost_block(cx, body).fold();
                 Cost::of(
-                    ic.total.add(
-                        b.add(ic.pending)
-                            .add(CycleInterval::exact(ITER_STEP_CYCLES))
-                            .scale(iters),
-                    ),
+                    ic.total
+                        .add(b.add(ic.pending).add(exact_cycles(ITER_STEP_CYCLES)).mul(iters)),
                 )
             }
             Expr::Closure { body, .. } => self.cost_expr(cx, body),
@@ -907,11 +829,11 @@ impl<'a> Analyzer<'a> {
                 value
                     .as_ref()
                     .map(|v| self.cost_expr(cx, v).fold())
-                    .unwrap_or(CycleInterval::ZERO)
+                    .unwrap_or(exact_cycles(0))
                     .add(branch),
             ),
             Expr::Range { lo, hi, .. } => {
-                let mut c = CycleInterval::ZERO;
+                let mut c = exact_cycles(0);
                 if let Some(l) = lo {
                     c = c.add(self.cost_expr(cx, l).fold());
                 }
@@ -956,17 +878,17 @@ impl<'a> Analyzer<'a> {
                     pending = pending.add(self.cost_expr(cx, a).fold());
                 }
                 return Cost {
-                    total: r.total.add(CycleInterval::exact(ALU_CYCLES)),
+                    total: r.total.add(exact_cycles(ALU_CYCLES)),
                     pending,
                 };
             }
             if DRAIN_ADAPTERS.contains(&method) {
                 let iters = self.loop_bound(cx, tok, None, &format!("iterator drain `.{method}(…)`"));
-                let mut per = r.pending.add(CycleInterval::exact(ITER_STEP_CYCLES));
+                let mut per = r.pending.add(exact_cycles(ITER_STEP_CYCLES));
                 for a in args {
                     per = per.add(self.cost_expr(cx, a).fold());
                 }
-                return Cost::of(r.total.add(per.scale(iters)).add(CycleInterval::exact(CALL_CYCLES)));
+                return Cost::of(r.total.add(per.mul(iters)).add(exact_cycles(CALL_CYCLES)));
             }
         }
         let mut c = r.fold();
@@ -1015,7 +937,7 @@ impl<'a> Analyzer<'a> {
         Cost::of(c.add(call))
     }
 
-    fn call_cost(&mut self, cx: &mut FnCx, name: Option<&str>, qual: Option<&str>, tok: usize) -> CycleInterval {
+    fn call_cost(&mut self, cx: &mut FnCx, name: Option<&str>, qual: Option<&str>, tok: usize) -> Interval {
         let Some(name) = name else {
             self.note_opaque_callee(cx);
             return OPAQUE_CALL;
@@ -1065,8 +987,8 @@ impl<'a> Analyzer<'a> {
     /// (reported only when the resolution was `refined` — an exact impl
     /// match or a direct path call; fallback joins charge the back edge
     /// silently).
-    fn candidates_cost(&mut self, cx: &mut FnCx, cands: &[usize], tok: usize, refined: bool) -> CycleInterval {
-        let mut joined: Option<CycleInterval> = None;
+    fn candidates_cost(&mut self, cx: &mut FnCx, cands: &[usize], tok: usize, refined: bool) -> Interval {
+        let mut joined: Option<Interval> = None;
         let mut depth = 0u64;
         let mut stack = 0u64;
         for &i in cands {
@@ -1101,7 +1023,7 @@ impl<'a> Analyzer<'a> {
         }
         cx.callee_depth = cx.callee_depth.max(depth);
         cx.callee_stack = cx.callee_stack.max(stack);
-        joined.unwrap_or(OPAQUE_CALL).add(CycleInterval::exact(CALL_CYCLES))
+        joined.unwrap_or(OPAQUE_CALL).add(exact_cycles(CALL_CYCLES))
     }
 
     fn note_opaque_callee(&mut self, cx: &mut FnCx) {
@@ -1201,42 +1123,38 @@ fn scalar_bytes(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::bound_le;
     use crate::FileAnalysis;
 
     // -- interval arithmetic ------------------------------------------------
 
     #[test]
     fn add_and_scale_saturate_instead_of_wrapping() {
-        let big = CycleInterval::new(u64::MAX - 1, u64::MAX);
-        let sum = big.add(CycleInterval::exact(10));
-        assert_eq!(sum.lo, u64::MAX);
-        assert_eq!(sum.hi, u64::MAX);
-        let prod = big.scale(CycleInterval::exact(3));
-        assert!(prod.is_unbounded());
+        let big = Interval::new(i128::MAX - 1, i128::MAX);
+        let sum = big.add(exact_cycles(10));
+        assert_eq!(sum, Interval::of(i128::MAX));
+        let prod = big.mul(exact_cycles(3));
+        assert_eq!(prod, Interval::of(i128::MAX));
         // Unbounded absorbs through every composition.
-        let unb = CycleInterval::new(0, u64::MAX);
-        assert!(unb.add(CycleInterval::exact(1)).is_unbounded());
-        assert!(CycleInterval::exact(2).scale(unb).is_unbounded());
+        assert_eq!(NONNEG.add(exact_cycles(1)).hi, Bound::PInf);
+        assert_eq!(exact_cycles(2).mul(NONNEG).hi, Bound::PInf);
     }
 
     #[test]
     fn join_is_the_containing_hull() {
-        let a = CycleInterval::new(5, 10);
-        let b = CycleInterval::new(2, 7);
-        let j = a.join(b);
-        assert_eq!((j.lo, j.hi), (2, 10));
+        let a = Interval::new(5, 10);
+        let b = Interval::new(2, 7);
+        assert_eq!(a.join(b), Interval::new(2, 10));
         assert_eq!(a.join(a), a);
         // Commutative.
-        let k = b.join(a);
-        assert_eq!((k.lo, k.hi), (2, 10));
+        assert_eq!(b.join(a), Interval::new(2, 10));
     }
 
     #[test]
     fn zero_is_the_additive_identity_and_scale_annihilator() {
-        let c = CycleInterval::new(3, 9);
-        assert_eq!(c.add(CycleInterval::ZERO), c);
-        let z = c.scale(CycleInterval::ZERO);
-        assert_eq!((z.lo, z.hi), (0, 0));
+        let c = Interval::new(3, 9);
+        assert_eq!(c.add(exact_cycles(0)), c);
+        assert_eq!(c.mul(exact_cycles(0)), exact_cycles(0));
     }
 
     // -- name classification ------------------------------------------------
@@ -1287,14 +1205,14 @@ mod tests {
         let r = report("// analysis: hot\nfn f(mut x: u64) -> u64 { for i in 0..16 { x += i; } x }");
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.roots.len(), 1);
-        assert!(!r.roots[0].cycles.is_unbounded());
+        assert_ne!(r.roots[0].cycles.hi, Bound::PInf);
     }
 
     #[test]
     fn inclusive_range_counts_the_extra_iteration() {
         let half = report("// analysis: hot\nfn f(mut x: u64) { for _ in 0..8 { x += 1; } }");
         let incl = report("// analysis: hot\nfn f(mut x: u64) { for _ in 0..=8 { x += 1; } }");
-        assert!(incl.roots[0].cycles.hi > half.roots[0].cycles.hi);
+        assert_eq!(bound_le(incl.roots[0].cycles.hi, half.roots[0].cycles.hi), Some(false));
     }
 
     #[test]
@@ -1303,14 +1221,14 @@ mod tests {
             "// analysis: hot\nfn f(mut x: u64) -> u64 {\n    // analysis: bound 4\n    while x > 0 { x -= 1; }\n    x\n}",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert!(!r.roots[0].cycles.is_unbounded());
+        assert_ne!(r.roots[0].cycles.hi, Bound::PInf);
     }
 
     #[test]
     fn unbounded_loop_flags_loop_and_root() {
         let r = report("// analysis: hot\nfn f(mut x: u64) -> u64 { while x > 0 { x -= 1; } x }");
         assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
-        assert!(r.roots[0].cycles.is_unbounded());
+        assert_eq!(r.roots[0].cycles.hi, Bound::PInf);
     }
 
     #[test]
@@ -1321,7 +1239,7 @@ mod tests {
             "struct S { n: u64 }\nimpl S {\n    fn position(&self) -> u64 { self.n + 1 }\n    // analysis: hot\n    fn f(&self) -> u64 { self.position() }\n}",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert!(!r.roots[0].cycles.is_unbounded());
+        assert_ne!(r.roots[0].cycles.hi, Bound::PInf);
     }
 
     #[test]
@@ -1375,6 +1293,6 @@ mod tests {
             "{:?}",
             r.findings
         );
-        assert!(!r.roots[0].cycles.is_unbounded());
+        assert_ne!(r.roots[0].cycles.hi, Bound::PInf);
     }
 }

@@ -515,6 +515,92 @@ pub trait Domain {
     }
 }
 
+/// A lint's checks riding along an inner domain's walk (see [`Checked`]).
+pub trait Check<D: Domain> {
+    /// Inspect `e` and its children's values before `inner` transfers it.
+    fn check(&mut self, inner: &D, e: &Expr, children: &[D::V]);
+    /// Inspect a store before `inner` computes it (see
+    /// [`Domain::assign_value`]).
+    fn check_assign(&mut self, _inner: &D, _tok: usize, _old: Option<&D::V>, _new: &D::V) {}
+}
+
+/// `inner` with a [`Check`] attached: the values are exactly `inner`'s —
+/// every [`Domain`] method forwards to it — and `hook` sees each
+/// transfer and store first.
+pub struct Checked<D, C> {
+    /// The domain computing the values.
+    pub inner: D,
+    /// The checks.
+    pub hook: C,
+}
+
+impl<D: Domain, C: Check<D>> Domain for Checked<D, C> {
+    type V = D::V;
+
+    fn bottom(&self) -> D::V {
+        self.inner.bottom()
+    }
+    fn join(&self, a: &D::V, b: &D::V) -> D::V {
+        self.inner.join(a, b)
+    }
+    fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> D::V {
+        self.inner.param_value(p, self_ty)
+    }
+    fn transfer(&mut self, e: &Expr, children: &[D::V], env: &Env<D::V>) -> D::V {
+        self.hook.check(&self.inner, e, children);
+        self.inner.transfer(e, children, env)
+    }
+    fn bind_split(&self, v: &D::V) -> D::V {
+        self.inner.bind_split(v)
+    }
+    fn iter_elem(&self, v: &D::V) -> D::V {
+        self.inner.iter_elem(v)
+    }
+    fn assign_index(&mut self, target: &Expr, value: &D::V) {
+        self.inner.assign_index(target, value)
+    }
+    fn assign_field(&mut self, old: &D::V, value: &D::V) -> D::V {
+        self.inner.assign_field(old, value)
+    }
+    fn let_decl(&mut self, ty: &TypeRef, inferred: D::V) -> D::V {
+        self.inner.let_decl(ty, inferred)
+    }
+    fn widen(&self, old: &D::V, new: &D::V) -> D::V {
+        self.inner.widen(old, new)
+    }
+    fn refine(&mut self, cond: &Expr, taken: bool, env: &mut Env<D::V>) {
+        self.inner.refine(cond, taken, env)
+    }
+    fn iter_elem_at(&self, v: &D::V, pos: usize, n: usize) -> D::V {
+        self.inner.iter_elem_at(v, pos, n)
+    }
+    fn assign_value(&mut self, tok: usize, old: Option<&D::V>, new: D::V) -> D::V {
+        self.hook.check_assign(&self.inner, tok, old, &new);
+        self.inner.assign_value(tok, old, new)
+    }
+    fn enter_fn(&mut self, func: &FnItem, self_ty: Option<&str>) {
+        self.inner.enter_fn(func, self_ty)
+    }
+    fn observe_return(&mut self, v: &D::V) {
+        self.inner.observe_return(v)
+    }
+    fn track_places(&self) -> bool {
+        self.inner.track_places()
+    }
+    fn method_is_pure(&self, method: &str) -> bool {
+        self.inner.method_is_pure(method)
+    }
+    fn method_update(&mut self, place: &str, recv_old: &D::V, method: &str) -> D::V {
+        self.inner.method_update(place, recv_old, method)
+    }
+    fn observe_ref_arg(&mut self, tok: usize, place: &str, env: &mut Env<D::V>) {
+        self.inner.observe_ref_arg(tok, place, env)
+    }
+    fn havoc(&self, v: &D::V) -> D::V {
+        self.inner.havoc(v)
+    }
+}
+
 /// Run a domain over one function.
 pub fn flow_fn<D: Domain>(func: &FnItem, self_ty: Option<&str>, dom: &mut D) {
     dom.enter_fn(func, self_ty);
@@ -1139,9 +1225,10 @@ fn bsub(a: Bound, b: Bound, for_hi: bool) -> Bound {
     }
 }
 
-// The arithmetic combinators below are static transfer functions over
+// The arithmetic combinators below are transfer functions over
 // intervals, deliberately named after the operations they model — they
-// are not operator overloads (no self receiver, no Output).
+// are not operator overloads (no Output; `Interval::add(a, b)` and
+// `a.add(b)` both read as the interval operation).
 #[allow(clippy::should_implement_trait)]
 impl Interval {
     /// `(-∞, +∞)`.
@@ -1151,7 +1238,7 @@ impl Interval {
     };
 
     /// The singleton `[c, c]`.
-    pub fn of(c: i128) -> Interval {
+    pub const fn of(c: i128) -> Interval {
         Interval {
             lo: Bound::Int(c),
             hi: Bound::Int(c),
@@ -1159,7 +1246,7 @@ impl Interval {
     }
 
     /// `[lo, hi]`.
-    pub fn new(lo: i128, hi: i128) -> Interval {
+    pub const fn new(lo: i128, hi: i128) -> Interval {
         Interval {
             lo: Bound::Int(lo),
             hi: Bound::Int(hi),
@@ -1196,7 +1283,8 @@ impl Interval {
     }
 
     /// Convex hull.
-    pub fn join(a: Interval, b: Interval) -> Interval {
+    pub fn join(self, b: Interval) -> Interval {
+        let a = self;
         let lo = if bound_le(a.lo, b.lo) == Some(true) {
             a.lo
         } else if bound_le(b.lo, a.lo) == Some(true) {
@@ -1254,7 +1342,8 @@ impl Interval {
     }
 
     /// `a + b`.
-    pub fn add(a: Interval, b: Interval) -> Interval {
+    pub fn add(self, b: Interval) -> Interval {
+        let a = self;
         Interval {
             lo: badd(a.lo, b.lo, false),
             hi: badd(a.hi, b.hi, true),
@@ -1301,7 +1390,8 @@ impl Interval {
 
     /// `a * b`: exact when one side is constant, coarse (but sound)
     /// when both are non-negative, top otherwise.
-    pub fn mul(a: Interval, b: Interval) -> Interval {
+    pub fn mul(self, b: Interval) -> Interval {
+        let a = self;
         if let Some(c) = b.as_const() {
             return Interval::scale(a, c);
         }
@@ -3164,51 +3254,24 @@ mod tests {
     /// Collect the types inferred for every method-call receiver in
     /// `src`, keyed by method name.
     fn recv_types(src: &str, structs: &StructTable) -> BTreeMap<String, AbsTy> {
-        struct Probe<'a, 'b> {
-            inner: TypeDomain<'a>,
-            seen: &'b mut BTreeMap<String, AbsTy>,
-        }
-        impl Domain for Probe<'_, '_> {
-            type V = AbsTy;
-            fn bottom(&self) -> AbsTy {
-                self.inner.bottom()
-            }
-            fn join(&self, a: &AbsTy, b: &AbsTy) -> AbsTy {
-                self.inner.join(a, b)
-            }
-            fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> AbsTy {
-                self.inner.param_value(p, self_ty)
-            }
-            fn transfer(&mut self, e: &Expr, children: &[AbsTy], env: &Env<AbsTy>) -> AbsTy {
+        struct Recv(BTreeMap<String, AbsTy>);
+        impl Check<TypeDomain<'_>> for Recv {
+            fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
                 if let Expr::MethodCall { method, .. } = e {
-                    self.seen.insert(method.clone(), children[0].clone());
+                    self.0.insert(method.clone(), children[0].clone());
                 }
-                self.inner.transfer(e, children, env)
-            }
-            fn bind_split(&self, v: &AbsTy) -> AbsTy {
-                self.inner.bind_split(v)
-            }
-            fn iter_elem(&self, v: &AbsTy) -> AbsTy {
-                self.inner.iter_elem(v)
-            }
-            fn let_decl(&mut self, ty: &TypeRef, inferred: AbsTy) -> AbsTy {
-                self.inner.let_decl(ty, inferred)
-            }
-            fn assign_field(&mut self, old: &AbsTy, value: &AbsTy) -> AbsTy {
-                self.inner.assign_field(old, value)
             }
         }
         let toks = lexer::lex(src);
         let file = parser::parse(&toks);
-        let mut seen = BTreeMap::new();
-        let mut probe = Probe {
+        let mut probe = Checked {
             inner: TypeDomain {
                 cx: TyCx { structs, toks: &toks },
             },
-            seen: &mut seen,
+            hook: Recv(BTreeMap::new()),
         };
         for_each_fn(&file, &mut |f, self_ty| flow_fn(f, self_ty, &mut probe));
-        seen
+        probe.hook.0
     }
 
     #[test]
@@ -3349,105 +3412,41 @@ mod range_tests {
     /// prove every integer slice index / range slice and every unsigned
     /// subtraction, returning (proof count, failure messages).
     fn run(src: &str) -> (usize, Vec<String>) {
-        struct Probe<'a, 'b> {
-            d: RangeDomain<'a>,
-            oks: &'b mut usize,
-            errs: &'b mut Vec<String>,
-        }
-        impl Domain for Probe<'_, '_> {
-            type V = RangeVal;
-            fn bottom(&self) -> RangeVal {
-                self.d.bottom()
-            }
-            fn join(&self, a: &RangeVal, b: &RangeVal) -> RangeVal {
-                self.d.join(a, b)
-            }
-            fn widen(&self, a: &RangeVal, b: &RangeVal) -> RangeVal {
-                self.d.widen(a, b)
-            }
-            fn track_places(&self) -> bool {
-                true
-            }
-            fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> RangeVal {
-                self.d.param_value(p, self_ty)
-            }
-            fn transfer(&mut self, e: &Expr, children: &[RangeVal], env: &Env<RangeVal>) -> RangeVal {
-                match e {
-                    Expr::Index { .. } if children.len() == 2 => match self.d.index_proof(&children[0], &children[1]) {
-                        Ok(()) => *self.oks += 1,
-                        Err(m) => self.errs.push(m),
-                    },
+        /// (proofs, failure messages)
+        struct Proofs(usize, Vec<String>);
+        impl Check<RangeDomain<'_>> for Proofs {
+            fn check(&mut self, d: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
+                let res = match e {
+                    Expr::Index { .. } if children.len() == 2 => d.index_proof(&children[0], &children[1]),
                     Expr::Binary { op: BinOp::Sub, .. }
                         if matches!(children.first().map(|c| &c.ty), Some(AbsTy::Int { signed: false, .. })) =>
                     {
-                        match self.d.sub_proof(&children[0], &children[1]) {
-                            Ok(()) => *self.oks += 1,
-                            Err(m) => self.errs.push(m),
-                        }
+                        d.sub_proof(&children[0], &children[1])
                     }
-                    _ => {}
+                    _ => return,
+                };
+                match res {
+                    Ok(()) => self.0 += 1,
+                    Err(m) => self.1.push(m),
                 }
-                self.d.transfer(e, children, env)
-            }
-            fn bind_split(&self, v: &RangeVal) -> RangeVal {
-                self.d.bind_split(v)
-            }
-            fn iter_elem(&self, v: &RangeVal) -> RangeVal {
-                self.d.iter_elem(v)
-            }
-            fn iter_elem_at(&self, v: &RangeVal, pos: usize, n: usize) -> RangeVal {
-                self.d.iter_elem_at(v, pos, n)
-            }
-            fn let_decl(&mut self, ty: &TypeRef, inferred: RangeVal) -> RangeVal {
-                self.d.let_decl(ty, inferred)
-            }
-            fn assign_field(&mut self, old: &RangeVal, value: &RangeVal) -> RangeVal {
-                self.d.assign_field(old, value)
-            }
-            fn assign_value(&mut self, tok: usize, old: Option<&RangeVal>, new: RangeVal) -> RangeVal {
-                self.d.assign_value(tok, old, new)
-            }
-            fn refine(&mut self, cond: &Expr, taken: bool, env: &mut Env<RangeVal>) {
-                self.d.refine(cond, taken, env)
-            }
-            fn enter_fn(&mut self, func: &FnItem, self_ty: Option<&str>) {
-                self.d.enter_fn(func, self_ty)
-            }
-            fn observe_return(&mut self, v: &RangeVal) {
-                self.d.observe_return(v)
-            }
-            fn method_is_pure(&self, method: &str) -> bool {
-                self.d.method_is_pure(method)
-            }
-            fn method_update(&mut self, place: &str, old: &RangeVal, method: &str) -> RangeVal {
-                self.d.method_update(place, old, method)
-            }
-            fn observe_ref_arg(&mut self, tok: usize, place: &str, env: &mut Env<RangeVal>) {
-                self.d.observe_ref_arg(tok, place, env)
-            }
-            fn havoc(&self, v: &RangeVal) -> RangeVal {
-                self.d.havoc(v)
             }
         }
         let toks = lexer::lex(src);
         let file = parser::parse(&toks);
         let structs = StructTable::new();
         let consts = collect_consts(&toks);
-        let mut oks = 0;
-        let mut errs = Vec::new();
-        let mut probe = Probe {
-            d: RangeDomain::new(
+        let mut probe = Checked {
+            inner: RangeDomain::new(
                 TyCx {
                     structs: &structs,
                     toks: &toks,
                 },
                 consts,
             ),
-            oks: &mut oks,
-            errs: &mut errs,
+            hook: Proofs(0, Vec::new()),
         };
         for_each_fn(&file, &mut |f, self_ty| flow_fn(f, self_ty, &mut probe));
-        (oks, errs)
+        (probe.hook.0, probe.hook.1)
     }
 
     #[test]

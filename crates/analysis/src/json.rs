@@ -1,11 +1,9 @@
-//! A minimal recursive-descent JSON reader.
-//!
-//! This crate takes no dependencies, and two features need to *read* JSON:
-//! the findings baseline (`analysis-baseline.json`) and the SARIF
-//! round-trip test. Numbers are kept as their raw source text — nothing
-//! in either schema needs arithmetic, and the NI-resident coding rules
-//! this workspace enforces make us allergic to gratuitous floats even in
-//! host tooling.
+//! A minimal recursive-descent JSON reader, for the tests that check the
+//! JSON and SARIF reports are well-formed (this crate takes no
+//! dependencies). Numbers are kept as their raw source text — nothing in
+//! either schema needs arithmetic, and the NI-resident coding rules this
+//! workspace enforces make us allergic to gratuitous floats even in host
+//! tooling.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -28,6 +28,10 @@
 //!   path are findings.
 //! * [`lints::NI_STACK_DEPTH`] — hot paths must have bounded call depth,
 //!   no recursion, and no large stack locals.
+//! * [`lints::NI_BOUNDS`] — every hot-path index, unsigned subtraction,
+//!   division and shift proven in range by the interval domain.
+//! * [`lints::Q16_RANGE`] — fixed-point multiplies, left shifts and
+//!   narrowing casts proven to fit their width.
 //!
 //! The pipeline parses each file once — lex ([`lexer`]) → exemptions
 //! ([`scope`]) → tolerant AST ([`parser`]/[`ast`]) — then runs token
@@ -35,8 +39,9 @@
 //! per configured lint. Run from the workspace root:
 //!
 //! ```text
-//! cargo run -p nistream-analysis -- check [--format=json|sarif] [--baseline=FILE]
-//! cargo run -p nistream-analysis -- update-baseline
+//! cargo run -p nistream-analysis -- check [--format=json|sarif]
+//! cargo run -p nistream-analysis -- budget
+//! cargo run -p nistream-analysis -- bounds
 //! ```
 //!
 //! Exemptions: `#[cfg(test)]` items and `mod tests` blocks are skipped
@@ -46,13 +51,13 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod costmodel;
 pub mod dataflow;
 pub mod diag;
-pub mod json;
+#[cfg(test)]
+mod json;
 pub mod lexer;
 pub mod lints;
 pub mod parser;

@@ -7,23 +7,23 @@
 //!   token stream is the right abstraction and the diagnostics are
 //!   byte-compatible with the original lexer-only analyzer.
 //! * **AST / dataflow passes** (`ni-no-panic`, `Instant::now` detection,
-//!   `ni-no-alloc`, `q16-overflow`, `sweep-determinism`) — shape- and
-//!   type-dependent rules that walk [`crate::ast`] and run
-//!   [`crate::dataflow`] domains. Tokens the parser could not model
-//!   (macro bodies, attributes, recovered statements) are re-scanned with
-//!   the original token heuristics over the AST's `lexical` spans, so no
-//!   code escapes coverage.
+//!   `ni-no-alloc`, `q16-overflow`, `sweep-determinism`, `ni-bounds`,
+//!   `q16-range`) — shape- and type-dependent rules that walk
+//!   [`crate::ast`] and run [`crate::dataflow`] domains. The parser
+//!   models macro arguments too, so these passes are the only view of
+//!   function bodies; `tests/parse_coverage.rs` holds the NI and
+//!   simulation file sets free of unparsed spans.
 //!
 //! Each pass receives the exemption state ([`Scopes`]) and reports
 //! [`Finding`]s for non-exempt tokens only. The mapping of lints to paths
 //! lives in `analysis.toml`; these functions do not know which crates
 //! they run over.
 
-use crate::ast::{self, for_each_expr_in_block, for_each_fn, BinOp, Expr, LitKind, Param, TypeRef};
+use crate::ast::{self, for_each_expr_in_block, for_each_fn, BinOp, Expr, LitKind, Param};
 use crate::callgraph::CallGraph;
 use crate::dataflow::{
-    abs_from_typeref, bound_le, collect_consts, flow_fn, AbsTy, Bound, Domain, Env, Interval, Prov, RangeDomain,
-    RangeVal, StructTable, TyCx, TypeDomain,
+    abs_from_typeref, bound_le, collect_consts, flow_fn, AbsTy, Bound, Check, Checked, Domain, Env, Interval, Prov,
+    RangeDomain, RangeVal, StructTable, TyCx, TypeDomain,
 };
 use crate::diag::Finding;
 use crate::lexer::{Tok, TokKind};
@@ -190,22 +190,6 @@ fn finding(lint: &str, file: &Path, tok: &Tok, message: String, note: &str) -> F
     }
 }
 
-/// Mask of tokens the parser left unmodelled (macro bodies, attributes,
-/// where clauses, recovered statements): the token-heuristic fallbacks
-/// run over exactly these.
-fn lexical_mask(toks_len: usize, ast: &ast::File) -> Vec<bool> {
-    let mut mask = vec![false; toks_len];
-    if toks_len == 0 {
-        return mask;
-    }
-    for sp in &ast.lexical {
-        for m in mask.iter_mut().take(sp.end.min(toks_len - 1) + 1).skip(sp.start) {
-            *m = true;
-        }
-    }
-    mask
-}
-
 /// Visit every expression in every function body of the file.
 fn each_body_expr<'a>(ast: &'a ast::File, f: &mut impl FnMut(&'a Expr)) {
     for_each_fn(ast, &mut |func, _| {
@@ -245,8 +229,8 @@ pub fn ni_no_float(file: &Path, toks: &[Tok], scopes: &Scopes, out: &mut Vec<Fin
 }
 
 /// Run `ni-no-panic` over one file: panicking macros and
-/// `.unwrap()`/`.expect(…)` calls, found as AST shapes in modelled code
-/// and by the original token heuristic inside unmodelled spans.
+/// `.unwrap()`/`.expect(…)` calls, found as AST shapes in every function
+/// body (macro arguments included).
 pub fn ni_no_panic(file: &Path, toks: &[Tok], scopes: &Scopes, ast: &ast::File, out: &mut Vec<Finding>) {
     const NOTE: &str = "NI firmware must degrade rather than die: return a typed error, \
                         or justify the invariant with `// analysis: allow(ni-no-panic) reason=\"…\"`";
@@ -276,48 +260,11 @@ pub fn ni_no_panic(file: &Path, toks: &[Tok], scopes: &Scopes, ast: &ast::File, 
         }
         _ => {}
     });
-
-    // Fallback over unmodelled spans (macro arguments, attributes,
-    // recovered statements).
-    let mask = lexical_mask(toks.len(), ast);
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| !matches!(toks[i].kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
-    for (ci, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if !mask[i] || t.kind != TokKind::Ident || scopes.is_exempt(NI_NO_PANIC, i) {
-            continue;
-        }
-        let next = code.get(ci + 1).map(|&j| &toks[j]);
-        let prev = ci.checked_sub(1).map(|p| &toks[code[p]]);
-        match t.text.as_str() {
-            "panic" | "unreachable" | "todo" | "unimplemented" if next.is_some_and(|n| n.is_punct('!')) => {
-                out.push(finding(
-                    NI_NO_PANIC,
-                    file,
-                    t,
-                    format!("`{}!` in non-test NI code", t.text),
-                    NOTE,
-                ));
-            }
-            "unwrap" | "expect" if prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('(')) => {
-                out.push(finding(
-                    NI_NO_PANIC,
-                    file,
-                    t,
-                    format!("`.{}(…)` in non-test NI code", t.text),
-                    NOTE,
-                ));
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Run `sim-determinism` over one file. Collection/wall-clock *mentions*
-/// stay token scans; `Instant::now` is recognised as an AST path (plus
-/// the token heuristic inside unmodelled spans) so that mentioning the
-/// `Instant` type stays legal.
+/// stay token scans; `Instant::now` is recognised as an AST path so that
+/// mentioning the `Instant` type stays legal.
 pub fn sim_determinism(file: &Path, toks: &[Tok], scopes: &Scopes, ast: &ast::File, out: &mut Vec<Finding>) {
     const NOTE: &str = "simulation crates must be replayable from a seed: use the simulated \
                         clock for time and BTreeMap/BTreeSet (stable iteration) for collections";
@@ -350,28 +297,6 @@ pub fn sim_determinism(file: &Path, toks: &[Tok], scopes: &Scopes, ast: &ast::Fi
             }
         }
     });
-    let mask = lexical_mask(toks.len(), ast);
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| !matches!(toks[i].kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
-    for (ci, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if !mask[i] || !t.is_ident("Instant") || scopes.is_exempt(SIM_DETERMINISM, i) {
-            continue;
-        }
-        let is_now = code.get(ci + 1).is_some_and(|&j| toks[j].is_punct(':'))
-            && code.get(ci + 2).is_some_and(|&j| toks[j].is_punct(':'))
-            && code.get(ci + 3).is_some_and(|&j| toks[j].is_ident("now"));
-        if is_now {
-            out.push(finding(
-                SIM_DETERMINISM,
-                file,
-                t,
-                "`Instant::now` (wall clock) in deterministic-simulation code".to_string(),
-                NOTE,
-            ));
-        }
-    }
 }
 
 /// Run `unsafe-hygiene` over one file. `allowed` — is this file on the
@@ -420,14 +345,14 @@ pub fn unsafe_hygiene(file: &Path, toks: &[Tok], scopes: &Scopes, allowed: bool,
 // q16-overflow
 // ---------------------------------------------------------------------
 
-struct Q16Dom<'a, 'o> {
-    ty: TypeDomain<'a>,
+struct Q16Check<'a, 'o> {
+    toks: &'a [Tok],
     scopes: &'a Scopes,
     file: &'a Path,
     out: &'o mut Vec<Finding>,
 }
 
-impl Q16Dom<'_, '_> {
+impl Q16Check<'_, '_> {
     fn emit(&mut self, tok: usize, message: String) {
         const NOTE: &str = "Q16 is an i64 with 16 fractional bits: widen raw values through i128 \
                             before multiplying, and keep `Frac` arithmetic exact \
@@ -435,38 +360,14 @@ impl Q16Dom<'_, '_> {
         if self.scopes.is_exempt(Q16_OVERFLOW, tok) {
             return;
         }
-        if let Some(t) = self.ty.cx.toks.get(tok) {
+        if let Some(t) = self.toks.get(tok) {
             self.out.push(finding(Q16_OVERFLOW, self.file, t, message, NOTE));
         }
     }
 }
 
-impl Domain for Q16Dom<'_, '_> {
-    type V = AbsTy;
-
-    fn bottom(&self) -> AbsTy {
-        self.ty.bottom()
-    }
-    fn join(&self, a: &AbsTy, b: &AbsTy) -> AbsTy {
-        self.ty.join(a, b)
-    }
-    fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> AbsTy {
-        self.ty.param_value(p, self_ty)
-    }
-    fn bind_split(&self, v: &AbsTy) -> AbsTy {
-        self.ty.bind_split(v)
-    }
-    fn iter_elem(&self, v: &AbsTy) -> AbsTy {
-        self.ty.iter_elem(v)
-    }
-    fn let_decl(&mut self, ty: &TypeRef, inferred: AbsTy) -> AbsTy {
-        self.ty.let_decl(ty, inferred)
-    }
-    fn assign_field(&mut self, old: &AbsTy, value: &AbsTy) -> AbsTy {
-        self.ty.assign_field(old, value)
-    }
-
-    fn transfer(&mut self, e: &Expr, children: &[AbsTy], env: &Env<AbsTy>) -> AbsTy {
+impl Check<TypeDomain<'_>> for Q16Check<'_, '_> {
+    fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
         let first = children.first().cloned().unwrap_or(AbsTy::Unknown);
         match e {
             Expr::Binary {
@@ -517,7 +418,6 @@ impl Domain for Q16Dom<'_, '_> {
             }
             _ => {}
         }
-        self.ty.transfer(e, children, env)
     }
 }
 
@@ -530,13 +430,16 @@ pub fn q16_overflow(
     structs: &StructTable,
     out: &mut Vec<Finding>,
 ) {
-    let mut dom = Q16Dom {
-        ty: TypeDomain {
+    let mut dom = Checked {
+        inner: TypeDomain {
             cx: TyCx { structs, toks },
         },
-        scopes,
-        file,
-        out,
+        hook: Q16Check {
+            toks,
+            scopes,
+            file,
+            out,
+        },
     };
     for_each_fn(ast, &mut |f, self_ty| flow_fn(f, self_ty, &mut dom));
 }
@@ -545,15 +448,15 @@ pub fn q16_overflow(
 // ni-no-alloc
 // ---------------------------------------------------------------------
 
-struct AllocDom<'a, 'o> {
-    ty: TypeDomain<'a>,
+struct AllocCheck<'a, 'o> {
+    toks: &'a [Tok],
     scopes: &'a Scopes,
     file: &'a Path,
     root: &'a str,
     out: &'o mut Vec<Finding>,
 }
 
-impl AllocDom<'_, '_> {
+impl AllocCheck<'_, '_> {
     fn emit(&mut self, tok: usize, message: String) {
         if self.scopes.is_exempt(NI_NO_ALLOC, tok) {
             return;
@@ -564,7 +467,7 @@ impl AllocDom<'_, '_> {
              `// analysis: allow(ni-no-alloc) reason=\"…\"`",
             self.root
         );
-        if let Some(t) = self.ty.cx.toks.get(tok) {
+        if let Some(t) = self.toks.get(tok) {
             self.out.push(Finding {
                 lint: NI_NO_ALLOC.to_string(),
                 file: self.file.to_path_buf(),
@@ -577,32 +480,8 @@ impl AllocDom<'_, '_> {
     }
 }
 
-impl Domain for AllocDom<'_, '_> {
-    type V = AbsTy;
-
-    fn bottom(&self) -> AbsTy {
-        self.ty.bottom()
-    }
-    fn join(&self, a: &AbsTy, b: &AbsTy) -> AbsTy {
-        self.ty.join(a, b)
-    }
-    fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> AbsTy {
-        self.ty.param_value(p, self_ty)
-    }
-    fn bind_split(&self, v: &AbsTy) -> AbsTy {
-        self.ty.bind_split(v)
-    }
-    fn iter_elem(&self, v: &AbsTy) -> AbsTy {
-        self.ty.iter_elem(v)
-    }
-    fn let_decl(&mut self, ty: &TypeRef, inferred: AbsTy) -> AbsTy {
-        self.ty.let_decl(ty, inferred)
-    }
-    fn assign_field(&mut self, old: &AbsTy, value: &AbsTy) -> AbsTy {
-        self.ty.assign_field(old, value)
-    }
-
-    fn transfer(&mut self, e: &Expr, children: &[AbsTy], env: &Env<AbsTy>) -> AbsTy {
+impl Check<TypeDomain<'_>> for AllocCheck<'_, '_> {
+    fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
         match e {
             Expr::MacroCall { name, tok, .. } if matches!(name.as_str(), "vec" | "format") => {
                 self.emit(*tok, format!("`{name}!` allocates in NI hot code"));
@@ -643,7 +522,6 @@ impl Domain for AllocDom<'_, '_> {
             }
             _ => {}
         }
-        self.ty.transfer(e, children, env)
     }
 }
 
@@ -658,17 +536,20 @@ pub fn ni_no_alloc(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec
         let Some(root) = hot.root_of(i) else { continue };
         let fa = files[node.file];
         let root = root.to_string();
-        let mut dom = AllocDom {
-            ty: TypeDomain {
+        let mut dom = Checked {
+            inner: TypeDomain {
                 cx: TyCx {
                     structs,
                     toks: &fa.toks,
                 },
             },
-            scopes: &fa.scopes,
-            file: &fa.rel,
-            root: &root,
-            out,
+            hook: AllocCheck {
+                toks: &fa.toks,
+                scopes: &fa.scopes,
+                file: &fa.rel,
+                root: &root,
+                out,
+            },
         };
         flow_fn(node.item, node.self_ty, &mut dom);
     }
@@ -678,7 +559,7 @@ pub fn ni_no_alloc(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec
 // ni-bounds / q16-range (value-range proofs)
 // ---------------------------------------------------------------------
 
-/// Which proof obligations a [`RangeLintDom`] walk discharges.
+/// Which proof obligations a [`RangeCheck`] discharges.
 enum RangeChecks {
     /// Panic sites: indexing, unsigned subtraction, division, shifts.
     Bounds,
@@ -717,10 +598,9 @@ pub struct BoundsSite {
     pub exempt: bool,
 }
 
-/// [`RangeDomain`] wrapper that discharges per-expression proof
-/// obligations while flowing, recording one [`Site`] per token.
-struct RangeLintDom<'a, 'o> {
-    d: RangeDomain<'a>,
+/// [`Check`] over the [`RangeDomain`] that discharges per-expression
+/// proof obligations while flowing, recording one [`Site`] per token.
+struct RangeCheck<'o> {
     file_idx: usize,
     root: String,
     checks: RangeChecks,
@@ -736,7 +616,7 @@ fn int_box(ty: &AbsTy) -> Option<(u16, bool)> {
     }
 }
 
-impl RangeLintDom<'_, '_> {
+impl RangeCheck<'_> {
     fn record(&mut self, tok: usize, what: &'static str, res: Result<(), String>) {
         let (ok, detail) = match res {
             Ok(()) => (true, String::new()),
@@ -758,16 +638,16 @@ impl RangeLintDom<'_, '_> {
     /// Panic-site obligations: everything that can fault mid-frame on the
     /// NI (out-of-range index, wrapping subtraction feeding an index,
     /// division by zero, over-wide shift).
-    fn check_bounds(&mut self, e: &Expr, children: &[RangeVal]) {
+    fn check_bounds(&mut self, d: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
         match e {
             Expr::Index { tok, .. } if children.len() == 2 => {
-                let res = self.d.index_proof(&children[0], &children[1]);
+                let res = d.index_proof(&children[0], &children[1]);
                 self.record(*tok, "index not proven in range", res);
             }
             Expr::Binary {
                 op: BinOp::Sub, tok, ..
             } if matches!(children.first().map(|c| &c.ty), Some(AbsTy::Int { signed: false, .. })) => {
-                let res = self.d.sub_proof(&children[0], &children[1]);
+                let res = d.sub_proof(&children[0], &children[1]);
                 self.record(*tok, "unsigned subtraction not proven wrap-free", res);
             }
             Expr::Binary {
@@ -779,7 +659,7 @@ impl RangeLintDom<'_, '_> {
                 Some(AbsTy::Int { .. } | AbsTy::RawQ16 | AbsTy::Q16)
             ) =>
             {
-                let res = self.d.div_proof(&children[1]);
+                let res = d.div_proof(&children[1]);
                 self.record(*tok, "divisor not proven nonzero", res);
             }
             Expr::Binary {
@@ -788,7 +668,7 @@ impl RangeLintDom<'_, '_> {
                 ..
             } if children.len() == 2 => {
                 if let Some((bits, _)) = children.first().and_then(|c| int_box(&c.ty)) {
-                    let res = self.d.shift_proof(bits, &children[1]);
+                    let res = d.shift_proof(bits, &children[1]);
                     self.record(*tok, "shift amount not proven below the width", res);
                 }
             }
@@ -801,7 +681,7 @@ impl RangeLintDom<'_, '_> {
     /// count, left shifts add `k` bits, narrowing casts drop bits).
     /// Linear ops (`+`/`-`) grow one bit per step and stay under the
     /// documented Q16 magnitude contract.
-    fn check_q16(&mut self, e: &Expr, children: &[RangeVal]) {
+    fn check_q16(&mut self, d: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
         match e {
             Expr::Binary {
                 op: BinOp::Mul, tok, ..
@@ -819,8 +699,8 @@ impl RangeLintDom<'_, '_> {
                 } else {
                     Err(format!(
                         "product {} over the {bits}-bit range {}",
-                        self.d.render(&raw),
-                        self.d.render(&full)
+                        d.render(&raw),
+                        d.render(&full)
                     ))
                 };
                 self.record(*tok, "multiply not proven to fit its width", res);
@@ -843,12 +723,12 @@ impl RangeLintDom<'_, '_> {
                         } else {
                             Err(format!(
                                 "shifted value {} over the {bits}-bit range {}",
-                                self.d.render(&raw),
-                                self.d.render(&full)
+                                d.render(&raw),
+                                d.render(&full)
                             ))
                         }
                     }
-                    _ => Err(format!("shift count {} unbounded", self.d.render(&rhs.rng))),
+                    _ => Err(format!("shift count {} unbounded", d.render(&rhs.rng))),
                 };
                 self.record(*tok, "left shift not proven to fit its width", res);
             }
@@ -866,8 +746,8 @@ impl RangeLintDom<'_, '_> {
                 } else {
                     Err(format!(
                         "value {} over the {bits}-bit range {}",
-                        self.d.render(&src.rng),
-                        self.d.render(&full)
+                        d.render(&src.rng),
+                        d.render(&full)
                     ))
                 };
                 self.record(*tok, "narrowing cast not proven lossless", res);
@@ -877,91 +757,37 @@ impl RangeLintDom<'_, '_> {
     }
 }
 
-impl Domain for RangeLintDom<'_, '_> {
-    type V = RangeVal;
-
-    fn bottom(&self) -> RangeVal {
-        self.d.bottom()
-    }
-    fn join(&self, a: &RangeVal, b: &RangeVal) -> RangeVal {
-        self.d.join(a, b)
-    }
-    fn widen(&self, a: &RangeVal, b: &RangeVal) -> RangeVal {
-        self.d.widen(a, b)
-    }
-    fn track_places(&self) -> bool {
-        true
-    }
-    fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> RangeVal {
-        self.d.param_value(p, self_ty)
-    }
-    fn transfer(&mut self, e: &Expr, children: &[RangeVal], env: &Env<RangeVal>) -> RangeVal {
+impl Check<RangeDomain<'_>> for RangeCheck<'_> {
+    fn check(&mut self, d: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
         match self.checks {
-            RangeChecks::Bounds => self.check_bounds(e, children),
-            RangeChecks::Q16 => self.check_q16(e, children),
+            RangeChecks::Bounds => self.check_bounds(d, e, children),
+            RangeChecks::Q16 => self.check_q16(d, e, children),
         }
-        self.d.transfer(e, children, env)
     }
-    fn bind_split(&self, v: &RangeVal) -> RangeVal {
-        self.d.bind_split(v)
-    }
-    fn iter_elem(&self, v: &RangeVal) -> RangeVal {
-        self.d.iter_elem(v)
-    }
-    fn iter_elem_at(&self, v: &RangeVal, pos: usize, n: usize) -> RangeVal {
-        self.d.iter_elem_at(v, pos, n)
-    }
-    fn let_decl(&mut self, ty: &TypeRef, inferred: RangeVal) -> RangeVal {
-        self.d.let_decl(ty, inferred)
-    }
-    fn assign_field(&mut self, old: &RangeVal, value: &RangeVal) -> RangeVal {
-        self.d.assign_field(old, value)
-    }
-    fn assign_value(&mut self, tok: usize, old: Option<&RangeVal>, new: RangeVal) -> RangeVal {
+
+    fn check_assign(&mut self, d: &RangeDomain<'_>, tok: usize, old: Option<&RangeVal>, new: &RangeVal) {
         // Compound assignments never surface as `Expr::Binary`, so their
         // obligations are discharged here from the operator token.
         if let (RangeChecks::Bounds, Some(old)) = (&self.checks, old) {
-            let op = self.d.cx.toks.get(tok).map(|t| t.text.as_str()).unwrap_or("=");
+            let op = d.cx.toks.get(tok).map(|t| t.text.as_str()).unwrap_or("=");
             match op {
                 "-" if matches!(old.ty, AbsTy::Int { signed: false, .. }) => {
-                    let res = self.d.sub_proof(old, &new);
+                    let res = d.sub_proof(old, new);
                     self.record(tok, "unsigned subtraction not proven wrap-free", res);
                 }
                 "/" | "%" if matches!(new.ty, AbsTy::Int { .. } | AbsTy::RawQ16 | AbsTy::Q16) => {
-                    let res = self.d.div_proof(&new);
+                    let res = d.div_proof(new);
                     self.record(tok, "divisor not proven nonzero", res);
                 }
                 "<" | ">" => {
                     if let Some((bits, _)) = int_box(&old.ty) {
-                        let res = self.d.shift_proof(bits, &new);
+                        let res = d.shift_proof(bits, new);
                         self.record(tok, "shift amount not proven below the width", res);
                     }
                 }
                 _ => {}
             }
         }
-        self.d.assign_value(tok, old, new)
-    }
-    fn refine(&mut self, cond: &Expr, taken: bool, env: &mut Env<RangeVal>) {
-        self.d.refine(cond, taken, env)
-    }
-    fn enter_fn(&mut self, func: &crate::ast::FnItem, self_ty: Option<&str>) {
-        self.d.enter_fn(func, self_ty)
-    }
-    fn observe_return(&mut self, v: &RangeVal) {
-        self.d.observe_return(v)
-    }
-    fn method_is_pure(&self, method: &str) -> bool {
-        self.d.method_is_pure(method)
-    }
-    fn method_update(&mut self, place: &str, old: &RangeVal, method: &str) -> RangeVal {
-        self.d.method_update(place, old, method)
-    }
-    fn observe_ref_arg(&mut self, tok: usize, place: &str, env: &mut Env<RangeVal>) {
-        self.d.observe_ref_arg(tok, place, env)
-    }
-    fn havoc(&self, v: &RangeVal) -> RangeVal {
-        self.d.havoc(v)
     }
 }
 
@@ -1048,12 +874,14 @@ pub fn ni_bounds(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec<F
             collect_consts(&fa.toks),
         );
         d.summaries = summaries.clone();
-        let mut dom = RangeLintDom {
-            d,
-            file_idx: node.file,
-            root: root.to_string(),
-            checks: RangeChecks::Bounds,
-            sites: &mut sites,
+        let mut dom = Checked {
+            inner: d,
+            hook: RangeCheck {
+                file_idx: node.file,
+                root: root.to_string(),
+                checks: RangeChecks::Bounds,
+                sites: &mut sites,
+            },
         };
         flow_fn(node.item, node.self_ty, &mut dom);
     }
@@ -1091,12 +919,14 @@ pub fn q16_range(
     let mut d = RangeDomain::new(TyCx { structs, toks }, consts);
     d.summaries = pre.summaries;
     let mut sites: BTreeMap<(usize, usize), Site> = BTreeMap::new();
-    let mut dom = RangeLintDom {
-        d,
-        file_idx: 0,
-        root: String::new(),
-        checks: RangeChecks::Q16,
-        sites: &mut sites,
+    let mut dom = Checked {
+        inner: d,
+        hook: RangeCheck {
+            file_idx: 0,
+            root: String::new(),
+            checks: RangeChecks::Q16,
+            sites: &mut sites,
+        },
     };
     for_each_fn(ast, &mut |f, self_ty| flow_fn(f, self_ty, &mut dom));
     const NOTE: &str = "overflow wraps silently in release builds: bound the operands with a \
@@ -1332,8 +1162,15 @@ mod tests {
 
     #[test]
     fn panic_lint_reaches_into_macro_arguments() {
-        let hits = run(NI_NO_PANIC, "fn f() { log!(\"x\", v.unwrap()); }");
-        assert_eq!(hits.len(), 1, "{hits:?}");
+        for src in [
+            "fn f() { log!(\"x\", v.unwrap()); }",
+            "fn f(n: usize) -> Vec<u32> { vec![x.unwrap(); n] }",
+            "fn f(f: &mut W) -> R { write!(f, \"{}\", y.expect(\"m\")) }",
+            "fn f(x: Option<u32>) -> bool { matches!(x, Some(v) if w.unwrap() > v) }",
+        ] {
+            let hits = run(NI_NO_PANIC, src);
+            assert_eq!(hits.len(), 1, "{src}: {hits:?}");
+        }
     }
 
     #[test]
@@ -1343,6 +1180,11 @@ mod tests {
             "fn f() { use std::collections::HashMap; let t = Instant::now(); }",
         );
         assert_eq!(hits.len(), 2, "{hits:?}");
+        let hits = run(
+            SIM_DETERMINISM,
+            "fn f() -> String { format!(\"{:?}\", Instant::now()) }",
+        );
+        assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(run(
             SIM_DETERMINISM,
             "fn sig(epoch: Instant) { use std::collections::BTreeMap; }"

@@ -1,39 +1,35 @@
 //! CLI: `cargo run -p nistream-analysis -- check [--format=json|sarif]
-//! [--baseline=FILE] [--root=DIR]`, plus `update-baseline`, `list-lints`,
-//! `budget` and `bounds`.
+//! [--root=DIR]`, plus `list-lints`, `budget` and `bounds`.
 //!
-//! Exit status: 0 when the tree is clean (or every finding is absorbed by
-//! the baseline), 1 when any *new* finding is reported (for `budget`:
-//! when any hot root is unbounded or over budget; for `bounds`: when any
-//! non-exempt proof obligation is unproven), 2 on usage/configuration
-//! errors.
+//! Exit status: 0 when the tree is clean, 1 when any finding is reported
+//! (for `budget`: when any hot root is unbounded or over budget; for
+//! `bounds`: when any non-exempt proof obligation is unproven), 2 on
+//! usage/configuration errors.
 
 #![forbid(unsafe_code)]
 
-use nistream_analysis::{baseline, costmodel, lints, sarif, Config};
+use nistream_analysis::dataflow::Bound;
+use nistream_analysis::{costmodel, lints, sarif, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nistream-analysis check [--format=text|json|sarif] [--baseline=FILE] [--root=DIR]\n\
-         \x20      nistream-analysis update-baseline [--root=DIR]\n\
+        "usage: nistream-analysis check [--format=text|json|sarif] [--root=DIR]\n\
          \x20      nistream-analysis list-lints [--root=DIR]\n\
          \x20      nistream-analysis budget [--root=DIR]\n\
          \x20      nistream-analysis bounds [--root=DIR]\n\
          \n\
          `check` runs the lint families configured in <root>/analysis.toml\n\
-         over the repository. With --baseline, findings already recorded in\n\
-         the baseline file are reported as unchanged and do not fail the\n\
-         run. `update-baseline` rewrites <root>/analysis-baseline.json from\n\
-         the current findings. `list-lints` prints every lint family, its\n\
-         config keys and whether analysis.toml enables it. `budget` prints\n\
-         the static worst-case cycle/stack report for every hot root in the\n\
-         ni-cycle-budget file set. `bounds` prints the interval-domain\n\
-         proof report for every checked hot-path operation in the\n\
-         ni-bounds file set. The default root is the workspace the\n\
-         binary was built from, so `cargo run -p nistream-analysis -- check`\n\
-         works anywhere inside the repo."
+         over the repository and fails on any finding. `list-lints` prints\n\
+         every lint family, its config keys and whether analysis.toml\n\
+         enables it. `budget` prints the static worst-case cycle/stack\n\
+         report for every hot root in the ni-cycle-budget file set.\n\
+         `bounds` prints the interval-domain proof report for every\n\
+         checked hot-path operation in the ni-bounds file set. The default\n\
+         root is the workspace the binary was built from, so\n\
+         `cargo run -p nistream-analysis -- check` works anywhere inside\n\
+         the repo."
     );
     ExitCode::from(2)
 }
@@ -107,29 +103,31 @@ fn budget(root: &std::path::Path) -> ExitCode {
         costmodel::I960_HZ,
         model.budget_cycles * 1_000_000 / costmodel::I960_HZ
     );
+    let budget = i128::from(model.budget_cycles);
     let mut bad = false;
     for r in &roots {
-        let hi = r.cycles.hi;
-        let verdict = if r.cycles.is_unbounded() {
-            bad = true;
-            "UNBOUNDED".to_string()
-        } else if hi > model.budget_cycles {
-            bad = true;
-            format!("OVER BUDGET by {} cycles", hi - model.budget_cycles)
-        } else {
-            format!("ok, {}% of budget", hi * 100 / model.budget_cycles)
+        let (Bound::Int(lo), hi) = (r.cycles.lo, r.cycles.hi) else {
+            unreachable!("cycle costs have a finite lower bound")
+        };
+        let verdict = match hi {
+            Bound::Int(hi) if hi <= budget => format!("ok, {}% of budget", hi * 100 / budget),
+            Bound::Int(hi) => {
+                bad = true;
+                format!("OVER BUDGET by {} cycles", hi - budget)
+            }
+            _ => {
+                bad = true;
+                "UNBOUNDED".to_string()
+            }
         };
         println!("\n{} ({}:{})", r.root, r.file.display(), r.line);
-        if r.cycles.is_unbounded() {
-            println!("  worst-case cycles: [{}, unbounded]", r.cycles.lo);
-        } else {
-            println!(
-                "  worst-case cycles: [{}, {}]  ({} us at {} MHz)",
-                r.cycles.lo,
-                hi,
-                hi * 1_000_000 / costmodel::I960_HZ,
+        match hi {
+            Bound::Int(hi) => println!(
+                "  worst-case cycles: [{lo}, {hi}]  ({} us at {} MHz)",
+                hi * 1_000_000 / i128::from(costmodel::I960_HZ),
                 costmodel::I960_HZ / 1_000_000
-            );
+            ),
+            _ => println!("  worst-case cycles: [{lo}, unbounded]"),
         }
         println!("  call depth: {}   stack bytes: {}", r.call_depth, r.stack_bytes);
         println!("  verdict: {verdict}");
@@ -205,15 +203,11 @@ fn main() -> ExitCode {
         return usage();
     }
     let cmd = args.remove(0);
-    if !matches!(
-        cmd.as_str(),
-        "check" | "update-baseline" | "list-lints" | "budget" | "bounds"
-    ) {
+    if !matches!(cmd.as_str(), "check" | "list-lints" | "budget" | "bounds") {
         return usage();
     }
 
     let mut format = Format::Text;
-    let mut baseline_path: Option<PathBuf> = None;
     // Default root: the workspace directory, two levels above this crate's
     // manifest (crates/analysis) — robust to being run from any cwd.
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -233,7 +227,7 @@ fn main() -> ExitCode {
         let mut value = match value {
             Some(v) => Some(v),
             None => match flag.as_str() {
-                "--format" | "--baseline" | "--root" => it.next(),
+                "--format" | "--root" => it.next(),
                 _ => None,
             },
         };
@@ -246,7 +240,6 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            ("--baseline", Some(v)) => baseline_path = Some(PathBuf::from(v)),
             ("--root", Some(v)) => root = PathBuf::from(v),
             _ => return usage(),
         }
@@ -267,87 +260,21 @@ fn main() -> ExitCode {
         }
     };
 
-    if cmd == "update-baseline" {
-        let path = root.join("analysis-baseline.json");
-        let text = baseline::write(&findings);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("nistream-analysis: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "nistream-analysis: wrote {} ({} finding(s))",
-            path.display(),
-            findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Partition against the baseline, when one was given.
-    let (fresh, states) = match &baseline_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("nistream-analysis: reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let entries = match baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("nistream-analysis: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            // Multiset matching, like `baseline::partition`, but keeping
-            // the per-finding state in report order for SARIF.
-            let mut budget: std::collections::BTreeMap<(String, String, String), usize> =
-                std::collections::BTreeMap::new();
-            for e in &entries {
-                *budget
-                    .entry((e.lint.clone(), e.file.clone(), e.message.clone()))
-                    .or_insert(0) += 1;
-            }
-            let mut fresh = Vec::new();
-            let mut states = Vec::new();
-            for f in &findings {
-                let key = (f.lint.clone(), f.file.display().to_string(), f.message.clone());
-                match budget.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        states.push("unchanged");
-                    }
-                    _ => {
-                        fresh.push(f.clone());
-                        states.push("new");
-                    }
-                }
-            }
-            (fresh, Some(states))
-        }
-        None => (findings.clone(), None),
-    };
-
     match format {
         Format::Json => println!("{}", nistream_analysis::to_json(&findings)),
-        Format::Sarif => print!("{}", sarif::to_sarif(&findings, states.as_deref())),
+        Format::Sarif => print!("{}", sarif::to_sarif(&findings)),
         Format::Text => {
-            for f in &fresh {
+            for f in &findings {
                 println!("{f}\n");
             }
-            let suppressed = findings.len() - fresh.len();
-            match (fresh.is_empty(), suppressed) {
-                (true, 0) => println!("nistream-analysis: clean (0 findings)"),
-                (true, n) => println!("nistream-analysis: clean ({n} baselined finding(s) suppressed)"),
-                (false, 0) => println!("nistream-analysis: {} finding(s)", fresh.len()),
-                (false, n) => println!(
-                    "nistream-analysis: {} new finding(s), {n} baselined finding(s) suppressed",
-                    fresh.len()
-                ),
+            if findings.is_empty() {
+                println!("nistream-analysis: clean (0 findings)");
+            } else {
+                println!("nistream-analysis: {} finding(s)", findings.len());
             }
         }
     }
-    if fresh.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

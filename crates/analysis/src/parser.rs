@@ -4,13 +4,15 @@
 //!
 //! 1. **Terminate.** Every loop provably consumes a token or exits; a
 //!    stall-failsafe `bump` backs up each loop besides.
-//! 2. **Never lose tokens.** Anything the grammar subset cannot model
-//!    (attributes, generics, macro bodies, exotic statements) becomes an
-//!    `Opaque` node or a [`crate::ast::File::lexical`] span so token-level
-//!    lints retain full coverage.
+//! 2. **Never hide a gap.** Inside function bodies, anything the grammar
+//!    subset cannot model (an exotic statement, expression or macro tail)
+//!    becomes an `Opaque` node, so lost coverage shows in the tree.
+//!    Attributes, generics and where clauses are skipped: no lint reads
+//!    them.
 //! 3. **Model what lints need.** Calls, method calls, casts, arithmetic,
-//!    field/index access, control flow, `let` bindings, signatures and
-//!    struct field types. Everything else may be approximate.
+//!    field/index access, control flow, `let` bindings, macro arguments,
+//!    signatures and struct field types. Everything else may be
+//!    approximate.
 //!
 //! The lexer emits *single-character* punctuation, so multi-character
 //! operators (`::`, `->`, `<<`, `..=`, …) are reassembled here by source
@@ -24,12 +26,7 @@ pub fn parse(toks: &[Tok]) -> File {
     let code: Vec<usize> = (0..toks.len())
         .filter(|&i| !matches!(toks[i].kind, TokKind::LineComment | TokKind::BlockComment))
         .collect();
-    let mut p = Parser {
-        toks,
-        code,
-        i: 0,
-        lexical: Vec::new(),
-    };
+    let mut p = Parser { toks, code, i: 0 };
     let mut items = Vec::new();
     while !p.eof() {
         let before = p.i;
@@ -39,10 +36,7 @@ pub fn parse(toks: &[Tok]) -> File {
             items.push(Item::Other(Span::tok(t)));
         }
     }
-    File {
-        items,
-        lexical: p.lexical,
-    }
+    File { items }
 }
 
 struct Parser<'a> {
@@ -51,7 +45,6 @@ struct Parser<'a> {
     code: Vec<usize>,
     /// Cursor into `code`.
     i: usize,
-    lexical: Vec<Span>,
 }
 
 const ITEM_KWS: [&str; 12] = [
@@ -67,21 +60,6 @@ const ITEM_KWS: [&str; 12] = [
     "type",
     "union",
     "macro_rules",
-];
-
-/// Macros whose leading comma-separated arguments are ordinary
-/// expressions, worth parsing for the dataflow passes: the assert
-/// family (condition / compared operands, then a format tail) and
-/// `matches!` (scrutinee, then a pattern). Parsed only in the `(…)`
-/// delimiter form; `matches!` parses the scrutinee alone.
-const MACRO_EXPR_ARGS: [&str; 7] = [
-    "assert",
-    "debug_assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert_eq",
-    "debug_assert_ne",
-    "matches",
 ];
 
 impl Parser<'_> {
@@ -193,47 +171,48 @@ impl Parser<'_> {
         false
     }
 
-    /// Consume a balanced `open … close` group (other delimiters pass
-    /// through freely). Assumes the cursor is at `open`. Returns the span.
-    /// Cursor is at the `(` of an assert-family / `matches!` body.
-    /// Parses the leading comma-separated expression arguments and
-    /// consumes through the matching `)`. Any unparsed tail (a
-    /// `matches!` pattern, a malformed chunk) is degraded to a lexical
-    /// span so token-heuristic fallbacks still see it. Returns the
-    /// parsed arguments and the token span of the delimited body.
-    fn parse_macro_args(&mut self, name: &str) -> (Vec<Expr>, Span) {
-        let start = self.tokidx(0);
-        self.bump(); // '('
-        let max_args = if name == "matches" { 1 } else { usize::MAX };
+    /// Cursor is at the opening delimiter of a `name!` body. `(…)` and
+    /// `{…}` bodies parse as comma-separated expressions (assert operands,
+    /// format strings and their arguments); `[…]` bodies as an array or
+    /// repeat expression (`vec![x; n]` yields element and count).
+    /// `matches!` takes its scrutinee, then a pattern and an optional
+    /// guard expression. A tail the grammar cannot model becomes one
+    /// trailing `Expr::Opaque` argument. Consumes through the matching
+    /// closer; returns the arguments and the body span (delimiters
+    /// included).
+    fn parse_macro_body(&mut self, name: &str, open: char, close: char) -> (Vec<Expr>, Span) {
+        let start = self.bump();
         let mut args = Vec::new();
-        while !self.eof() && !self.at_punct(')') {
-            if args.len() >= max_args {
-                let s = self.tokidx(0);
-                let e = self.consume_to_group_close();
-                self.lexical.push(Span { start: s, end: e });
-                break;
-            }
-            let before = self.i;
-            let arg = self.parse_expr(0, true);
-            if self.i > before && (self.at_punct(',') || self.at_punct(')')) {
-                args.push(arg);
-                self.eat_punct(',');
-            } else {
-                if self.i == before && self.at_punct(')') {
-                    break;
-                }
-                // Single-pass, no rewind: the partially consumed
-                // argument and the rest of the body degrade together.
-                let s = self.code.get(before).copied().unwrap_or(start);
-                if self.i == before {
+        while !self.eof() && !self.at_punct(close) {
+            let (before, parsed) = (self.i, args.len());
+            if name == "matches" && parsed == 1 {
+                self.parse_pattern(&["if"]);
+                if self.at_kw("if") {
                     self.bump();
+                    args.push(self.parse_expr(0, true));
                 }
-                let e = self.consume_to_group_close();
-                self.lexical.push(Span { start: s, end: e });
+            } else {
+                args.push(self.parse_expr(0, true));
+            }
+            if self.i > before && (self.eat_punct(',') || (open == '[' && self.eat_punct(';'))) {
+                continue;
+            }
+            if self.at_punct(close) {
                 break;
             }
+            // Single-pass, no rewind: the partially consumed argument
+            // and the rest of the body become one opaque span.
+            args.truncate(parsed);
+            if self.i == before {
+                self.bump();
+            }
+            let s = self.code.get(before).copied().unwrap_or(start);
+            args.push(Expr::Opaque(Span {
+                start: s,
+                end: self.consume_to_group_close(open, close),
+            }));
         }
-        self.eat_punct(')');
+        self.eat_punct(close);
         let span = Span {
             start,
             end: self.prev_tokidx(),
@@ -241,14 +220,14 @@ impl Parser<'_> {
         (args, span)
     }
 
-    /// Consume up to (not including) the `)` that closes the group the
+    /// Consume up to (not including) the `close` that ends the group the
     /// cursor is inside of; returns the last consumed token index.
-    fn consume_to_group_close(&mut self) -> usize {
+    fn consume_to_group_close(&mut self, open: char, close: char) -> usize {
         let mut depth = 0i32;
         while !self.eof() {
-            if self.at_punct('(') {
+            if self.at_punct(open) {
                 depth += 1;
-            } else if self.at_punct(')') {
+            } else if self.at_punct(close) {
                 if depth == 0 {
                     break;
                 }
@@ -259,6 +238,8 @@ impl Parser<'_> {
         self.prev_tokidx()
     }
 
+    /// Consume a balanced `open … close` group (other delimiters pass
+    /// through freely). Assumes the cursor is at `open`. Returns the span.
     fn skip_group(&mut self, open: char, close: char) -> Span {
         let start = self.tokidx(0);
         let mut depth = 0i32;
@@ -307,19 +288,14 @@ impl Parser<'_> {
         }
     }
 
-    /// Skip `#[ … ]` / `#![ … ]` attributes, recording them lexically.
+    /// Skip `#[ … ]` / `#![ … ]` attributes.
     fn skip_attrs(&mut self) {
         while self.at_punct('#') {
-            let start = self.tokidx(0);
             self.bump();
             self.eat_punct('!');
             if self.at_punct('[') {
                 self.skip_group('[', ']');
             }
-            self.lexical.push(Span {
-                start,
-                end: self.prev_tokidx(),
-            });
         }
     }
 
@@ -398,12 +374,10 @@ impl Parser<'_> {
             }
             self.bump();
         }
-        let span = Span {
+        Item::Other(Span {
             start,
             end: self.prev_tokidx().max(start),
-        };
-        self.lexical.push(span);
-        Item::Other(span)
+        })
     }
 
     /// Cursor is just past `fn`.
@@ -416,8 +390,7 @@ impl Parser<'_> {
             _ => ("<anon>".to_string(), self.prev_tokidx()),
         };
         if self.at_punct('<') {
-            let g = self.skip_angles();
-            self.lexical.push(g);
+            self.skip_angles();
         }
         let params = if self.at_punct('(') {
             self.parse_params()
@@ -430,7 +403,6 @@ impl Parser<'_> {
             None
         };
         if self.at_kw("where") {
-            let wstart = self.tokidx(0);
             let mut depth = 0i32;
             while !self.eof() {
                 if depth == 0 && (self.at_punct('{') || self.at_punct(';')) {
@@ -443,10 +415,6 @@ impl Parser<'_> {
                 }
                 self.bump();
             }
-            self.lexical.push(Span {
-                start: wstart,
-                end: self.prev_tokidx(),
-            });
         }
         let body = if self.at_punct('{') {
             Some(self.parse_block())
@@ -563,8 +531,7 @@ impl Parser<'_> {
     /// Cursor is just past `impl`.
     fn parse_impl(&mut self, start: usize) -> Item {
         if self.at_punct('<') {
-            let g = self.skip_angles();
-            self.lexical.push(g);
+            self.skip_angles();
         }
         let first = self.collect_type(&["{", "where", "for"]);
         let (trait_name, self_ty) = if self.at_kw("for") {
@@ -578,14 +545,9 @@ impl Parser<'_> {
             (None, first.head().unwrap_or("<unknown>").to_string())
         };
         if self.at_kw("where") {
-            let wstart = self.tokidx(0);
             while !self.eof() && !self.at_punct('{') {
                 self.bump();
             }
-            self.lexical.push(Span {
-                start: wstart,
-                end: self.prev_tokidx(),
-            });
         }
         let items = self.parse_braced_items();
         Item::Impl(ImplBlock {
@@ -610,11 +572,9 @@ impl Parser<'_> {
             _ => "<anon>".to_string(),
         };
         if self.at_punct('<') {
-            let g = self.skip_angles();
-            self.lexical.push(g);
+            self.skip_angles();
         }
         if self.at_punct(':') || self.at_kw("where") {
-            let bstart = self.tokidx(0);
             let mut depth = 0i32;
             while !self.eof() {
                 if depth == 0 && self.at_punct('{') {
@@ -627,10 +587,6 @@ impl Parser<'_> {
                 }
                 self.bump();
             }
-            self.lexical.push(Span {
-                start: bstart,
-                end: self.prev_tokidx(),
-            });
         }
         let items = self.parse_braced_items();
         Item::Trait(TraitBlock {
@@ -666,12 +622,10 @@ impl Parser<'_> {
             })
         } else {
             self.eat_punct(';');
-            let span = Span {
+            Item::Other(Span {
                 start,
                 end: self.prev_tokidx(),
-            };
-            self.lexical.push(span);
-            Item::Other(span)
+            })
         }
     }
 
@@ -705,8 +659,7 @@ impl Parser<'_> {
             _ => "<anon>".to_string(),
         };
         if self.at_punct('<') {
-            let g = self.skip_angles();
-            self.lexical.push(g);
+            self.skip_angles();
         }
         let mut fields = Vec::new();
         if self.at_punct('(') {
@@ -794,10 +747,7 @@ impl Parser<'_> {
             let before = self.i;
             stmts.push(self.parse_stmt());
             if self.i == before {
-                let t = self.bump();
-                let s = Span::tok(t);
-                self.lexical.push(s);
-                stmts.push(Stmt::Opaque(s));
+                stmts.push(Stmt::Opaque(Span::tok(self.bump())));
             }
         }
         self.eat_punct('}');
@@ -869,12 +819,10 @@ impl Parser<'_> {
         // Trailing tokens we don't understand: degrade the statement to an
         // opaque span through the next sync point.
         self.sync();
-        let span = Span {
+        Stmt::Opaque(Span {
             start,
             end: self.prev_tokidx().max(start),
-        };
-        self.lexical.push(span);
-        Stmt::Opaque(span)
+        })
     }
 
     /// Consume up to and including a depth-0 `;`, or stop before a
@@ -1316,6 +1264,21 @@ impl Parser<'_> {
                 }
             }
             '|' => self.parse_closure(),
+            '<' => {
+                // Qualified path `<T>::f` / `<T as Trait>::f`: the
+                // segments after the type.
+                let tok = self.tokidx(0);
+                self.skip_angles();
+                if self.at_op("::") && self.peek(2).is_some_and(|t| t.kind == TokKind::Ident) {
+                    self.advance(2);
+                    self.parse_path_like(allow_struct)
+                } else {
+                    Expr::Opaque(Span {
+                        start: tok,
+                        end: self.prev_tokidx(),
+                    })
+                }
+            }
             '#' => {
                 self.skip_attrs();
                 self.parse_prefix(allow_struct)
@@ -1360,7 +1323,15 @@ impl Parser<'_> {
     fn parse_prefix_ident(&mut self, allow_struct: bool) -> Expr {
         let text = self.peek_text(0).expect("caller checked").to_string();
         match text.as_str() {
-            "if" => self.parse_if(),
+            "if" => {
+                // `if … { … } else { … }.into()`: a method on the value.
+                let e = self.parse_if();
+                if self.at_punct('.') {
+                    self.parse_postfix(e, allow_struct)
+                } else {
+                    e
+                }
+            }
             "match" => self.parse_match(),
             "while" => self.parse_while(),
             "loop" => {
@@ -1544,7 +1515,7 @@ impl Parser<'_> {
                     self.eat_punct(',');
                     arms.push(Arm { pat, guard, body });
                 } else {
-                    // Recovery: drop to the next arm boundary.
+                    // Recovery: the rest of the arm becomes an opaque body.
                     let rstart = self.tokidx(0);
                     let mut depth = 0i32;
                     while !self.eof() {
@@ -1558,13 +1529,14 @@ impl Parser<'_> {
                         }
                         self.bump();
                     }
-                    self.eat_punct(',');
                     if self.prev_tokidx() >= rstart {
-                        self.lexical.push(Span {
+                        let body = Expr::Opaque(Span {
                             start: rstart,
                             end: self.prev_tokidx(),
                         });
+                        arms.push(Arm { pat, guard, body });
                     }
+                    self.eat_punct(',');
                 }
                 if self.i == before {
                     self.bump();
@@ -1593,8 +1565,7 @@ impl Parser<'_> {
                 self.advance(2);
                 if self.at_punct('<') {
                     // Turbofish: `Vec::<u8>::new`.
-                    let g = self.skip_angles();
-                    self.lexical.push(g);
+                    self.skip_angles();
                     continue;
                 }
                 if let Some(t) = self.peek(0) {
@@ -1623,16 +1594,7 @@ impl Parser<'_> {
                         _ => '}',
                     };
                     let name = segs.last().map(|s| s.text.clone()).unwrap_or_default();
-                    // Assert-family and `matches!` bodies are ordinary
-                    // expressions (up to the pattern / format tail):
-                    // parse them so dataflow passes see the guards.
-                    let (args, inner) = if open == '(' && MACRO_EXPR_ARGS.contains(&name.as_str()) {
-                        self.parse_macro_args(&name)
-                    } else {
-                        let inner = self.skip_group(open, close);
-                        self.lexical.push(inner);
-                        (Vec::new(), inner)
-                    };
+                    let (args, inner) = self.parse_macro_body(&name, open, close);
                     let tok = segs.last().map(|s| s.tok).unwrap_or(inner.start);
                     let e = Expr::MacroCall { name, inner, args, tok };
                     return self.parse_postfix(e, allow_struct);
@@ -1721,8 +1683,7 @@ impl Parser<'_> {
                         if self.at_op("::") {
                             self.advance(2);
                             if self.at_punct('<') {
-                                let g = self.skip_angles();
-                                self.lexical.push(g);
+                                self.skip_angles();
                             }
                         }
                         if self.at_punct('(') {
@@ -1955,15 +1916,26 @@ mod tests {
 
     #[test]
     fn macros_become_lexical_spans() {
-        let f = parse_src("fn f() { vec![1, 2]; format!(\"{x}\"); assert_eq!(a, b); }");
-        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::MacroCall { .. })), 3);
-        // vec!/format! bodies are recorded for token-level fallback
-        // scanning; assert_eq!'s arguments are parsed instead.
-        assert_eq!(f.lexical.len(), 2);
+        let f = parse_src("fn f(n: usize) { vec![1, 2]; vec![0u8; n]; format!(\"{x}\"); assert_eq!(a, b); }");
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::MacroCall { .. })), 4);
+        // `[a, b]` gives its elements, `[x; n]` element and count.
         assert_eq!(
-            count_exprs(&f, |e| matches!(e, Expr::MacroCall { args, .. } if args.len() == 2)),
+            count_exprs(
+                &f,
+                |e| matches!(e, Expr::MacroCall { name, args, .. } if name == "vec" && args.len() == 2)
+            ),
+            2
+        );
+        assert_eq!(
+            count_exprs(&f, |e| matches!(e, Expr::MacroCall { name, args, .. }
+                if name == "format" && matches!(args[..], [Expr::Lit { kind: LitKind::Str, .. }]))),
             1
         );
+        assert_eq!(
+            count_exprs(&f, |e| matches!(e, Expr::MacroCall { args, .. } if args.len() == 2)),
+            3
+        );
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Opaque(_))), 0);
     }
 
     #[test]
@@ -1980,30 +1952,41 @@ mod tests {
                 if name == "debug_assert" && args.len() == 4)),
             1
         );
-        // The condition is a real comparison the dataflow engine sees.
-        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Binary { op: BinOp::Cmp, .. })), 1);
+        // The condition and the `matches!` guard are real comparisons
+        // the dataflow engine sees.
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Binary { op: BinOp::Cmp, .. })), 2);
         assert_eq!(
             count_exprs(&f, |e| matches!(e, Expr::MacroCall { name, args, .. }
                 if name == "assert_ne" && args.len() == 2)),
             1
         );
-        // matches! parses the scrutinee only; the pattern (with its
-        // guard) degrades to a lexical span for the token fallbacks.
+        // matches!: the scrutinee, then the guard; the pattern is skipped.
+        assert_eq!(
+            count_exprs(&f, |e| matches!(e, Expr::MacroCall { name, args, .. }
+                if name == "matches" && matches!(args[..], [Expr::MethodCall { .. }, Expr::Binary { .. }]))),
+            1
+        );
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Opaque(_))), 0);
+    }
+
+    #[test]
+    fn macro_arg_parse_failure_degrades_to_lexical() {
+        // A pattern where an expression is expected: the body becomes an
+        // opaque argument. A `matches!` pattern without a guard leaves
+        // the scrutinee alone.
+        let f = parse_src("fn f(x: E) -> bool { debug_assert!(let _ = x); matches!(x, E::A | E::B) }");
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::MacroCall { .. })), 2);
+        assert_eq!(
+            count_exprs(&f, |e| matches!(e, Expr::MacroCall { name, args, .. }
+                if name == "debug_assert" && matches!(args[..], [Expr::Opaque(_)]))),
+            1
+        );
         assert_eq!(
             count_exprs(&f, |e| matches!(e, Expr::MacroCall { name, args, .. }
                 if name == "matches" && args.len() == 1)),
             1
         );
-        assert_eq!(f.lexical.len(), 1);
-    }
-
-    #[test]
-    fn macro_arg_parse_failure_degrades_to_lexical() {
-        // A pattern where an expression is expected: the whole body
-        // degrades, nothing is lost from the token fallbacks.
-        let f = parse_src("fn f(x: E) -> bool { debug_assert!(let _ = x); matches!(x, E::A | E::B) }");
-        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::MacroCall { .. })), 2);
-        assert_eq!(f.lexical.len(), 2);
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Opaque(_))), 1);
     }
 
     #[test]
@@ -2014,7 +1997,7 @@ mod tests {
         assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Loop { .. })), 1);
         assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Binary { op: BinOp::Mul, .. })), 0);
         assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Assign { .. })), 1);
-        assert_eq!(f.lexical.len(), 0);
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Opaque(_))), 0);
 
         // Nested labels, labeled jumps and label-valued breaks all
         // stay structured.
@@ -2031,7 +2014,7 @@ mod tests {
         );
         assert_eq!(count_exprs(&f, |e| matches!(e, Expr::For { .. })), 2);
         assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Jump { .. })), 2);
-        assert_eq!(f.lexical.len(), 0);
+        assert_eq!(count_exprs(&f, |e| matches!(e, Expr::Opaque(_))), 0);
     }
 
     #[test]

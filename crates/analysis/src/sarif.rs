@@ -1,10 +1,8 @@
-//! SARIF 2.1.0 output, for code-scanning UIs and the CI baseline gate.
+//! SARIF 2.1.0 output, for code-scanning UIs and the CI analysis gate.
 //!
 //! The emitter produces one run with a fully populated
 //! `tool.driver.rules` table (all eleven lint families plus the
-//! `malformed-allow` meta-rule) and one `result` per finding. When the
-//! checker ran against a baseline, each result also carries a
-//! `baselineState` of `"new"` or `"unchanged"`.
+//! `malformed-allow` meta-rule) and one `result` per finding.
 
 use crate::diag::{escape, Finding};
 
@@ -55,10 +53,8 @@ pub const RULES: [(&str, &str); 12] = [
     ("malformed-allow", "`// analysis:` annotations must be well-formed"),
 ];
 
-/// Render findings as a SARIF 2.1.0 document. `states`, when present,
-/// holds one `baselineState` string (`"new"` / `"unchanged"`) per
-/// finding, in order.
-pub fn to_sarif(findings: &[Finding], states: Option<&[&str]>) -> String {
+/// Render findings as a SARIF 2.1.0 document.
+pub fn to_sarif(findings: &[Finding]) -> String {
     let mut out = String::with_capacity(findings.len() * 256 + 2048);
     out.push_str("{\n");
     out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
@@ -90,11 +86,6 @@ pub fn to_sarif(findings: &[Finding], states: Option<&[&str]>) -> String {
             "          \"message\": {{\"text\": \"{}\"}},\n",
             escape(&message)
         ));
-        if let Some(states) = states {
-            if let Some(state) = states.get(i) {
-                out.push_str(&format!("          \"baselineState\": \"{}\",\n", escape(state)));
-            }
-        }
         out.push_str("          \"locations\": [\n");
         out.push_str("            {\"physicalLocation\": {\n");
         out.push_str(&format!(
@@ -134,7 +125,7 @@ mod tests {
 
     #[test]
     fn emits_valid_sarif_210() {
-        let text = to_sarif(&[sample()], Some(&["new"]));
+        let text = to_sarif(&[sample()]);
         let doc = json::parse(&text).expect("SARIF must be valid JSON");
         assert_eq!(doc.get("version").unwrap().as_str(), Some("2.1.0"));
         let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
@@ -142,7 +133,6 @@ mod tests {
         assert_eq!(rules.as_arr().unwrap().len(), RULES.len());
         let result = &run.get("results").unwrap().as_arr().unwrap()[0];
         assert_eq!(result.get("ruleId").unwrap().as_str(), Some("ni-no-alloc"));
-        assert_eq!(result.get("baselineState").unwrap().as_str(), Some("new"));
         let loc = &result.get("locations").unwrap().as_arr().unwrap()[0];
         let phys = loc.get("physicalLocation").unwrap();
         assert_eq!(
@@ -157,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_still_a_run() {
-        let doc = json::parse(&to_sarif(&[], None)).unwrap();
+        let doc = json::parse(&to_sarif(&[])).unwrap();
         let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
         assert_eq!(run.get("results").unwrap().as_arr().unwrap().len(), 0);
     }

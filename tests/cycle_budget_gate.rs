@@ -25,6 +25,7 @@ use nistream::dwcs::types::MILLISECOND;
 use nistream::dwcs::{DwcsScheduler, FrameDesc, FrameKind, LinearScan, StreamQos};
 use nistream::fixedpt::ops::{MathMode, OpKind, OpMeter};
 use nistream::hwsim::calib;
+use nistream_analysis::dataflow::Bound;
 use nistream_analysis::{costmodel, Config};
 use std::path::Path;
 use std::sync::Arc;
@@ -90,11 +91,12 @@ fn metered_decision_cycles() -> Vec<u64> {
 #[test]
 fn static_bound_dominates_every_metered_decision() {
     let (svc, model) = static_report();
-    assert!(!svc.cycles.is_unbounded(), "service_once must have a static bound");
+    let (Bound::Int(lo), Bound::Int(hi)) = (svc.cycles.lo, svc.cycles.hi) else {
+        panic!("service_once must have a static bound: {:?}", svc.cycles)
+    };
     assert!(
-        svc.cycles.hi <= model.budget_cycles,
-        "static worst case {} exceeds the configured budget {}",
-        svc.cycles.hi,
+        hi <= i128::from(model.budget_cycles),
+        "static worst case {hi} exceeds the configured budget {}",
         model.budget_cycles
     );
 
@@ -102,9 +104,8 @@ fn static_bound_dominates_every_metered_decision() {
     let worst = *decisions.iter().max().expect("at least one decision");
     for (i, &d) in decisions.iter().enumerate() {
         assert!(
-            d <= svc.cycles.hi,
-            "decision {i} cost {d} cycles, above the static worst case {}",
-            svc.cycles.hi
+            i128::from(d) <= hi,
+            "decision {i} cost {d} cycles, above the static worst case {hi}"
         );
     }
 
@@ -112,12 +113,11 @@ fn static_bound_dominates_every_metered_decision() {
     // bound (16-stream scans, 16 drops per decision) multiplied together
     // against a 3-stream run justifies a wide but *fixed* gap.
     assert!(
-        svc.cycles.hi <= worst.saturating_mul(1024),
-        "static bound {} is more than 1024x the observed worst decision {worst}",
-        svc.cycles.hi
+        hi <= i128::from(worst.saturating_mul(1024)),
+        "static bound {hi} is more than 1024x the observed worst decision {worst}"
     );
     // And the best case can never undercut the decision baseline.
-    assert!(svc.cycles.lo >= calib::NI_DECISION_BASE_CYCLES);
+    assert!(lo >= i128::from(calib::NI_DECISION_BASE_CYCLES));
 }
 
 #[test]
