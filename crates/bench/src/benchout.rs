@@ -1,37 +1,25 @@
-//! Shared plumbing for the `bench_engine` / `bench_sched` binaries: flag
-//! parsing, median-of-reps reduction, and the stable-schema `BENCH_*.json`
-//! documents they emit at the repository root.
+//! Shared plumbing for the `soak` and `bench_cluster` binaries: flag
+//! parsing and the stable-schema `BENCH_*.json` documents they emit at the
+//! repository root.
 //!
 //! The documents are hand-rolled JSON with a fixed key set and key order
 //! (`schema` first, then run parameters, then one row per measurement), so
-//! downstream tooling can diff them across commits; only the measured
-//! values change run to run. `validate_doc` is the CI smoke gate: it
+//! downstream tooling can diff them across commits. `validate_doc`
 //! re-reads an emitted document and checks the schema tag and every
 //! required key are present.
 
 use std::path::{Path, PathBuf};
 
-/// `--quick` flag: CI smoke mode — fewer events and repetitions, same
-/// schema and scenario set.
+/// `--quick` flag: the short mode — fewer events, same schema and
+/// scenario set.
 pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// `--check` flag: validate the existing document instead of re-measuring.
+/// `--check` flag: gate a recomputed run against the checked-in document
+/// instead of rewriting it.
 pub fn check_flag() -> bool {
     std::env::args().any(|a| a == "--check")
-}
-
-/// Median of an odd (or even: lower-middle-biased mean) number of reps.
-pub fn median(mut xs: Vec<f64>) -> f64 {
-    assert!(!xs.is_empty(), "median of no reps");
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("bench values are finite"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
 }
 
 /// The repository root (the `BENCH_*.json` destination), resolved from the
@@ -68,30 +56,9 @@ pub fn validate_doc(file_name: &str, schema: &str, required_keys: &[&str]) -> Re
     Ok(())
 }
 
-/// Exit path shared by the `--check` mode of both binaries.
-pub fn run_check(file_name: &str, schema: &str, required_keys: &[&str]) -> ! {
-    match validate_doc(file_name, schema, required_keys) {
-        Ok(()) => {
-            println!("{file_name}: schema ok ({schema})");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_of_odd_and_even() {
-        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(median(vec![7.0]), 7.0);
-    }
 
     #[test]
     fn repo_root_holds_the_workspace_manifest() {

@@ -18,20 +18,6 @@ use std::fmt::Write as _;
 pub const FILE: &str = "BENCH_cluster.json";
 /// Schema tag.
 pub const SCHEMA: &str = "nistream-bench/cluster/v1";
-/// Keys `bench_cluster --check` requires.
-pub const REQUIRED_KEYS: [&str; 10] = [
-    "schema",
-    "mode",
-    "per_card",
-    "run_secs",
-    "results",
-    "cards",
-    "sustained_streams",
-    "decisions_per_sec",
-    "bus_utilization",
-    "fault",
-];
-
 /// Streams offered per card: comfortably above one card's ≈47-stream
 /// service capacity but inside its ≈63-stream admission cap, so capacity
 /// (not admission) is what the sweep measures.

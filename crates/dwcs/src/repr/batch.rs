@@ -3,7 +3,7 @@
 //!
 //! The five earlier representations pay their full data-structure cost on
 //! *every* operation. At 100k+ streams that is what collapses throughput
-//! (BENCH_sched.json: per-decision cost falls with stream count for every
+//! (host wall-clock per decision grows with stream count for every
 //! pointer-chasing structure). `BatchSoa` borrows the data-layout and
 //! branch-elimination idioms of SIMD-pipeline schedulers instead:
 //!

@@ -9,8 +9,9 @@
 //! stream (paper Figure 4) — and must answer "which stream's head packet is
 //! minimal under the DWCS precedence order" ([`HeadKey`]). All six
 //! implementations are observationally identical; they differ in asymptotics
-//! and constant factors, which the `sched_repr` bench and Tables 1–3
-//! reproduction explore:
+//! and constant factors. `ablation_report`'s Ablation 4 prices each one's
+//! decision on the i960RD, and `perfbench` times `DualHeap` and
+//! `BatchSoa` on the host:
 //!
 //! | repr | insert | pop_min | notes |
 //! |---|---|---|---|
@@ -23,8 +24,9 @@
 //!
 //! Every operation accrues a [`Work`] tally (comparisons + memory touches)
 //! which the i960 cost model converts into simulated cycles — that is how
-//! the *same algorithm execution* yields different microbenchmark numbers
-//! for different data structures and cache settings (Tables 1–3).
+//! the *same algorithm execution* yields different decision times for
+//! different data structures and cache settings (Tables 1–3 run
+//! [`DualHeap`]; Ablation 4 runs all six).
 
 mod batch;
 mod btree;

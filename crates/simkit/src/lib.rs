@@ -15,7 +15,7 @@
 //!   generic over the *world* type so hardware models compose as plain
 //!   Rust structs with no `Rc<RefCell<…>>` plumbing. The original
 //!   binary-heap executive survives as [`reference::HeapEngine`], the
-//!   differential oracle and benchmark baseline for the wheel.
+//!   differential oracle for the wheel.
 //! * [`Resource`] — a FIFO-granted exclusive resource (PCI bus arbitration,
 //!   disk head, CPU) with built-in busy-time and queue-length accounting.
 //! * [`rng`] — a self-contained PCG32 RNG plus the distributions the

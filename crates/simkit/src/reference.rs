@@ -3,17 +3,12 @@
 //!
 //! [`Engine`](crate::Engine) now runs on a hierarchical timing wheel (see
 //! [`crate::engine`]); this module preserves the pre-wheel executive —
-//! one `BinaryHeap` of `(time, seq, boxed closure)` entries — with two
-//! jobs:
-//!
-//! 1. **Differential oracle.** The wheel's contract is that it fires the
-//!    *exact* `(time, seq)` sequence the heap fired. The property test in
-//!    `tests/engine_differential.rs` drives both executives with identical
-//!    random schedules (same-instant bursts, cancels, `run_until`
-//!    boundaries) and asserts the logs match event for event.
-//! 2. **Benchmark baseline.** `bench_engine` reports events/sec for both
-//!    executives; the published `BENCH_engine.json` speedup is measured
-//!    against this implementation, not against a straw man.
+//! one `BinaryHeap` of `(time, seq, boxed closure)` entries — as a
+//! **differential oracle**. The wheel's contract is that it fires the
+//! *exact* `(time, seq)` sequence the heap fired. The property test in
+//! `tests/engine_differential.rs` drives both executives with identical
+//! random schedules (same-instant bursts, cancels, `run_until`
+//! boundaries) and asserts the logs match event for event.
 //!
 //! The one deliberate difference from the historical code: `cancel` here
 //! already carries the leak fix (cancelling a fired or unknown id is a

@@ -113,3 +113,54 @@ proptest! {
         }
     }
 }
+
+/// Replay one op sequence — with deliberate equal-deadline ties — through
+/// every representation and require identical winner orders. The random
+/// sequences above rarely tie; this replay forces ties on every step.
+#[test]
+fn tie_heavy_replay_agrees_with_linear_scan() {
+    fn winners<R: ScheduleRepr>(mut r: R) -> Vec<u32> {
+        let n = 64u32;
+        for i in 0..n {
+            // i % 7 collides deadlines across streams: the tie rules run.
+            r.update(
+                StreamId(i),
+                HeadKey {
+                    deadline: 1_000 + u64::from(i % 7) * 100,
+                    x: i % 3,
+                    y: 4 + (i % 5),
+                    arrival: u64::from(i),
+                },
+            );
+        }
+        let mut order = Vec::new();
+        for (step, arrival) in (0..u64::from(n) * 4).zip(u64::from(n) + 1..) {
+            let (sid, key) = r.pop_min().expect("cross-check keeps the schedule full");
+            order.push(sid.0);
+            if step % 5 == 4 {
+                // Periodically leave the popped stream out for a step and
+                // re-admit later, exercising remove/re-insert paths.
+                r.remove(sid);
+            }
+            r.update(
+                sid,
+                HeadKey {
+                    deadline: key.deadline + 1_000 + u64::from(sid.0 % 7) * 100,
+                    arrival,
+                    ..key
+                },
+            );
+        }
+        order
+    }
+    let reference = winners(LinearScan::new(64));
+    assert_eq!(reference, winners(SortedList::new()), "sorted-list diverged");
+    assert_eq!(reference, winners(DualHeap::new(64)), "dual-heap diverged");
+    assert_eq!(reference, winners(BTreeRepr::new()), "btree diverged");
+    assert_eq!(
+        reference,
+        winners(CalendarQueue::new(1_000_000, 32)),
+        "calendar-queue diverged"
+    );
+    assert_eq!(reference, winners(BatchSoa::new(64)), "batch-soa diverged");
+}
