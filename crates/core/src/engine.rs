@@ -717,21 +717,43 @@ mod tests {
 
     #[test]
     fn deadline_pacing_spreads_dispatches() {
-        let server = MediaServer::builder()
-            .sink(SinkKind::Collect)
-            .pacing(Pacing::DeadlinePaced)
-            .start()
-            .unwrap();
-        // 5 ms period: 10 frames should take ≥ ~45 ms to drain.
-        let mut s = server.open_stream(StreamQos::new(5 * MILLISECOND, 1, 2)).unwrap();
-        for _ in 0..10 {
-            s.send(&[0u8; 64]).unwrap();
+        // The scheduler thread's core on a virtual clock, driven the way
+        // `scheduler_loop` drives it: serve while frames flow, otherwise
+        // advance to the next eligible deadline.
+        let pool = FramePool::new(16, 64);
+        let clock = EngineClock::virtual_clock();
+        let (sink, records, _) = CollectSink::shared(clock.clone());
+        let cfg = SchedulerConfig {
+            pacing: Pacing::DeadlinePaced,
+            ..SchedulerConfig::default()
+        };
+        let mut svc = host_sched_core(cfg, clock.clone(), pool.clone(), Box::new(sink));
+        // 5 ms period: 10 frames queued at once must take 45 ms to drain.
+        let sid = svc.open(StreamQos::new(5 * MILLISECOND, 1, 2));
+        for seq in 0..10u64 {
+            let slot = pool.store(&[0u8; 64]).unwrap();
+            let desc = FrameDesc {
+                stream: sid,
+                seq,
+                len: 64,
+                kind: FrameKind::P,
+                enqueued_at: 0,
+                addr: u64::from(slot),
+            };
+            svc.ingest_at(sid, desc, 0);
         }
-        assert!(wait_until(Duration::from_secs(5), || server.collected().len() == 10));
-        let recs = server.collected();
+        while svc.has_pending() {
+            let out = svc.service_once();
+            if out.dispatched == 0 && out.decision.dropped == 0 {
+                let at = svc.next_eligible().expect("queued frames have a deadline");
+                assert!(at > clock.now_ns(), "an idle pass leaves nothing eligible");
+                clock.set_ns(at);
+            }
+        }
+        let recs = records.lock();
+        assert_eq!(recs.len(), 10, "every paced frame dispatched, none dropped");
         let span_ns = recs.last().unwrap().at_ns - recs.first().unwrap().at_ns;
-        assert!(span_ns >= 40 * MILLISECOND, "paced span {} ms", span_ns / MILLISECOND);
-        server.shutdown();
+        assert_eq!(span_ns, 45 * MILLISECOND, "paced one period apart");
     }
 
     #[test]

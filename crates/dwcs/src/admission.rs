@@ -17,7 +17,8 @@
 //! The server crates use [`admit`] as an admission controller: "as stream
 //! requests to a server are increased, the server must be able to process
 //! these requests with a pre-negotiated bound on service degradation"
-//! (§3.1).
+//! (§3.1). A caller that admits streams one at a time keeps a
+//! [`DemandFold`] per link instead of refolding the set for every request.
 
 use crate::qos::StreamQos;
 use crate::types::Time;
@@ -32,41 +33,93 @@ fn demand_num_den(qos: &StreamQos, service: Time) -> (u128, u128) {
     (num, den)
 }
 
-/// Fold `Σ nᵢ/dᵢ` into one fraction: keep a running `a/b`, add `n/d` as
-/// `(a·d + n·b) / (b·d)`, reducing by gcd each step. Should `u128` be
-/// exhausted even after reduction (adversarially huge coprime periods, far
-/// from the feasibility boundary), both operands are downscaled by right
-/// shifts until the step fits — still integer-only, losing at most the low
-/// bits shifted out.
-fn accumulate(streams: &[StreamQos], service: Time) -> (u128, u128) {
-    let mut acc_n: u128 = 0;
-    let mut acc_d: u128 = 1;
-    for q in streams {
-        let (mut n, mut d) = demand_num_den(q, service);
+/// Running state of the admission fold `Σ nᵢ/dᵢ` over a stream set, every
+/// demand priced at one per-packet service time. The fold keeps one
+/// fraction `a/b` and adds each demand `n/d` as `(a·d + n·b) / (b·d)`,
+/// reducing by gcd each step. Should `u128` be exhausted even after
+/// reduction (adversarially huge coprime periods, far from the feasibility
+/// boundary), both operands are downscaled by right shifts until the step
+/// fits — still integer-only, losing at most the low bits shifted out.
+///
+/// The fraction is the fold's only state, so a caller that keeps a
+/// `DemandFold` across admissions and folds in one stream at a time gets
+/// exactly the verdicts of refolding the whole set each time, downscale
+/// path included. Removing a stream means refolding the rest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DemandFold {
+    service: Time,
+    num: u128,
+    den: u128,
+}
+
+impl DemandFold {
+    /// The empty set, priced at `service` ns per packet.
+    pub fn new(service: Time) -> DemandFold {
+        DemandFold {
+            service,
+            num: 0,
+            den: 1,
+        }
+    }
+
+    /// `streams` folded left to right from the empty set.
+    pub fn folded<'a>(streams: impl IntoIterator<Item = &'a StreamQos>, service: Time) -> DemandFold {
+        let mut fold = DemandFold::new(service);
+        for q in streams {
+            fold.fold_in(q);
+        }
+        fold
+    }
+
+    /// The per-packet service time every folded demand is priced at.
+    pub fn service(&self) -> Time {
+        self.service
+    }
+
+    /// Add one stream's mandatory utilization to the running sum.
+    pub fn fold_in(&mut self, qos: &StreamQos) {
+        let (mut n, mut d) = demand_num_den(qos, self.service);
         loop {
             let step = (|| {
-                let a = acc_n.checked_mul(d)?;
-                let b = n.checked_mul(acc_d)?;
-                let den = acc_d.checked_mul(d)?;
+                let a = self.num.checked_mul(d)?;
+                let b = n.checked_mul(self.den)?;
+                let den = self.den.checked_mul(d)?;
                 Some((a.checked_add(b)?, den))
             })();
             if let Some((num, den)) = step {
                 let g = gcd_u128(num, den);
-                acc_n = num / g;
-                acc_d = den / g;
-                break;
+                self.num = num / g;
+                self.den = den / g;
+                return;
             }
             // Halve whichever side carries more denominator bits.
-            if acc_d > d {
-                acc_n >>= 1;
-                acc_d = (acc_d >> 1).max(1);
+            if self.den > d {
+                self.num >>= 1;
+                self.den = (self.den >> 1).max(1);
             } else {
                 n >>= 1;
                 d = (d >> 1).max(1);
             }
         }
     }
-    (acc_n, acc_d)
+
+    /// Whether the folded set is schedulable: `Σ (1 − xᵢ/yᵢ)·C/Tᵢ ≤ 1`.
+    pub fn fits(&self) -> bool {
+        self.num <= self.den
+    }
+
+    /// Whether the folded set stays schedulable with `candidate` added.
+    pub fn admits(&self, candidate: &StreamQos) -> bool {
+        let mut with = *self;
+        with.fold_in(candidate);
+        with.fits()
+    }
+
+    /// Total mandatory utilization of the folded set, as an exact
+    /// (downscaled on overflow) [`Frac`].
+    pub fn utilization(&self) -> Frac {
+        frac_from_u128(self.num, self.den)
+    }
 }
 
 /// Fit exact `u128` parts into a [`Frac`] by a common right-shift (precision
@@ -90,22 +143,18 @@ fn frac_from_u128(mut num: u128, mut den: u128) -> Frac {
 /// overflow) [`Frac`]. Host-side reporting that wants a float goes through
 /// [`Frac::to_f64`]; NI-resident callers compare against [`Frac::ONE`].
 pub fn utilization(streams: &[StreamQos], service: Time) -> Frac {
-    let (n, d) = accumulate(streams, service);
-    frac_from_u128(n, d)
+    DemandFold::folded(streams, service).utilization()
 }
 
 /// Exact feasibility test: `Σ (1 − xᵢ/yᵢ)·C/Tᵢ ≤ 1`, computed without
 /// floating point (common-denominator accumulation in `u128`).
 pub fn feasible(streams: &[StreamQos], service: Time) -> bool {
-    let (acc_n, acc_d) = accumulate(streams, service);
-    acc_n <= acc_d
+    DemandFold::folded(streams, service).fits()
 }
 
 /// Admission decision for adding `candidate` to `existing`.
 pub fn admit(existing: &[StreamQos], candidate: StreamQos, service: Time) -> bool {
-    let mut all = existing.to_vec();
-    all.push(candidate);
-    feasible(&all, service)
+    DemandFold::folded(existing, service).admits(&candidate)
 }
 
 fn gcd_u128(mut a: u128, mut b: u128) -> u128 {

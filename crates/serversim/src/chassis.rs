@@ -15,9 +15,11 @@
 //!
 //! * **Placement/admission** — [`place`] chooses the least-utilized alive
 //!   card whose link passes the real DWCS feasibility test
-//!   (`dwcs::admission::admit`) for the candidate stream. Placement is a
-//!   pure function of the card load set, independent of card iteration
-//!   order (property-tested).
+//!   (`dwcs::admission::DemandFold`) for the candidate stream. Placement
+//!   is a pure function of the card load set, independent of card
+//!   iteration order (property-tested). Each card keeps its running fold,
+//!   so a placement costs one fold step per alive card; a card refolds
+//!   only after losing a stream or when asked at another service time.
 //! * **Path-B sourcing** ([`Sourcing::PathB`]) — producers DMA each frame
 //!   descriptor across the shared bus to the owning scheduler card as an
 //!   I2O `PeerFrameWrite` (PIO message post + payload DMA + completion
@@ -40,7 +42,7 @@ use crate::niload::NiWirePlatform;
 use crate::report::RateWindow;
 use dvcm::instr::{StreamSpec, VcmInstruction};
 use dvcm::{ExtensionModule, MediaSchedExt};
-use dwcs::admission;
+use dwcs::admission::DemandFold;
 use dwcs::scheduler::Pacing;
 use dwcs::{CardId, FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
 use hwsim::PciBus;
@@ -166,10 +168,20 @@ pub(crate) fn path_b_frame_hold(bus: &mut PciBus, len: u64) -> SimDuration {
 /// DWCS admission test, ties broken by card id. Pure and order-independent:
 /// permuting `loads` never changes the chosen *card id* (property-tested).
 pub fn place(loads: &[CardLoad], qos: StreamQos, service_ns: u64) -> Option<usize> {
-    loads
-        .iter()
-        .filter(|l| !l.dead && admission::admit(&l.admitted, qos, service_ns))
-        .map(|l| (admission::utilization(&l.admitted, service_ns), l.card))
+    let alive = loads.iter().filter(|l| !l.dead);
+    choose(
+        alive.map(|l| (l.card, DemandFold::folded(&l.admitted, service_ns))),
+        &qos,
+    )
+}
+
+/// The placement rule behind [`place`] and the chassis's own placements:
+/// among alive `(card id, admission fold)` candidates, the least-utilized
+/// card whose fold admits `qos`, ties broken by card id.
+fn choose(alive: impl Iterator<Item = (usize, DemandFold)>, qos: &StreamQos) -> Option<usize> {
+    alive
+        .filter(|(_, fold)| fold.admits(qos))
+        .map(|(card, fold)| (fold.utilization(), card))
         .min()
         .map(|(_, card)| card)
 }
@@ -290,6 +302,40 @@ struct Card {
     locals: Vec<usize>,
     /// (global, qos) of every stream currently admitted here.
     admitted: Vec<(usize, StreamQos)>,
+    /// `admitted`'s admission fold, priced at the service time of the
+    /// last placement that read it; `None` once a stream leaves.
+    fold: Option<DemandFold>,
+}
+
+impl Card {
+    /// The admission fold of this card's streams at `service` ns per
+    /// frame: the cached one, or a refold of `admitted` (then cached) when
+    /// there is none or it was priced at another service time.
+    fn fold_at(&mut self, service: u64) -> DemandFold {
+        match self.fold {
+            Some(fold) if fold.service() == service => fold,
+            _ => {
+                let fold = DemandFold::folded(self.admitted.iter().map(|(_, q)| q), service);
+                self.fold = Some(fold);
+                fold
+            }
+        }
+    }
+
+    /// Admit global stream `g`, stepping the cached fold by its demand.
+    fn admit(&mut self, g: usize, qos: StreamQos) {
+        self.admitted.push((g, qos));
+        if let Some(fold) = &mut self.fold {
+            fold.fold_in(&qos);
+        }
+    }
+}
+
+/// Place `qos` on the alive `cards` by [`place`]'s rule, reading each
+/// card's cached admission fold.
+fn place_on(cards: &mut [Card], qos: StreamQos, service: u64) -> Option<usize> {
+    let alive = cards.iter_mut().enumerate().filter(|(_, card)| !card.dead);
+    choose(alive.map(|(i, card)| (i, card.fold_at(service))), &qos)
 }
 
 struct StreamState {
@@ -543,6 +589,7 @@ fn start_migration(w: &mut World, eng: &mut Engine<World>, c: usize, g: usize) {
         let mut backlog = Vec::new();
         card.ext.scheduler_mut().remove_stream_with(local, |d| backlog.push(d));
         card.admitted.retain(|&(gg, _)| gg != g);
+        card.fold = None;
         (sent, dropped, violations, jitter_ns, bw, qd, backlog)
     };
     {
@@ -558,17 +605,7 @@ fn start_migration(w: &mut World, eng: &mut Engine<World>, c: usize, g: usize) {
     // Re-place on the survivors using the same admission test as initial
     // placement.
     let service = service_estimate_ns(len, w.ni_cache);
-    let loads: Vec<CardLoad> = w
-        .cards
-        .iter()
-        .enumerate()
-        .map(|(i, card)| CardLoad {
-            card: i,
-            dead: card.dead,
-            admitted: card.admitted.iter().map(|&(_, q)| q).collect(),
-        })
-        .collect();
-    match place(&loads, qos, service) {
+    match place_on(&mut w.cards, qos, service) {
         None => {
             // Nowhere to go: the stream dies with the card. Its drained
             // backlog, and any frame still in flight, is lost.
@@ -589,7 +626,7 @@ fn start_migration(w: &mut World, eng: &mut Engine<World>, c: usize, g: usize) {
         Some(target) => {
             // Reserve admission on the target immediately so subsequent
             // placements in this failure see the load.
-            w.cards[target].admitted.push((g, qos));
+            w.cards[target].admit(g, qos);
             let bytes_moved: u64 = backlog.iter().map(|d| u64::from(d.len)).sum();
             let frames_moved = backlog.len() as u64;
             let migrate = PeerMigrate {
@@ -737,6 +774,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
                 pass_ev: None,
                 locals: Vec::new(),
                 admitted: Vec::new(),
+                fold: None,
             }
         })
         .collect();
@@ -747,16 +785,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
         let qos = StreamQos::new(c.period, c.loss_num, c.loss_den);
         let len = ClientPlan::frame_bytes(c);
         let service = service_estimate_ns(len, cfg.ni_cache);
-        let loads: Vec<CardLoad> = cards
-            .iter()
-            .enumerate()
-            .map(|(i, card)| CardLoad {
-                card: i,
-                dead: card.dead,
-                admitted: card.admitted.iter().map(|&(_, q)| q).collect(),
-            })
-            .collect();
-        let target = place(&loads, qos, service);
+        let target = place_on(&mut cards, qos, service);
         let (owner, local, admitted) = match target {
             Some(t) => {
                 let reply = cards[t].ext.on_instruction(
@@ -772,7 +801,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
                 let local = StreamId(reply.payload[0]);
                 debug_assert_eq!(local.index(), cards[t].locals.len());
                 cards[t].locals.push(g);
-                cards[t].admitted.push((g, qos));
+                cards[t].admit(g, qos);
                 (t, local, true)
             }
             None => (0, StreamId(0), false),

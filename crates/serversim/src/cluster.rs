@@ -24,7 +24,7 @@
 //! points.
 
 use crate::chassis::{path_b_frame_hold, service_estimate_ns};
-use dwcs::admission;
+use dwcs::admission::DemandFold;
 use dwcs::StreamQos;
 use hwsim::calib;
 use simkit::SimDuration;
@@ -202,8 +202,8 @@ impl Cluster {
     pub fn admissible_per_ni(&self, streams: u32) -> bool {
         let eth = hwsim::Ethernet::new();
         let service = eth.wire_time(self.node.frame_bytes).as_nanos();
-        let set: Vec<StreamQos> = (0..streams).map(|_| self.node.stream_qos).collect();
-        admission::feasible(&set, service)
+        let set = std::iter::repeat_n(&self.node.stream_qos, streams as usize);
+        DemandFold::folded(set, service).fits()
     }
 }
 

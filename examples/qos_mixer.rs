@@ -6,7 +6,7 @@
 
 use nistream::core::engine::{MediaServer, SinkKind};
 use nistream::core::qos::StreamQos;
-use nistream::dwcs::admission;
+use nistream::dwcs::admission::DemandFold;
 use nistream::dwcs::types::MILLISECOND;
 use std::time::Duration;
 
@@ -25,14 +25,16 @@ fn main() {
     // the sink is fast; the slot models the dispatch path budget).
     let service = MILLISECOND;
     let mut admitted: Vec<StreamQos> = Vec::new();
+    let mut fold = DemandFold::new(service);
     println!("admission control (service slot = 1 ms):");
     for (name, period_ms, x, y) in candidates {
         let qos = StreamQos::new(period_ms * MILLISECOND, x, y);
-        if admission::admit(&admitted, qos, service) {
+        if fold.admits(&qos) {
+            fold.fold_in(&qos);
             admitted.push(qos);
             println!(
                 "  + {name:<10} T={period_ms:>2} ms tolerance {x}/{y}  (U now {:.2})",
-                nistream::core::report::utilization_f64(&admitted, service)
+                fold.utilization().to_f64()
             );
         } else {
             println!("  - {name:<10} REJECTED (would exceed capacity)");

@@ -11,6 +11,7 @@
 use nistream::dwcs::StreamQos;
 use nistream::serversim::chassis::{self, place, service_estimate_ns, CardFailure, CardLoad, ChassisConfig, Sourcing};
 use nistream::trace::TraceEvent;
+use nistream::workload::mpegclient::ClientPlan;
 use proptest::prelude::*;
 use simkit::SimDuration;
 use std::collections::HashSet;
@@ -18,9 +19,13 @@ use std::collections::HashSet;
 /// A 4-card Path-B chassis that loses card 1 halfway through a 2 s run,
 /// with per-card tracing on so dispatches can be audited.
 fn fault_run() -> chassis::ChassisResult {
+    chassis::run(fault_cfg())
+}
+
+fn fault_cfg() -> ChassisConfig {
     let run_for = SimDuration::from_secs(2);
     let period = 33_333_333u64;
-    chassis::run(ChassisConfig {
+    ChassisConfig {
         cards: 4,
         plan: chassis::uniform_plan(32, run_for),
         frames_per_stream: (run_for.as_nanos() / period) as usize + 2,
@@ -33,7 +38,96 @@ fn fault_run() -> chassis::ChassisResult {
             at: SimDuration::from_secs(1),
         }),
         batch_budget: 1,
-    })
+    }
+}
+
+/// Replay every placement of a finished run with [`place`] over
+/// [`CardLoad`]s rebuilt from each card's admitted list, and check each
+/// choice equals the one the chassis made from its cached folds: the plan
+/// in order, then the dead card's streams in global order, the order the
+/// rebalancer re-places them. Returns the distinct service times priced.
+fn assert_placements_replay(cfg: &ChassisConfig, r: &chassis::ChassisResult) -> HashSet<u64> {
+    let dead = cfg.failure.expect("a run with a card death").card;
+    let mut lists: Vec<Vec<(usize, StreamQos)>> = vec![Vec::new(); cfg.cards];
+    let loads = |lists: &[Vec<(usize, StreamQos)>], dead: Option<usize>| -> Vec<CardLoad> {
+        lists
+            .iter()
+            .enumerate()
+            .map(|(card, list)| CardLoad {
+                card,
+                dead: Some(card) == dead,
+                admitted: list.iter().map(|&(_, q)| q).collect(),
+            })
+            .collect()
+    };
+    let spec = |g: usize| {
+        let c = &cfg.plan.clients[g];
+        let service = service_estimate_ns(ClientPlan::frame_bytes(c), cfg.ni_cache);
+        (StreamQos::new(c.period, c.loss_num, c.loss_den), service)
+    };
+    let mut services = HashSet::new();
+    for g in 0..cfg.plan.clients.len() {
+        let (qos, service) = spec(g);
+        services.insert(service);
+        let first = r.migrations.iter().find(|m| m.stream == g).map(|m| m.from);
+        let made = first.or(r.streams[g].card);
+        assert_eq!(
+            place(&loads(&lists, None), qos, service),
+            made,
+            "initial placement of stream {g}"
+        );
+        if let Some(card) = made {
+            lists[card].push((g, qos));
+        }
+    }
+    let mut migrations = r.migrations.clone();
+    migrations.sort_by_key(|m| m.stream);
+    for m in &migrations {
+        assert_eq!(m.from, dead);
+        let (qos, service) = spec(m.stream);
+        lists[dead].retain(|&(g, _)| g != m.stream);
+        assert_eq!(
+            place(&loads(&lists, Some(dead)), qos, service),
+            m.to,
+            "re-placement of stream {}",
+            m.stream
+        );
+        if let Some(card) = m.to {
+            lists[card].push((m.stream, qos));
+        }
+    }
+    assert!(lists[dead].is_empty(), "every stream on the dead card was re-placed");
+    services
+}
+
+#[test]
+fn cached_fold_placement_matches_place_over_rebuilt_loads() {
+    let cfg = fault_cfg();
+    let r = chassis::run(cfg.clone());
+    assert!(!r.migrations.is_empty());
+    assert_placements_replay(&cfg, &r);
+
+    // Mixed periods, tolerances and frame sizes: consecutive placements
+    // price different service times, so the cards' folds keep missing and
+    // refolding.
+    let mut mixed = fault_cfg();
+    let run_for = mixed.run;
+    mixed.plan = chassis::uniform_plan(96, run_for);
+    let periods = [33_333_333u64, 40_000_000, 25_000_000];
+    for (i, c) in mixed.plan.clients.iter_mut().enumerate() {
+        c.period = periods[i % 3];
+        (c.loss_num, c.loss_den) = [(2, 8), (0, 1), (1, 4), (3, 8)][i % 4];
+        c.bitrate = [260_000, 2_000_000, 800_000, 4_000_000, 1_500_000][i % 5];
+    }
+    mixed.frames_per_stream = (run_for.as_nanos() / periods[2]) as usize + 2;
+    let r = chassis::run(mixed.clone());
+    let services = assert_placements_replay(&mixed, &r);
+    assert!(services.len() > 1, "placements price more than one service time");
+    // The load overruns the chassis: some streams are refused, and card 1's
+    // death both re-homes and tears down streams.
+    assert!(r.streams.iter().any(|s| !s.admitted));
+    assert!(r.migrations.iter().any(|m| m.to.is_some()));
+    assert!(r.migrations.iter().any(|m| m.to.is_none()));
 }
 
 #[test]
