@@ -139,7 +139,7 @@ mod tests {
     use super::*;
 
     struct Echo {
-        polls: u32,
+        poll_calls: u32,
     }
 
     impl ExtensionModule for Echo {
@@ -155,7 +155,7 @@ mod tests {
         }
 
         fn poll(&mut self, _now: Time) -> u32 {
-            self.polls += 1;
+            self.poll_calls += 1;
             1
         }
 
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn load_dispatch_unload() {
         let mut r = ExtensionRegistry::new();
-        let idx = r.load(Box::new(Echo { polls: 0 }));
+        let idx = r.load(Box::new(Echo { poll_calls: 0 }));
         assert_eq!(r.dispatch(VcmInstruction::Kick, 0), ExtReply::with(vec![7]));
         assert_eq!(r.poll_all(0), 1);
         assert_eq!(r.len(), 1);
@@ -187,9 +187,9 @@ mod tests {
     #[test]
     fn get_as_downcasts_to_concrete_type() {
         let mut r = ExtensionRegistry::new();
-        r.load(Box::new(Echo { polls: 3 }));
+        r.load(Box::new(Echo { poll_calls: 3 }));
         let echo: &mut Echo = r.get_as(0).expect("is an Echo");
-        assert_eq!(echo.polls, 3);
+        assert_eq!(echo.poll_calls, 3);
         assert!(r.get_as::<crate::media_sched::MediaSchedExt>(0).is_none());
     }
 }

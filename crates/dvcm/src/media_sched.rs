@@ -18,8 +18,8 @@ use crate::extension::{ExtReply, ExtensionModule};
 use crate::instr::{StreamSpec, VcmInstruction};
 use dwcs::svc::{Platform, SchedService};
 use dwcs::{
-    BatchSummary, CardId, DispatchMode, DualHeap, DwcsScheduler, FrameDesc, FrameKind, SchedDecision, SchedulerConfig,
-    StreamId, StreamQos, Time,
+    BatchSummary, CardId, DualHeap, DwcsScheduler, FrameDesc, FrameKind, SchedDecision, SchedulerConfig, StreamId,
+    StreamQos, Time,
 };
 use nistream_trace::{TraceCapture, TraceEvent, TraceRing};
 use std::collections::VecDeque;
@@ -85,19 +85,17 @@ pub struct MediaSchedExt<P: Platform = NiOutbox> {
     svc: SchedService<DualHeap, P>,
     /// Per-stream producer sequence numbers.
     next_seq: Vec<u64>,
-    /// Decisions made (incl. idle polls that found nothing).
-    pub polls: u64,
 }
 
 impl MediaSchedExt {
     /// Extension with the paper's configuration: dual-heap representation,
-    /// coupled scheduling/dispatch, outbox platform.
+    /// default scheduler configuration, outbox platform.
     pub fn new(max_streams: usize) -> MediaSchedExt {
         MediaSchedExt::with_config(max_streams, SchedulerConfig::default())
     }
 
-    /// Extension with an explicit scheduler configuration (decoupled
-    /// dispatch experiments use this).
+    /// Extension with an explicit scheduler configuration (pacing,
+    /// deadline anchor, lateness grace).
     pub fn with_config(max_streams: usize, cfg: SchedulerConfig) -> MediaSchedExt {
         MediaSchedExt::with_platform(max_streams, cfg, NiOutbox::default())
     }
@@ -144,19 +142,12 @@ impl<P: Platform> MediaSchedExt<P> {
         MediaSchedExt {
             svc: SchedService::new(DualHeap::new(max_streams), cfg, platform),
             next_seq: Vec::new(),
-            polls: 0,
         }
     }
 
-    /// One scheduling decision at NI time `now`; dispatched frames go to
+    /// One scheduling decision at NI time `now`; a dispatched frame goes to
     /// the platform. Returns the raw decision for cost-model pricing.
-    ///
-    /// Under [`DispatchMode::Decoupled`] the decision lands in the
-    /// scheduler's internal dispatch queue instead of the return value;
-    /// the service pass drains that queue into the platform too, so both
-    /// dispatch modes feed the wire identically.
     pub fn poll_decision(&mut self, now: Time) -> SchedDecision {
-        self.polls += 1;
         self.svc.platform_mut().set_now(now);
         self.svc.service_once().decision
     }
@@ -165,13 +156,10 @@ impl<P: Platform> MediaSchedExt<P> {
     /// ([`dwcs::svc::SchedService::service_batch`]). Observationally
     /// identical to `budget` calls to
     /// [`poll_decision`](MediaSchedExt::poll_decision) at the same `now`:
-    /// the platform sees the same dispatch/reclaim/trace sequence and the
-    /// poll counter advances by the number of passes actually run.
+    /// the platform sees the same dispatch/reclaim/trace sequence.
     pub fn poll_batch(&mut self, now: Time, budget: u32) -> BatchSummary {
         self.svc.platform_mut().set_now(now);
-        let summary = self.svc.service_batch(budget);
-        self.polls += u64::from(summary.passes);
-        summary
+        self.svc.service_batch(budget)
     }
 
     /// Whether any stream has queued frames.
@@ -314,14 +302,6 @@ impl<P: Platform + 'static> ExtensionModule for MediaSchedExt<P> {
 
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
         self
-    }
-}
-
-/// Default dispatch mode helper for decoupled experiments.
-pub fn decoupled_config(queue_cap: usize) -> SchedulerConfig {
-    SchedulerConfig {
-        dispatch: DispatchMode::Decoupled { queue_cap },
-        ..SchedulerConfig::default()
     }
 }
 
@@ -489,29 +469,6 @@ mod tests {
         );
         ext.on_instruction(VcmInstruction::Kick, 0);
         assert_eq!(ext.outbox_len(), 1);
-    }
-
-    #[test]
-    fn decoupled_config_still_reaches_the_outbox() {
-        let mut ext = MediaSchedExt::with_config(4, decoupled_config(8));
-        let sid = StreamId(ext.on_instruction(open_spec(10, 1, 2), 0).payload[0]);
-        for addr in 0..3u64 {
-            ext.on_instruction(
-                VcmInstruction::EnqueueFrame {
-                    stream: sid,
-                    addr,
-                    len: 100,
-                    kind: FrameKind::P,
-                },
-                0,
-            );
-        }
-        for _ in 0..3 {
-            ext.poll_decision(0);
-        }
-        assert_eq!(ext.outbox_len(), 3, "decoupled decisions drain to the outbox");
-        let addrs: Vec<u64> = std::iter::from_fn(|| ext.pop_dispatch().map(|r| r.frame.desc.addr)).collect();
-        assert_eq!(addrs, vec![0, 1, 2]);
     }
 
     #[test]

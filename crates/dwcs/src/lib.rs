@@ -24,7 +24,7 @@
 //!
 //! * [`scheduler::DwcsScheduler`] — the scheduler proper: per-stream queues,
 //!   window-state maintenance, late-packet dropping for lossy streams,
-//!   violation accounting, coupled or decoupled dispatch.
+//!   violation accounting, coupled dispatch.
 //! * [`repr`] — pluggable *schedule representations* (the paper's §3.1.1
 //!   explicitly decouples "scheduling analysis" from "schedule
 //!   representation" so that FCFS circular buffers, sorted lists, heaps or
@@ -95,8 +95,6 @@ pub use key::HeadKey;
 pub use qos::{LossPolicy, MissOutcome, StreamQos, Window};
 pub use repr::{BTreeRepr, BatchSoa, CalendarQueue, DualHeap, LinearScan, ScheduleRepr, SortedList, Work};
 pub use ring::SpscRing;
-pub use scheduler::{
-    BatchSink, BatchSummary, DeadlineAnchor, DispatchMode, DwcsScheduler, SchedDecision, SchedulerConfig,
-};
+pub use scheduler::{BatchSink, BatchSummary, DeadlineAnchor, DwcsScheduler, SchedDecision, SchedulerConfig};
 pub use svc::{Congestion, DispatchRecord, Platform, SchedService, ServiceOutcome};
 pub use types::{CardId, FrameDesc, FrameKind, StreamId, Time};

@@ -13,18 +13,19 @@
 //!    them") and tries the next candidate;
 //! 3. otherwise applies the *timely service* adjustment and dispatches it.
 //!
-//! Scheduling and dispatch may be **coupled** (a decision immediately
-//! transmits — single data structure, no extra queuing jitter) or
-//! **decoupled** (decisions fill a bounded dispatch queue that a separate
-//! dispatcher drains — decisions can run ahead at a higher rate at the cost
-//! of dispatch-queue delay), matching the paper's §3.1.1 trade-off.
+//! Scheduling and dispatch are **coupled**: a decision is a dispatch.
+//! §3.1.1 weighs this against decoupling, which "allows scheduling
+//! decisions to be made at a higher rate", and coupling wins on the NI:
+//! it "allows a single data structure to hold frame descriptors and
+//! conserves memory. Also, packets do not suffer additional queuing delay
+//! and jitter in dispatch queues."
 //!
-//! There is one service pass, `DwcsScheduler::service_pass`: decide,
-//! route through the dispatch mode, report to a [`BatchSink`], drain the
-//! decoupled queue. Every placement runs it — one pass at a time through
+//! There is one service pass, `DwcsScheduler::service_pass`: read the
+//! clock, decide, report to a [`BatchSink`], deliver at most one frame.
+//! Every placement runs it — one pass at a time through
 //! `SchedService::service_once`, or `budget` in a row through
 //! [`DwcsScheduler::schedule_batch`]. [`DwcsScheduler::schedule_next`] is
-//! the bare decide-and-route half for harnesses that price decisions
+//! the bare decide-and-account half for harnesses that price decisions
 //! themselves; it hands dropped frames to a callback
 //! ([`DwcsScheduler::schedule_next_with`]) and keeps none of them.
 
@@ -36,22 +37,6 @@ use crate::types::{FrameDesc, StreamId, Time};
 use fixedpt::ops::{LogicalOp, OpMeter};
 use fixedpt::SharedMeter;
 use std::collections::VecDeque;
-
-/// Coupled or decoupled scheduling/dispatch (§3.1.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// A decision *is* a dispatch. "Coupling scheduling and dispatch allows
-    /// a single data structure to hold frame descriptors and conserves
-    /// memory. Also, packets do not suffer additional queuing delay and
-    /// jitter in dispatch queues."
-    Coupled,
-    /// Decisions fill a bounded dispatch queue; a dispatcher drains it.
-    /// "Allows scheduling decisions to be made at a higher rate."
-    Decoupled {
-        /// Dispatch queue capacity; a full queue back-pressures decisions.
-        queue_cap: usize,
-    },
-}
 
 /// When a packet becomes eligible for service.
 ///
@@ -101,8 +86,6 @@ pub enum DeadlineAnchor {
 /// Scheduler configuration.
 #[derive(Clone, Debug)]
 pub struct SchedulerConfig {
-    /// Dispatch coupling.
-    pub dispatch: DispatchMode,
     /// Eligibility pacing.
     pub pacing: Pacing,
     /// Deadline anchoring (see [`DeadlineAnchor`]).
@@ -122,7 +105,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
         SchedulerConfig {
-            dispatch: DispatchMode::Coupled,
             pacing: Pacing::WorkConserving,
             anchor: DeadlineAnchor::ServiceChain,
             late_grace: 0,
@@ -146,7 +128,7 @@ pub struct DispatchedFrame {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedDecision {
     /// The frame to transmit (`None`: nothing eligible — all queues empty,
-    /// or everything late got dropped, or the dispatch queue is full).
+    /// or everything late got dropped).
     pub frame: Option<DispatchedFrame>,
     /// Late frames dropped while reaching this decision.
     pub dropped: u32,
@@ -160,8 +142,7 @@ pub struct SchedDecision {
 /// sink, so a trivial sink (the benchmark drain) compiles down to the bare
 /// scheduling work.
 pub trait BatchSink {
-    /// Current time. Called once at the start of every pass and once per
-    /// decoupled dispatch-queue pop.
+    /// Current time. Called once, at the start of every pass.
     fn now(&mut self) -> Time;
 
     /// A late frame dropped (within loss budget) during the pass that
@@ -175,9 +156,8 @@ pub trait BatchSink {
         let _ = (decision, backlog, at);
     }
 
-    /// One dispatched frame. `dropped_before` carries the pass's drop
-    /// count for the coupled decision (zero for decoupled queue drains),
-    /// mirroring `DispatchRecord`.
+    /// The pass's dispatched frame. `dropped_before` carries the pass's
+    /// drop count, mirroring `DispatchRecord`.
     fn on_dispatch(&mut self, frame: DispatchedFrame, dropped_before: u32, at: Time);
 
     /// End of one pass; `depth` is the remaining queued-frame count
@@ -235,8 +215,6 @@ pub struct DwcsScheduler<R> {
     meter: SharedMeter,
     cfg: SchedulerConfig,
     arrival_seq: u64,
-    dispatch_q: VecDeque<DispatchedFrame>,
-    decisions: u64,
     live_streams: usize,
     /// Frames queued across all active streams, maintained incrementally
     /// at every queue mutation so [`DwcsScheduler::total_backlog`] — read
@@ -258,8 +236,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             meter: fixedpt::ops::null_meter(),
             cfg,
             arrival_seq: 0,
-            dispatch_q: VecDeque::new(),
-            decisions: 0,
             live_streams: 0,
             queued_frames: 0,
         }
@@ -378,10 +354,10 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         }
     }
 
-    /// Make one scheduling decision at time `now` (coupled mode — the
-    /// returned frame is considered transmitted immediately). Frames
-    /// dropped on the way are counted in [`SchedDecision::dropped`] and
-    /// otherwise discarded; see [`DwcsScheduler::schedule_next_with`].
+    /// Make one scheduling decision at time `now`; the returned frame is
+    /// accounted as transmitted now. Frames dropped on the way are counted
+    /// in [`SchedDecision::dropped`] and otherwise discarded; see
+    /// [`DwcsScheduler::schedule_next_with`].
     pub fn schedule_next(&mut self, now: Time) -> SchedDecision {
         self.schedule_next_with(now, |_| {})
     }
@@ -390,50 +366,23 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     /// reaching the decision to `on_drop`, in drop order. Nothing is kept
     /// for later: a caller that needs the descriptors takes them here.
     ///
-    /// The decision is metered and routed through the dispatch mode:
-    /// coupled, the frame is accounted as sent now; decoupled, it joins the
-    /// dispatch queue, or — queue full — goes out directly and stays in the
-    /// returned decision.
+    /// The decision is metered, and its frame is accounted as sent now.
     pub fn schedule_next_with(&mut self, now: Time, mut on_drop: impl FnMut(FrameDesc)) -> SchedDecision {
         // One ratio evaluation per decision (the priority computation the
         // soft-float build pays dearly for).
         self.meter.record(LogicalOp::RatioDivide, 1);
-        let mut decision = self.decide_core(now, &mut on_drop);
+        let decision = self.decide_core(now, &mut on_drop);
         self.charge(&decision.work);
-        if let (DispatchMode::Decoupled { queue_cap }, Some(frame)) = (self.cfg.dispatch, decision.frame) {
-            if self.dispatch_q.len() < queue_cap {
-                // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
-                self.dispatch_q.push_back(frame);
-                decision.frame = None;
-                return decision;
-            }
-            // Queue full: undo is impossible (window already adjusted), so
-            // dispatch directly — the bound exists to cap memory, not to
-            // drop scheduled frames.
-        }
         if let Some(f) = decision.frame {
             self.account_dispatch(f, now);
         }
         decision
     }
 
-    /// Decoupled mode: drain one frame from the dispatch queue.
-    pub fn pop_dispatch(&mut self, now: Time) -> Option<DispatchedFrame> {
-        let f = self.dispatch_q.pop_front()?;
-        self.account_dispatch(f, now);
-        Some(f)
-    }
-
-    /// Frames waiting in the dispatch queue (decoupled mode).
-    pub fn dispatch_backlog(&self) -> usize {
-        self.dispatch_q.len()
-    }
-
     /// Core decision: pick, drop-late-if-lossy, adjust windows. Dropped
     /// descriptors go to `on_drop` in drop order. Metering is the caller's
     /// job ([`DwcsScheduler::schedule_next_with`]).
     fn decide_core(&mut self, now: Time, on_drop: &mut dyn FnMut(FrameDesc)) -> SchedDecision {
-        self.decisions += 1;
         let mut dropped = 0u32;
         let mut work = Work::default();
 
@@ -551,37 +500,20 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     }
 
     /// One service pass — the only one; every placement runs it. At the
-    /// sink's clock it makes one decision (drops go to
+    /// sink's clock, read once, it makes one decision (drops go to
     /// [`BatchSink::on_drop`] as they happen, so reclaim precedes dispatch,
-    /// DESIGN.md §8), routes it through the dispatch mode, reports it to
-    /// [`BatchSink::on_decision`], delivers the coupled frame and then
-    /// drains the decoupled dispatch queue through
-    /// [`BatchSink::on_dispatch`], and ends with [`BatchSink::end_pass`].
-    /// Returns the decision and the number of frames dispatched.
-    pub(crate) fn service_pass<S: BatchSink>(&mut self, sink: &mut S) -> (SchedDecision, u32) {
+    /// DESIGN.md §8), reports it to [`BatchSink::on_decision`], delivers
+    /// its frame, if any, through [`BatchSink::on_dispatch`], and ends with
+    /// [`BatchSink::end_pass`].
+    pub(crate) fn service_pass<S: BatchSink>(&mut self, sink: &mut S) -> SchedDecision {
         let now = sink.now();
         let decision = self.schedule_next_with(now, |desc| sink.on_drop(desc, now));
         sink.on_decision(&decision, self.total_backlog(), now);
-        let mut dispatched = 0u32;
         if let Some(frame) = decision.frame {
             sink.on_dispatch(frame, decision.dropped, now);
-            dispatched += 1;
-        }
-        // Drain the decoupled dispatch queue dry, re-reading the clock per
-        // pop. A pass enqueues at most one frame and every pass drains the
-        // queue, so it never holds more than the admitted stream count
-        // (≤ 16 on the NI).
-        // analysis: bound 16
-        loop {
-            let t = sink.now();
-            let Some(frame) = self.pop_dispatch(t) else {
-                break;
-            };
-            sink.on_dispatch(frame, 0, t);
-            dispatched += 1;
         }
         sink.end_pass(self.total_backlog(), now);
-        (decision, dispatched)
+        decision
     }
 
     /// Run up to `budget` service passes back to back. The batch stops
@@ -593,12 +525,12 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         let mut summary = BatchSummary::default();
         // analysis: allow(ni-cycle-budget) reason="budget-bounded host-side batch sweep; NI placements keep the single-decision service path"
         for _ in 0..budget {
-            let (decision, dispatched) = self.service_pass(sink);
+            let decision = self.service_pass(sink);
             summary.passes += 1;
             summary.dropped += decision.dropped;
-            summary.dispatched += dispatched;
+            summary.dispatched += u32::from(decision.frame.is_some());
             summary.work.add(decision.work);
-            if decision.frame.is_none() && decision.dropped == 0 && dispatched == 0 {
+            if decision.frame.is_none() && decision.dropped == 0 {
                 break;
             }
         }
@@ -654,10 +586,9 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         self.queued_frames
     }
 
-    /// Whether any stream has queued frames (or the dispatch queue holds
-    /// frames in decoupled mode).
+    /// Whether any stream has queued frames.
     pub fn has_pending(&self) -> bool {
-        !self.dispatch_q.is_empty() || self.streams.iter().any(|s| s.active && !s.queue.is_empty())
+        self.streams.iter().any(|s| s.active && !s.queue.is_empty())
     }
 
     /// Deadline of a stream's head packet.
@@ -671,11 +602,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     /// embeddings sleep until then).
     pub fn next_eligible(&mut self) -> Option<Time> {
         self.repr.peek_min().map(|(_, k)| k.deadline)
-    }
-
-    /// Total decisions made.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
     }
 
     /// Access the representation (e.g. `DualHeap::most_constrained`).
@@ -840,32 +766,6 @@ mod tests {
         // W'(a)=1/4 < W'(b)=3/4 → a wins the deadline tie.
         let f = s.schedule_next(0).frame.unwrap();
         assert_eq!(f.desc.stream, a);
-    }
-
-    #[test]
-    fn decoupled_dispatch_queue() {
-        let cfg = SchedulerConfig {
-            dispatch: DispatchMode::Decoupled { queue_cap: 8 },
-            ..SchedulerConfig::default()
-        };
-        let mut s = DwcsScheduler::with_config(LinearScan::new(4), cfg);
-        let sid = s.add_stream(StreamQos::new(10 * MILLISECOND, 1, 2));
-        s.enqueue(sid, frame(0, 0), 0);
-        s.enqueue(sid, frame(0, 1), 0);
-        // Decisions queue frames instead of returning them.
-        let d = s.schedule_next(0);
-        assert!(d.frame.is_none());
-        assert_eq!(s.dispatch_backlog(), 1);
-        let _ = s.schedule_next(0);
-        assert_eq!(s.dispatch_backlog(), 2);
-        // Dispatcher drains in decision order; delay measured at pop.
-        let f0 = s.pop_dispatch(2 * MILLISECOND).unwrap();
-        assert_eq!(f0.desc.seq, 0);
-        let f1 = s.pop_dispatch(3 * MILLISECOND).unwrap();
-        assert_eq!(f1.desc.seq, 1);
-        assert!(s.pop_dispatch(3 * MILLISECOND).is_none());
-        assert_eq!(s.stats(sid).sent_on_time, 2);
-        assert!(s.stats(sid).mean_queue_delay() >= 2 * MILLISECOND);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub struct DispatchRecord {
 pub struct ServiceOutcome {
     /// The raw scheduling decision (work counts, drop count, frame).
     pub decision: SchedDecision,
-    /// Dispatch records handed to [`Platform::dispatch`] this pass
-    /// (coupled decision plus any decoupled queue drain).
+    /// Dispatch records handed to [`Platform::dispatch`] this pass: 1 when
+    /// the decision carries a frame, else 0.
     pub dispatched: u32,
 }
 
@@ -139,7 +139,7 @@ pub trait Platform {
     /// The service core emits the events *centrally* through this hook,
     /// so every placement produces the identical stream for the same
     /// schedule: per pass `Drop*` (reclaims precede dispatches,
-    /// DESIGN.md §8), then `Decision`, then `Dispatch*`, then
+    /// DESIGN.md §8), then `Decision`, then at most one `Dispatch`, then
     /// `QueueDepth`, all stamped with the pass-start clock — placement
     /// cost models advance time *after* the decision, so the stamps are
     /// placement-invariant.
@@ -267,22 +267,24 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     ///    reaching it as it drops (before any dispatch — see the
     ///    type-level docs);
     /// 2. report the pass to [`Platform::on_decision`];
-    /// 3. deliver the coupled decision's frame, then drain the decoupled
-    ///    dispatch queue, through [`Platform::dispatch`].
+    /// 3. deliver the decision's frame, if any, through
+    ///    [`Platform::dispatch`].
     ///
     /// When the platform carries a [`Platform::tracer`] ring the pass
-    /// additionally emits `Drop*`, `Decision`, `Dispatch*`, `QueueDepth`
-    /// events in that order, stamped with the pass-start clock (the
-    /// decoupled drain stamps each dispatch with its own pop time, which
-    /// is what [`DispatchRecord::decided_at`] already records).
+    /// additionally emits `Drop*`, `Decision`, at most one `Dispatch`, and
+    /// `QueueDepth` events in that order, all stamped with the pass-start
+    /// clock.
     // analysis: hot
     pub fn service_once(&mut self) -> ServiceOutcome {
         let mut sink = PlatformSink {
             platform: &mut self.platform,
             congestion: &mut self.congestion,
         };
-        let (decision, dispatched) = self.sched.service_pass(&mut sink);
-        ServiceOutcome { decision, dispatched }
+        let decision = self.sched.service_pass(&mut sink);
+        ServiceOutcome {
+            decision,
+            dispatched: u32::from(decision.frame.is_some()),
+        }
     }
 
     /// Run up to `budget` service passes in one sweep: exactly `budget`
@@ -316,7 +318,7 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
         self.sched.next_eligible()
     }
 
-    /// Whether any stream (or the decoupled dispatch queue) holds frames.
+    /// Whether any stream holds queued frames.
     pub fn has_pending(&self) -> bool {
         self.sched.has_pending()
     }
@@ -417,7 +419,7 @@ impl<P: Platform> BatchSink for PlatformSink<'_, P> {
 mod tests {
     use super::*;
     use crate::repr::LinearScan;
-    use crate::scheduler::{DispatchMode, Pacing};
+    use crate::scheduler::Pacing;
     use crate::types::{FrameKind, MILLISECOND};
 
     /// Test platform: settable clock, event log distinguishing reclaims
@@ -524,32 +526,6 @@ mod tests {
             ],
             "reclaim precedes dispatch within one pass"
         );
-    }
-
-    #[test]
-    fn decoupled_queue_drains_through_the_same_dispatch_path() {
-        let mut s = svc(SchedulerConfig {
-            dispatch: DispatchMode::Decoupled { queue_cap: 8 },
-            ..SchedulerConfig::default()
-        });
-        let sid = s.open(StreamQos::new(10 * MILLISECOND, 1, 2));
-        s.ingest_at(sid, frame(sid, 0), 0);
-        s.ingest_at(sid, frame(sid, 1), 0);
-        let out = s.service_once();
-        // One decision queued one frame; the same pass drained it.
-        assert_eq!(out.dispatched, 1);
-        let out = s.service_once();
-        assert_eq!(out.dispatched, 1);
-        let dispatches: Vec<u64> = s
-            .platform()
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Dispatched { seq, .. } => Some(*seq),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(dispatches, vec![0, 1], "decision order preserved");
     }
 
     #[test]
@@ -811,40 +787,6 @@ mod tests {
         );
         let (cb, cs) = (batch.probe_congestion(), single.probe_congestion());
         assert_eq!(cb, cs, "congestion counters must match");
-    }
-
-    /// Decoupled dispatch through the batch path: queue + same-pass drain,
-    /// identical to the single-pass service loop.
-    #[test]
-    fn service_batch_matches_service_once_decoupled() {
-        let build = || {
-            let mut s = SchedService::new(
-                LinearScan::new(8),
-                SchedulerConfig {
-                    dispatch: DispatchMode::Decoupled { queue_cap: 4 },
-                    ..SchedulerConfig::default()
-                },
-                TracedProbe::new(256),
-            );
-            let sid = s.open(StreamQos::new(10 * MILLISECOND, 1, 2));
-            for seq in 0..4 {
-                s.ingest_at(sid, frame(sid, seq), 0);
-            }
-            s.platform_mut().inner.now = MILLISECOND;
-            s
-        };
-        let mut batch = build();
-        let summary = batch.service_batch(16);
-        assert_eq!(summary.dispatched, 4);
-        let mut single = build();
-        loop {
-            let out = single.service_once();
-            if out.decision.frame.is_none() && out.decision.dropped == 0 && out.dispatched == 0 {
-                break;
-            }
-        }
-        assert_eq!(batch.platform().inner.events, single.platform().inner.events);
-        assert_eq!(batch.platform_mut().ring.drain(), single.platform_mut().ring.drain());
     }
 
     #[test]

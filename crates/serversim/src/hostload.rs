@@ -32,13 +32,18 @@ use workload::mpegclient::ClientPlan;
 use workload::profile::LoadProfile;
 use workload::vbr::{self, VbrTraceGen};
 
+/// Round-robin quantum of the host's run queue.
+const QUANTUM: SimDuration = SimDuration::from_millis(20);
+
+/// Web response CPU cycles per response byte (tuning for utilization
+/// calibration).
+const WEB_CYCLES_PER_BYTE: u64 = 2;
+
 /// Experiment configuration.
 #[derive(Clone, Debug)]
 pub struct HostLoadConfig {
     /// CPUs online (the paper brings two online for this experiment).
     pub cpus: usize,
-    /// Round-robin quantum.
-    pub quantum: SimDuration,
     /// Web load profile (none / 45 % / 60 %).
     pub web: LoadProfile,
     /// Streaming clients.
@@ -47,8 +52,6 @@ pub struct HostLoadConfig {
     pub frames_per_stream: usize,
     /// Total simulated time.
     pub run: SimDuration,
-    /// Mean web response CPU cycles (tuning for utilization calibration).
-    pub web_cycles_per_byte: u64,
     /// RNG seed.
     pub seed: u64,
     /// Scheduler trace ring capacity in events (0 disables tracing).
@@ -59,12 +62,10 @@ impl Default for HostLoadConfig {
     fn default() -> HostLoadConfig {
         HostLoadConfig {
             cpus: 2,
-            quantum: SimDuration::from_millis(20),
             web: LoadProfile::none(),
             plan: ClientPlan::two_streams(100),
             frames_per_stream: 3_000, // 30 fps × 100 s: the file outlasts the run
             run: SimDuration::from_secs(100),
-            web_cycles_per_byte: 2,
             seed: 0x686f_7374, // "host"
             trace_capacity: 0,
         }
@@ -166,13 +167,14 @@ impl HostSendPlatform {
     /// A platform serving `nstreams` streams, with a trace ring of
     /// `trace_capacity` events (0 disables tracing).
     pub fn new(nstreams: usize, trace_capacity: usize) -> HostSendPlatform {
-        let n = nstreams.max(1);
         HostSendPlatform {
             now_ns: 0,
             send_model: HostCpu::new(),
-            frames_sent: vec![0; n],
-            bw: (0..n).map(|_| RateWindow::new(SimDuration::from_secs(1))).collect(),
-            qdelay: vec![Vec::new(); n],
+            frames_sent: vec![0; nstreams],
+            bw: (0..nstreams)
+                .map(|_| RateWindow::new(SimDuration::from_secs(1)))
+                .collect(),
+            qdelay: vec![Vec::new(); nstreams],
             trace: (trace_capacity > 0).then(|| TraceRing::with_capacity(trace_capacity)),
         }
     }
@@ -196,7 +198,7 @@ impl Platform for HostSendPlatform {
         let len = u64::from(rec.frame.desc.len);
         self.now_ns += self.send_model.frame_send_time(len).as_nanos();
         let done_at = SimTime::from_nanos(self.now_ns);
-        let si = rec.frame.desc.stream.index().min(self.bw.len() - 1);
+        let si = rec.frame.desc.stream.index();
         self.bw[si].record(done_at, len);
         self.frames_sent[si] += 1;
         let delay_ms = self.now_ns.saturating_sub(rec.frame.desc.enqueued_at) as f64 / 1e6;
@@ -281,7 +283,6 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
         used += w.cpus[ci].model.context_switch();
         w.cpus[ci].last_proc = Some(pid);
     }
-    let quantum = w.cfg.quantum;
 
     // Simulate the proc's activity for this slice; effects carry their
     // own sub-slice timestamps.
@@ -305,14 +306,13 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
             let mut rem = *remaining_cycles;
             let mut dead = false;
             loop {
-                let budget = quantum.saturating_sub(used);
+                let budget = QUANTUM.saturating_sub(used);
                 let need = w.cpus[ci].model.cycles_time(rem);
                 if need <= budget {
                     used += need;
                     match w.pool.complete() {
                         Some(next) => {
-                            rem = w.pool.work_of(&next).cpu_cycles
-                                + next.response_bytes * (w.cfg.web_cycles_per_byte - 1);
+                            rem = w.pool.work_of(&next).cpu_cycles + next.response_bytes * (WEB_CYCLES_PER_BYTE - 1);
                         }
                         None => {
                             dead = true;
@@ -322,7 +322,7 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
                 } else {
                     let burned = (budget.as_nanos() as u128 * w.cpus[ci].model.hz as u128 / 1_000_000_000) as u64;
                     rem = rem.saturating_sub(burned.max(1));
-                    used = quantum;
+                    used = QUANTUM;
                     break;
                 }
             }
@@ -340,7 +340,7 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
             let per = w.cpus[ci].model.cycles_time(*per_frame_cycles);
             let total = w.cfg.frames_per_stream;
             let mut produced_any = false;
-            while *next_frame < total && used + per <= quantum {
+            while *next_frame < total && used + per <= QUANTUM {
                 used += per;
                 let t = now + used;
                 let seq = *next_frame as u64;
@@ -384,7 +384,7 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
                 match w.svc.next_eligible() {
                     Some(d) if d <= t_cur.as_nanos() => {
                         let decision_cost = w.cpus[ci].model.decision_time(16);
-                        if used + decision_cost > quantum {
+                        if used + decision_cost > QUANTUM {
                             break;
                         }
                         used += decision_cost;
@@ -394,7 +394,7 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
                         if out.dispatched > 0 {
                             used = SimDuration::from_nanos(w.svc.platform_mut().now_ns.saturating_sub(now.as_nanos()));
                         }
-                        if used >= quantum {
+                        if used >= QUANTUM {
                             break;
                         }
                     }
@@ -510,7 +510,7 @@ fn schedule_web_arrivals(w: &mut World, eng: &mut Eng) {
             connection: 0,
         };
         let mut demand = w.pool.work_of(&req);
-        demand.cpu_cycles += bytes * (w.cfg.web_cycles_per_byte - 1);
+        demand.cpu_cycles += bytes * (WEB_CYCLES_PER_BYTE - 1);
         if let Some(started) = w.pool.arrive(req) {
             let _ = started;
             let pid = w.procs.len();
@@ -618,14 +618,16 @@ pub fn run(cfg: HostLoadConfig) -> HostLoadResult {
     let avg_util = cpu_util.mean_between(SimTime::ZERO, run_t).unwrap_or(0.0);
     let peak_util = cpu_util.min_max().map(|(_, hi)| hi).unwrap_or(0.0);
 
+    let platform = w.svc.platform_mut();
+    let series = std::mem::take(&mut platform.bw)
+        .into_iter()
+        .zip(std::mem::take(&mut platform.qdelay));
     let mut streams = Vec::new();
-    for (i, c) in w.cfg.plan.clients.iter().enumerate() {
-        let bandwidth = w.svc.platform_mut().bw.remove(0).finish(run_t);
-        let qdelay = std::mem::take(&mut w.svc.platform_mut().qdelay[i]);
+    for ((i, c), (bw, qdelay)) in w.cfg.plan.clients.iter().enumerate().zip(series) {
         let stats = w.svc.scheduler().stats(w.sids[i]);
         streams.push(StreamSeries {
             name: c.name.clone(),
-            bandwidth,
+            bandwidth: bw.finish(run_t),
             qdelay,
             sent: stats.sent(),
             dropped: stats.dropped,
@@ -654,7 +656,7 @@ pub fn web_rate_for(target_total: f64, cfg: &HostLoadConfig) -> f64 {
     let web_target = (target_total - baseline).max(0.0);
     // Mean response ≈ 6.1 KB (bounded Pareto 1.2 over [1 KB, 512 KB]);
     // cycles = base + bytes × cycles_per_byte.
-    let mean_cycles = 500_000.0 + 6_100.0 * cfg.web_cycles_per_byte as f64;
+    let mean_cycles = 500_000.0 + 6_100.0 * WEB_CYCLES_PER_BYTE as f64;
     workload::profile::calibrate_rate(web_target, cfg.cpus as u32, mean_cycles as u64, hwsim::calib::HOST_HZ)
 }
 

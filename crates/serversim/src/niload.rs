@@ -111,6 +111,11 @@ impl Platform for NiWirePlatform {
     }
 }
 
+/// Data cache on the NI (scheduler-only NIs enable it: "exclusively
+/// running the scheduler thread, with no disks attached allowing data
+/// caching").
+const NI_CACHE: bool = true;
+
 /// Experiment configuration.
 #[derive(Clone, Debug)]
 pub struct NiLoadConfig {
@@ -123,10 +128,6 @@ pub struct NiLoadConfig {
     /// Web load applied to the *host* (shown alongside; cannot affect the
     /// NI pipeline).
     pub host_web: LoadProfile,
-    /// Data cache on the NI (scheduler-only NIs enable it: "exclusively
-    /// running the scheduler thread, with no disks attached allowing data
-    /// caching").
-    pub ni_cache: bool,
     /// Capacity of the NI trace ring in events; 0 (the default) disables
     /// tracing entirely.
     pub trace_capacity: usize,
@@ -139,7 +140,6 @@ impl Default for NiLoadConfig {
             frames_per_stream: 3_000,
             run: SimDuration::from_secs(100),
             host_web: LoadProfile::none(),
-            ni_cache: true,
             trace_capacity: 0,
         }
     }
@@ -170,7 +170,7 @@ pub fn run(cfg: NiLoadConfig) -> NiLoadResult {
         plan: cfg.plan.clone(),
         frames_per_stream: cfg.frames_per_stream,
         run: cfg.run,
-        ni_cache: cfg.ni_cache,
+        ni_cache: NI_CACHE,
         trace_capacity: cfg.trace_capacity,
         sourcing: Sourcing::Preloaded,
         failure: None,

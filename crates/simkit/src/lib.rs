@@ -23,9 +23,8 @@
 //!   Determinism across runs and platforms is a requirement: every
 //!   experiment binary seeds explicitly and reproduces byte-identical
 //!   output.
-//! * [`stats`] — time-series traces, windowed utilization sampling,
-//!   log-binned histograms, and summary reducers used to regenerate the
-//!   paper's figures.
+//! * [`stats`] — time-series traces, windowed utilization sampling, and
+//!   summary reducers used to regenerate the paper's figures.
 //!
 //! The kernel is deliberately single-threaded: experiment *sweeps* are
 //! parallelised across OS processes/threads by the harness, while each
@@ -46,5 +45,5 @@ pub use engine::{Engine, EventFn, EventId, FireHook};
 pub use reference::{HeapEngine, HeapEventFn, HeapEventId};
 pub use resource::Resource;
 pub use rng::Pcg32;
-pub use stats::{Counter, Histogram, Summary, Trace, UtilizationSampler};
+pub use stats::{Summary, Trace, UtilizationSampler};
 pub use time::{SimDuration, SimTime};

@@ -5,9 +5,7 @@
 //! * [`UtilizationSampler`] — converts busy/idle intervals into windowed
 //!   percent-utilization samples, the way Solaris Perfmeter presented CPU
 //!   load in Figure 6.
-//! * [`Histogram`] — log₂-binned latency histogram for microbenchmarks.
 //! * [`Summary`] — streaming mean/min/max/stddev (Welford).
-//! * [`Counter`] — a named monotonically increasing count.
 
 use crate::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -177,87 +175,6 @@ impl UtilizationSampler {
     }
 }
 
-/// Log₂-binned histogram of durations.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// bins[i] counts samples in [2^i, 2^(i+1)) nanoseconds; bins[0] also
-    /// holds 0–1 ns.
-    bins: [u64; 64],
-    count: u64,
-    sum_ns: u128,
-    max_ns: u64,
-    min_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            bins: [0; 64],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            min_ns: u64::MAX,
-        }
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let bin = if ns <= 1 { 0 } else { 63 - ns.leading_zeros() as usize };
-        self.bins[bin] += 1;
-        self.count += 1;
-        self.sum_ns += u128::from(ns);
-        self.max_ns = self.max_ns.max(ns);
-        self.min_ns = self.min_ns.min(ns);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean duration.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos((self.sum_ns / u128::from(self.count)) as u64)
-    }
-
-    /// Largest recorded duration.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(if self.count == 0 { 0 } else { self.max_ns })
-    }
-
-    /// Smallest recorded duration.
-    pub fn min(&self) -> SimDuration {
-        SimDuration::from_nanos(if self.count == 0 { 0 } else { self.min_ns })
-    }
-
-    /// Approximate quantile from the binned data (upper bin edge).
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return SimDuration::from_nanos(1u64 << (i + 1).min(63));
-            }
-        }
-        self.max()
-    }
-}
-
 /// Streaming summary statistics (Welford's online algorithm).
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
@@ -329,32 +246,6 @@ impl Summary {
         } else {
             self.max
         }
-    }
-}
-
-/// A named monotone counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Increment by one.
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
     }
 }
 
@@ -439,20 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_and_moments() {
-        let mut h = Histogram::new();
-        for us in [10u64, 20, 30, 40, 1000] {
-            h.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean().as_micros(), 220);
-        assert_eq!(h.max().as_micros(), 1000);
-        assert_eq!(h.min().as_micros(), 10);
-        assert!(h.quantile(0.5).as_micros() >= 20);
-        assert!(h.quantile(1.0) >= h.quantile(0.5));
-    }
-
-    #[test]
     fn summary_welford() {
         let mut s = Summary::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -463,13 +340,5 @@ mod tests {
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.bump();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 }

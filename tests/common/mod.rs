@@ -3,7 +3,7 @@
 //! `placement_conformance.rs` and `trace_conformance.rs` both run.
 #![allow(dead_code)] // each integration test uses its own subset
 
-use nistream::dwcs::scheduler::{DispatchMode, Pacing};
+use nistream::dwcs::scheduler::Pacing;
 use nistream::dwcs::types::MILLISECOND;
 use nistream::dwcs::{FrameKind, SchedulerConfig};
 
@@ -69,7 +69,7 @@ pub const JITTER: [u64; 8] = [
     3 * MILLISECOND,
 ];
 
-/// Coupled-dispatch scheduler configuration shared by every placement.
+/// Scheduler configuration shared by every placement.
 pub fn base_config() -> SchedulerConfig {
     SchedulerConfig {
         pacing: Pacing::DeadlinePaced,
@@ -77,18 +77,12 @@ pub fn base_config() -> SchedulerConfig {
     }
 }
 
-/// Decoupled-dispatch variant (bounded NI outbox).
-pub fn decoupled_config() -> SchedulerConfig {
-    SchedulerConfig {
-        dispatch: DispatchMode::Decoupled { queue_cap: 2 },
-        ..base_config()
-    }
-}
-
 /// The shared drive loop: poll at each head deadline plus cycling jitter
-/// until the backlog drains. `next` and `pass` are the only
-/// placement-specific hooks.
-pub fn drive(mut next: impl FnMut() -> Option<u64>, mut pass: impl FnMut(u64), mut pending: impl FnMut() -> bool) {
+/// until no head is indexed. `next`, `pass` and `pending` are the only
+/// placement-specific hooks. A frame left queued once the index is empty
+/// would be stranded without a representation entry, so `drive` fails on
+/// it rather than draining it.
+pub fn drive(mut next: impl FnMut() -> Option<u64>, mut pass: impl FnMut(u64), pending: impl FnOnce() -> bool) {
     let mut i = 0usize;
     let mut guard = 0u32;
     let mut t = 0u64;
@@ -99,12 +93,5 @@ pub fn drive(mut next: impl FnMut() -> Option<u64>, mut pass: impl FnMut(u64), m
         i += 1;
         pass(t);
     }
-    // Decoupled mode can leave paced frames in the dispatch queue after
-    // the stream queues empty; drain them on a widening clock.
-    while pending() {
-        guard += 1;
-        assert!(guard < 10_000, "drain loop runaway");
-        t += 5 * MILLISECOND;
-        pass(t);
-    }
+    assert!(!pending(), "frames still queued with no indexed head");
 }

@@ -6,8 +6,8 @@
 //! never *what* they are. After the `dwcs::svc` consolidation that claim
 //! is structural — both placements drive one `SchedService` — and this
 //! suite pins it observationally: an identical multi-stream frame script
-//! (mixed feasible/infeasible QoS, droppable and send-late streams, both
-//! dispatch modes) is pushed through
+//! (mixed feasible/infeasible QoS, droppable and send-late streams) is
+//! pushed through
 //!
 //! * the host engine's service core (`host_sched_core`: virtual clock,
 //!   real `FramePool`, collecting sink), and
@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::{base_config, decoupled_config, drive, script};
+use common::{base_config, drive, script};
 use nistream::dvcm::instr::{StreamSpec, VcmInstruction};
 use nistream::dvcm::{ExtensionModule, MediaSchedExt};
 use nistream::dwcs::{FrameDesc, SchedulerConfig, StreamQos};
@@ -201,36 +201,4 @@ fn coupled_dispatch_is_placement_invariant() {
     );
     assert_eq!(host.drops, ni.drops, "dropped-frame set and reclaim order");
     assert_eq!(host.stats, ni.stats, "per-stream service statistics");
-}
-
-#[test]
-fn decoupled_dispatch_is_placement_invariant() {
-    let host = run_host_engine(decoupled_config());
-    let ni = run_ni_extension(decoupled_config());
-    assert_script_nontrivial(&host);
-    assert_eq!(
-        host.dispatches, ni.dispatches,
-        "dispatch order, timestamps, on-time flags"
-    );
-    assert_eq!(host.drops, ni.drops, "dropped-frame set and reclaim order");
-    assert_eq!(host.stats, ni.stats, "per-stream service statistics");
-}
-
-#[test]
-fn dispatch_modes_agree_on_drops_and_violations() {
-    // Coupled vs decoupled changes *when* a frame reaches the wire, not
-    // which frames survive: the drop set and violation counts are a
-    // property of the scheduling analysis alone (paper §3.1.1 separates
-    // analysis from dispatch).
-    let coupled = run_host_engine(base_config());
-    let decoupled = run_host_engine(decoupled_config());
-    let sort = |mut v: Vec<(u32, u64)>| {
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(sort(coupled.drops), sort(decoupled.drops));
-    assert_eq!(
-        coupled.stats.iter().map(|s| s.3).collect::<Vec<_>>(),
-        decoupled.stats.iter().map(|s| s.3).collect::<Vec<_>>(),
-    );
 }

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{base_config, decoupled_config, drive, script};
+use common::{base_config, drive, script};
 use nistream::dvcm::instr::{StreamSpec, VcmInstruction};
 use nistream::dvcm::{ExtensionModule, MediaSchedExt};
 use nistream::dwcs::svc::{Platform, SchedService};
@@ -238,12 +238,4 @@ fn cost_models_do_not_leak_into_the_trace() {
         NiWirePlatform::drain_trace,
     );
     assert_eq!(canon(&cached), canon(&uncached));
-}
-
-#[test]
-fn decoupled_dispatch_traces_are_placement_invariant() {
-    let engine = trace_host_engine(decoupled_config());
-    let ext = trace_ni_extension(decoupled_config());
-    assert_trace_nontrivial(&engine);
-    assert_eq!(canon(&engine), canon(&ext), "decoupled engine vs DVCM extension");
 }
