@@ -59,6 +59,16 @@ impl Ring {
     }
 }
 
+impl Ring {
+    // A store of an untyped value keeps the field's declared type: the
+    // `push_back` after it is still a violation.
+    // analysis: hot
+    pub fn refill(&mut self, v: u64) {
+        self.buf = fresh_buf();
+        self.buf.push_back(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     // analysis: hot

@@ -33,3 +33,20 @@ fn helper(v: &[u64]) -> u64 {
 pub fn cold(v: &[u64]) -> u64 {
     v[9]
 }
+
+/// A field first observed in a `len()` guard keeps its declared type, so
+/// the unsigned subtraction after the guard is still an obligation.
+pub struct Keys {
+    keys: Vec<u64>,
+    cap: usize,
+}
+
+impl Keys {
+    // analysis: hot
+    pub fn excess(&mut self, k: usize) -> usize {
+        if self.keys.len() > self.cap {
+            self.cap += 1;
+        }
+        self.keys.len() - k
+    }
+}

@@ -21,7 +21,7 @@
 //!   reaches spuriously.
 //!
 //! Calls resolve name-keyed like [`crate::callgraph`], refined by a
-//! receiver-type probe (the [`TypeDomain`] run over each body): a method
+//! receiver-type probe (the [`RangeDomain`] run over each body): a method
 //! on a receiver of known struct type prefers candidates in that type's
 //! `impl`; a method on a known non-struct receiver (collection, integer)
 //! is a std call and gets a default interval; an unknown receiver takes
@@ -37,7 +37,9 @@
 use crate::ast::{self, Block, Expr, LitKind, Stmt, TypeRef};
 use crate::callgraph::{CallGraph, FnNode, INIT_CTORS};
 use crate::config::LintConfig;
-use crate::dataflow::{abs_join, AbsTy, Bound, Check, Checked, Interval, StructTable, TyCx, TypeDomain, NONNEG};
+use crate::dataflow::{
+    abs_join, AbsTy, Bound, Check, Checked, Interval, RangeDomain, RangeVal, StructTable, TyCx, NONNEG,
+};
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::lints::{NI_CYCLE_BUDGET, NI_STACK_DEPTH};
@@ -287,12 +289,12 @@ pub struct CostReport {
 /// that reaches the call.
 struct RecvTypes(BTreeMap<usize, AbsTy>);
 
-impl Check<TypeDomain<'_>> for RecvTypes {
-    fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
+impl Check<RangeDomain<'_>> for RecvTypes {
+    fn check(&mut self, _: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
         if let Expr::MethodCall { tok, .. } = e {
             let joined = match self.0.get(tok) {
-                None | Some(AbsTy::Unknown) => children[0].clone(),
-                Some(old) => abs_join(old, &children[0]),
+                None | Some(AbsTy::Unknown) => children[0].ty.clone(),
+                Some(old) => abs_join(old, &children[0].ty),
             };
             self.0.insert(*tok, joined);
         }
@@ -536,16 +538,14 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Receiver types for every method call in `idx`'s body, keyed by
-    /// method-name token (a [`TypeDomain`] run that records receivers).
+    /// method-name token (a [`RangeDomain`] run that records receivers).
     fn recv_types(&self, idx: usize) -> BTreeMap<usize, AbsTy> {
         let fa = self.files[self.fns[idx].file];
         let mut probe = Checked {
-            inner: TypeDomain {
-                cx: TyCx {
-                    structs: self.structs,
-                    toks: &fa.toks,
-                },
-            },
+            inner: RangeDomain::new(TyCx {
+                structs: self.structs,
+                toks: &fa.toks,
+            }),
             hook: RecvTypes(BTreeMap::new()),
         };
         crate::dataflow::flow_fn(self.fns[idx].item, self.fns[idx].self_ty, &mut probe);

@@ -4,19 +4,23 @@
 //! maintaining an environment of per-variable abstract values, and defers
 //! the meaning of values to a [`Domain`]:
 //!
-//! * the **type domain** ([`abs_transfer`] / [`TypeDomain`]) computes
-//!   [`AbsTy`] — enough Rust typing to know that `self.buf` is a
-//!   `VecDeque`, that `q.raw()` is the bare `i64` behind a `Q16`, and
-//!   that `f.num()` carries `Frac`-numerator provenance. `q16-overflow`
-//!   and `ni-no-alloc` build on it;
+//! * the **range domain** ([`RangeDomain`]) is the analyzer's value
+//!   domain. Each value is a [`RangeVal`]: an [`AbsTy`] from the type
+//!   layer ([`abs_transfer`] over a [`TyCx`]) — enough Rust typing to
+//!   know that `self.buf` is a `VecDeque`, that `q.raw()` is the bare
+//!   `i64` behind a `Q16`, and that `f.num()` carries `Frac`-numerator
+//!   provenance — plus a value or length [`Interval`]. `q16-overflow`,
+//!   `ni-no-alloc` and the cost model's receiver probe read the type;
+//!   `ni-bounds` and `q16-range` prove obligations on the interval;
 //! * the **taint domain** (in `lints.rs`) tracks which values derive
 //!   from channel-receive arrival order for `sweep-determinism`.
 //!
 //! The engine is deliberately simple: flow-sensitive straight-line
-//! execution, branch-join at `if`/`match`, loop bodies walked twice (one
-//! join iteration reaches the fixpoint for these flat lattices). Domains
-//! emit findings from `transfer`; because loop bodies are walked twice,
-//! callers de-duplicate identical findings afterwards.
+//! execution, branch-join at `if`/`match`, and loop bodies walked to a
+//! post-fixpoint (twice for the flat taint lattice, with widening for
+//! the range domain). Checks ride along a walk through [`Checked`];
+//! because loop bodies are walked more than once, callers de-duplicate
+//! identical findings afterwards.
 
 use crate::ast::*;
 use crate::lexer::Tok;
@@ -436,12 +440,9 @@ pub trait Domain {
     fn iter_elem(&self, v: &Self::V) -> Self::V {
         self.bind_split(v)
     }
-    /// `base[index] = value` — the index-addressed publish pattern. The
-    /// engine does not re-taint `base`; domains may check or bless it.
-    fn assign_index(&mut self, _target: &Expr, _value: &Self::V) {}
     /// New value of `x` after `x.f = value`. The default joins the stored
-    /// value into the base (a taint domain wants `x` tainted); type-like
-    /// domains override to keep `old` — a field store never changes the
+    /// value into the base (a taint domain wants `x` tainted); the range
+    /// domain overrides to keep `old` — a field store never changes the
     /// base's type, and joining would dissolve `Named(_)` into `Unknown`
     /// the first time a counter field is bumped.
     fn assign_field(&mut self, old: &Self::V, value: &Self::V) -> Self::V {
@@ -486,9 +487,9 @@ pub trait Domain {
     fn observe_return(&mut self, _v: &Self::V) {}
     /// Track dotted field places (`self.len`) in the environment and
     /// enable path-sensitive joins (diverging `if` branches pruned,
-    /// loops iterated to stabilisation). Off by default: place keys
-    /// would be invisible noise to type-like domains, and
-    /// divergence pruning changes join results.
+    /// loops iterated to stabilisation). Off by default: the taint
+    /// domain has no use for place keys, and divergence pruning changes
+    /// join results.
     fn track_places(&self) -> bool {
         false
     }
@@ -524,6 +525,17 @@ pub trait Check<D: Domain> {
     fn check_assign(&mut self, _inner: &D, _tok: usize, _old: Option<&D::V>, _new: &D::V) {}
 }
 
+/// A borrowed hook checks as its referent does, so one hook can ride
+/// along several walks.
+impl<D: Domain, C: Check<D>> Check<D> for &mut C {
+    fn check(&mut self, inner: &D, e: &Expr, children: &[D::V]) {
+        (**self).check(inner, e, children)
+    }
+    fn check_assign(&mut self, inner: &D, tok: usize, old: Option<&D::V>, new: &D::V) {
+        (**self).check_assign(inner, tok, old, new)
+    }
+}
+
 /// `inner` with a [`Check`] attached: the values are exactly `inner`'s —
 /// every [`Domain`] method forwards to it — and `hook` sees each
 /// transfer and store first.
@@ -555,9 +567,6 @@ impl<D: Domain, C: Check<D>> Domain for Checked<D, C> {
     }
     fn iter_elem(&self, v: &D::V) -> D::V {
         self.inner.iter_elem(v)
-    }
-    fn assign_index(&mut self, target: &Expr, value: &D::V) {
-        self.inner.assign_index(target, value)
     }
     fn assign_field(&mut self, old: &D::V, value: &D::V) -> D::V {
         self.inner.assign_field(old, value)
@@ -829,12 +838,13 @@ fn eval<D: Domain>(e: &Expr, env: &mut Env<D::V>, dom: &mut D, self_ty: Option<&
                 Expr::Index { .. } => {
                     // Evaluate the whole Index node so write-side
                     // indexing reaches `transfer` (bounds domains check
-                    // stores and loads alike).
+                    // stores and loads alike). `base[i] = v` leaves
+                    // `base`'s value alone: for `sweep-determinism` the
+                    // index-addressed publish is the blessed pattern.
                     eval(target, env, dom, self_ty);
-                    dom.assign_index(target, &v);
                 }
                 Expr::Field { base, .. } => {
-                    eval(base, env, dom, self_ty);
+                    let bv = eval(base, env, dom, self_ty);
                     // `x.f = v` updates `x` itself through the domain.
                     if let Expr::Path { segs } = base.as_ref() {
                         if segs.len() == 1 {
@@ -845,12 +855,17 @@ fn eval<D: Domain>(e: &Expr, env: &mut Env<D::V>, dom: &mut D, self_ty: Option<&
                             }
                         }
                     }
-                    // Place-tracking domains see the dotted key too.
+                    // Place-tracking domains see the dotted key too. An
+                    // untracked place's old value is what reading it
+                    // gives: the field's declared type.
                     if dom.track_places() {
                         if let Some(pk) = place_key(target) {
                             drop_places(env, &pk);
-                            let old = env.get(&pk).cloned();
-                            let nv = dom.assign_value(*tok, old.as_ref(), v);
+                            let old = match env.get(&pk) {
+                                Some(o) => o.clone(),
+                                None => dom.transfer(target, &[bv], env),
+                            };
+                            let nv = dom.assign_value(*tok, Some(&old), v);
                             env.insert(pk, nv);
                         }
                     }
@@ -1068,60 +1083,6 @@ fn eval<D: Domain>(e: &Expr, env: &mut Env<D::V>, dom: &mut D, self_ty: Option<&
                 eval(v, env, dom, self_ty);
             }
             dom.bottom()
-        }
-    }
-}
-
-/// The pure type domain: computes [`AbsTy`] with no findings. Lint
-/// domains embed the same logic via [`abs_transfer`] and add checks.
-pub struct TypeDomain<'a> {
-    /// Type evaluation context.
-    pub cx: TyCx<'a>,
-}
-
-impl Domain for TypeDomain<'_> {
-    type V = AbsTy;
-
-    fn bottom(&self) -> AbsTy {
-        AbsTy::Unknown
-    }
-
-    fn join(&self, a: &AbsTy, b: &AbsTy) -> AbsTy {
-        abs_join(a, b)
-    }
-
-    fn param_value(&mut self, p: &Param, self_ty: Option<&str>) -> AbsTy {
-        if p.is_self {
-            self_ty.map(abs_from_name).unwrap_or(AbsTy::Unknown)
-        } else {
-            p.ty.as_ref().map(abs_from_typeref).unwrap_or(AbsTy::Unknown)
-        }
-    }
-
-    fn assign_field(&mut self, old: &AbsTy, _value: &AbsTy) -> AbsTy {
-        // Storing into `x.f` leaves `x`'s type alone.
-        old.clone()
-    }
-
-    fn transfer(&mut self, e: &Expr, children: &[AbsTy], _env: &Env<AbsTy>) -> AbsTy {
-        abs_transfer(e, children, &self.cx)
-    }
-
-    fn bind_split(&self, _v: &AbsTy) -> AbsTy {
-        AbsTy::Unknown // destructuring loses the element types
-    }
-
-    fn iter_elem(&self, v: &AbsTy) -> AbsTy {
-        match v {
-            AbsTy::Coll { elem, .. } => elem.as_ref().clone(),
-            _ => AbsTy::Unknown,
-        }
-    }
-
-    fn let_decl(&mut self, ty: &TypeRef, inferred: AbsTy) -> AbsTy {
-        match abs_from_typeref(ty) {
-            AbsTy::Unknown => inferred,
-            t => t,
         }
     }
 }
@@ -1573,7 +1534,7 @@ pub struct IterVal {
 /// interval (for integers) or a length interval (for collections).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RangeVal {
-    /// Abstract type (shared with the type domain).
+    /// Abstract type (the [`abs_transfer`] layer).
     pub ty: AbsTy,
     /// Value interval; for collections, the *length* interval.
     pub rng: Interval,
@@ -1850,7 +1811,7 @@ fn range_is_inclusive(toks: &[Tok], tok: usize) -> bool {
 /// `const NAME: Ty = <int literal>;` items, collected lexically so the
 /// range domain can fold module-level constants (`ARITY`, lint bounds)
 /// that the expression grammar never binds. Value + declared type head.
-pub fn collect_consts(toks: &[Tok]) -> BTreeMap<String, (i128, Option<String>)> {
+fn collect_consts(toks: &[Tok]) -> BTreeMap<String, (i128, Option<String>)> {
     use crate::lexer::TokKind;
     let mut out = BTreeMap::new();
     let mut i = 0;
@@ -1931,9 +1892,10 @@ fn assoc_const_interval(segs: &[PathSeg]) -> Option<Interval> {
 /// return intervals feed bottom-up call summaries. `ni-bounds` and
 /// `q16-range` wrap it and call the `*_proof` helpers.
 pub struct RangeDomain<'a> {
-    /// Type evaluation context (shared with [`TypeDomain`]).
+    /// Type evaluation context.
     pub cx: TyCx<'a>,
-    /// Module-level integer constants (from [`collect_consts`]).
+    /// Module-level integer constants of the file (name → value and
+    /// declared type).
     pub consts: BTreeMap<String, (i128, Option<String>)>,
     /// Length-symbol display names, indexed by `Bound::Len` symbol id.
     pub syms: Vec<String>,
@@ -1950,11 +1912,12 @@ pub struct RangeDomain<'a> {
 }
 
 impl<'a> RangeDomain<'a> {
-    /// New domain over one file's types, tokens and constants.
-    pub fn new(cx: TyCx<'a>, consts: BTreeMap<String, (i128, Option<String>)>) -> Self {
+    /// New domain over one file's types and tokens (its module-level
+    /// constants are collected from the tokens).
+    pub fn new(cx: TyCx<'a>) -> Self {
         RangeDomain {
+            consts: collect_consts(cx.toks),
             cx,
-            consts,
             syms: Vec::new(),
             sym_ids: BTreeMap::new(),
             gens: BTreeMap::new(),
@@ -2392,12 +2355,30 @@ impl RangeDomain<'_> {
                 v.rng = Interval::meet(v.rng, c);
             }
             None if pk.contains('.') => {
-                // First observation of a tracked field place.
-                let mut v = RangeVal::top();
-                v.rng = c;
-                env.insert(pk, v);
+                // First observation of a tracked field place: the guard
+                // narrows the field's declared type, whose width later
+                // arithmetic on the place wrap-gates against. (A
+                // collection's value is its length, which comparing the
+                // collection itself does not bound.)
+                let ty = self.place_ty(e, env);
+                if !matches!(ty, AbsTy::Coll { .. }) {
+                    let rng = Interval::meet(ty_full_range(&ty), c);
+                    env.insert(pk, RangeVal::of(ty, rng));
+                }
             }
             _ => {}
+        }
+    }
+
+    /// Type of a place expression: its tracked binding, else (for a
+    /// field) the declared field type resolved through its base.
+    fn place_ty(&self, e: &Expr, env: &Env<RangeVal>) -> AbsTy {
+        if let Some(v) = place_key(e).and_then(|pk| env.get(&pk)) {
+            return v.ty.clone();
+        }
+        match e {
+            Expr::Field { base, .. } => abs_transfer(e, &[self.place_ty(base, env)], &self.cx),
+            _ => AbsTy::Unknown,
         }
     }
 
@@ -2416,10 +2397,17 @@ impl RangeDomain<'_> {
             }
             Some(_) => {}
             None if pk.contains('.') => {
-                let mut v = RangeVal::top();
-                v.rng = c;
-                v.len_sym = Some(sym);
-                env.insert(pk, v);
+                let ty = self.place_ty(recv, env);
+                env.insert(
+                    pk,
+                    RangeVal {
+                        ty,
+                        rng: c,
+                        len_sym: Some(sym),
+                        iter: None,
+                        pair: None,
+                    },
+                );
             }
             None => {}
         }
@@ -2856,8 +2844,19 @@ impl Domain for RangeDomain<'_> {
     fn assign_value(&mut self, tok: usize, old: Option<&RangeVal>, new: RangeVal) -> RangeVal {
         let op = self.cx.toks.get(tok).map(|t| t.text.as_str()).unwrap_or("=");
         if op == "=" {
-            // Strong update.
-            return new;
+            // Strong update. A store never changes the place's type: an
+            // untyped value (an unresolved call) takes the old type.
+            return match old {
+                Some(o) if new.ty == AbsTy::Unknown && o.ty != AbsTy::Unknown => {
+                    let full = if matches!(o.ty, AbsTy::Coll { .. }) {
+                        NONNEG
+                    } else {
+                        ty_full_range(&o.ty)
+                    };
+                    RangeVal::of(o.ty.clone(), Interval::meet(new.rng, full))
+                }
+                _ => new,
+            };
         }
         let Some(old) = old else {
             // Compound op on an untracked place: value unknown.
@@ -3255,19 +3254,17 @@ mod tests {
     /// `src`, keyed by method name.
     fn recv_types(src: &str, structs: &StructTable) -> BTreeMap<String, AbsTy> {
         struct Recv(BTreeMap<String, AbsTy>);
-        impl Check<TypeDomain<'_>> for Recv {
-            fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
+        impl Check<RangeDomain<'_>> for Recv {
+            fn check(&mut self, _: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
                 if let Expr::MethodCall { method, .. } = e {
-                    self.0.insert(method.clone(), children[0].clone());
+                    self.0.insert(method.clone(), children[0].ty.clone());
                 }
             }
         }
         let toks = lexer::lex(src);
         let file = parser::parse(&toks);
         let mut probe = Checked {
-            inner: TypeDomain {
-                cx: TyCx { structs, toks: &toks },
-            },
+            inner: RangeDomain::new(TyCx { structs, toks: &toks }),
             hook: Recv(BTreeMap::new()),
         };
         for_each_fn(&file, &mut |f, self_ty| flow_fn(f, self_ty, &mut probe));
@@ -3287,11 +3284,18 @@ mod tests {
                 },
             )],
         );
-        let seen = recv_types(
+        // The second input first observes `self.buf` in a `len()` guard,
+        // which must keep the field's declared type.
+        for src in [
             "impl Ring { fn push(&mut self, ev: u32) { self.buf.push_back(ev); } }",
-            &structs,
-        );
-        assert!(matches!(seen.get("push_back"), Some(AbsTy::Coll { head, .. }) if head == "VecDeque"));
+            "impl Ring { fn push(&mut self, ev: u32) { if self.buf.len() >= self.cap { return; } self.buf.push_back(ev); } }",
+        ] {
+            let seen = recv_types(src, &structs);
+            assert!(
+                matches!(seen.get("push_back"), Some(AbsTy::Coll { head, .. }) if head == "VecDeque"),
+                "{src}: {seen:?}"
+            );
+        }
     }
 
     /// Regression: bumping a counter field (`self.pushed += 1`) must not
@@ -3434,15 +3438,11 @@ mod range_tests {
         let toks = lexer::lex(src);
         let file = parser::parse(&toks);
         let structs = StructTable::new();
-        let consts = collect_consts(&toks);
         let mut probe = Checked {
-            inner: RangeDomain::new(
-                TyCx {
-                    structs: &structs,
-                    toks: &toks,
-                },
-                consts,
-            ),
+            inner: RangeDomain::new(TyCx {
+                structs: &structs,
+                toks: &toks,
+            }),
             hook: Proofs(0, Vec::new()),
         };
         for_each_fn(&file, &mut |f, self_ty| flow_fn(f, self_ty, &mut probe));

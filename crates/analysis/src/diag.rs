@@ -1,4 +1,5 @@
-//! Findings and their rendering (rustc-style text, or JSON for tooling).
+//! Findings, their rustc-style text rendering, and the JSON string
+//! escaping the SARIF report ([`crate::sarif`]) uses.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -30,32 +31,6 @@ impl fmt::Display for Finding {
         }
         Ok(())
     }
-}
-
-/// Render findings as a JSON array (hand-rolled: this crate takes no
-/// dependencies, and the schema is four scalar fields).
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {");
-        out.push_str(&format!("\"lint\": \"{}\", ", escape(&f.lint)));
-        out.push_str(&format!("\"file\": \"{}\", ", escape(&f.file.display().to_string())));
-        out.push_str(&format!("\"line\": {}, ", f.line));
-        out.push_str(&format!("\"col\": {}, ", f.col));
-        out.push_str(&format!("\"message\": \"{}\"", escape(&f.message)));
-        if let Some(note) = &f.note {
-            out.push_str(&format!(", \"note\": \"{}\"", escape(note)));
-        }
-        out.push('}');
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
 }
 
 /// Escape a string for embedding in a JSON string literal.
@@ -100,12 +75,15 @@ mod tests {
     #[test]
     fn json_escapes_and_structures() {
         let mut f = sample();
-        f.message = "contains \"quotes\" and \\slash".into();
+        f.message = "contains \"quotes\" and \\slash\n\tand \u{1}".into();
         f.note = None;
-        let json = to_json(&[f]);
-        assert!(json.contains(r#"\"quotes\""#));
-        assert!(json.contains(r#""line": 35"#));
-        assert!(!json.contains("note"));
-        assert_eq!(to_json(&[]), "[]");
+        let sarif = crate::sarif::to_sarif(&[f.clone()]);
+        assert!(sarif.contains(r#"contains \"quotes\" and \\slash\n\tand \u0001""#));
+        assert!(sarif.contains(r#""startLine": 35"#));
+        let doc = crate::json::parse(&sarif).expect("escaped SARIF is valid JSON");
+        let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+        let result = &run.get("results").unwrap().as_arr().unwrap()[0];
+        let text = result.get("message").unwrap().get("text").unwrap().as_str();
+        assert_eq!(text, Some(f.message.as_str()), "no note, and the message round-trips");
     }
 }

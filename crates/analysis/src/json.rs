@@ -1,9 +1,8 @@
 //! A minimal recursive-descent JSON reader, for the tests that check the
-//! JSON and SARIF reports are well-formed (this crate takes no
-//! dependencies). Numbers are kept as their raw source text — nothing in
-//! either schema needs arithmetic, and the NI-resident coding rules this
-//! workspace enforces make us allergic to gratuitous floats even in host
-//! tooling.
+//! SARIF report is well-formed (this crate takes no dependencies).
+//! Numbers are kept as their raw source text — nothing in the schema
+//! needs arithmetic, and the NI-resident coding rules this workspace
+//! enforces make us allergic to gratuitous floats even in host tooling.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -255,23 +254,6 @@ mod tests {
         assert_eq!(arr[2], Value::Bool(true));
         assert_eq!(arr[3], Value::Null);
         assert_eq!(v.get("n"), Some(&Value::Num("-2.5e3".into())));
-    }
-
-    #[test]
-    fn round_trips_diag_to_json() {
-        use crate::Finding;
-        let f = Finding {
-            lint: "q16-overflow".into(),
-            file: std::path::PathBuf::from("crates/fixedpt/src/q16.rs"),
-            line: 7,
-            col: 3,
-            message: "has \"quotes\"".into(),
-            note: None,
-        };
-        let v = parse(&crate::to_json(&[f])).unwrap();
-        let obj = &v.as_arr().unwrap()[0];
-        assert_eq!(obj.get("lint").unwrap().as_str(), Some("q16-overflow"));
-        assert_eq!(obj.get("message").unwrap().as_str(), Some("has \"quotes\""));
     }
 
     #[test]

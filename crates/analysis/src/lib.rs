@@ -39,7 +39,7 @@
 //! per configured lint. Run from the workspace root:
 //!
 //! ```text
-//! cargo run -p nistream-analysis -- check [--format=json|sarif]
+//! cargo run -p nistream-analysis -- check [--format=sarif]
 //! cargo run -p nistream-analysis -- budget
 //! cargo run -p nistream-analysis -- bounds
 //! ```
@@ -65,7 +65,7 @@ pub mod sarif;
 pub mod scope;
 
 pub use config::Config;
-pub use diag::{to_json, Finding};
+pub use diag::Finding;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -130,6 +130,36 @@ fn lint_files(root: &Path, cfg: &config::LintConfig) -> Result<Vec<PathBuf>, Str
     Ok(files)
 }
 
+/// Read, lex, scope and parse each of `files` once, in order, and build
+/// the struct table over them (test-region structs excluded; the first
+/// definition of a name wins).
+fn load(root: &Path, files: &[PathBuf]) -> Result<(Vec<FileAnalysis>, dataflow::StructTable), String> {
+    let mut analyses = Vec::with_capacity(files.len());
+    for file in files {
+        let src = std::fs::read_to_string(file).map_err(|e| format!("reading {}: {e}", file.display()))?;
+        let toks = lexer::lex(&src);
+        let scopes = scope::analyze(&toks);
+        let ast = parser::parse(&toks);
+        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
+        analyses.push(FileAnalysis { rel, toks, scopes, ast });
+    }
+    let mut structs = dataflow::StructTable::new();
+    for fa in &analyses {
+        ast::for_each_struct(&fa.ast, &mut |s| {
+            if fa.scopes.in_test.get(s.span.start).copied().unwrap_or(false) {
+                return;
+            }
+            structs.entry(s.name.clone()).or_insert_with(|| {
+                s.fields
+                    .iter()
+                    .map(|(n, t)| (n.clone(), dataflow::abs_from_typeref(t)))
+                    .collect()
+            });
+        });
+    }
+    Ok((analyses, structs))
+}
+
 /// Check the repository at `root` against `cfg`. Findings are sorted by
 /// (file, line, col). `Err` is reserved for configuration/IO problems —
 /// rule violations are `Ok` findings.
@@ -166,22 +196,16 @@ pub fn check(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
     }
     all_files.sort();
     all_files.dedup();
+    let (analyses, structs) = load(root, &all_files)?;
+    let index: BTreeMap<&Path, usize> = all_files.iter().enumerate().map(|(i, f)| (f.as_path(), i)).collect();
 
+    // Malformed allow annotations are findings wherever they appear.
     let mut findings = Vec::new();
-    let mut analyses: Vec<FileAnalysis> = Vec::with_capacity(all_files.len());
-    let mut index: BTreeMap<&Path, usize> = BTreeMap::new();
-    for file in &all_files {
-        let src = std::fs::read_to_string(file).map_err(|e| format!("reading {}: {e}", file.display()))?;
-        let toks = lexer::lex(&src);
-        let scopes = scope::analyze(&toks);
-        let ast = parser::parse(&toks);
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-
-        // Malformed allow annotations are findings wherever they appear.
-        for (line, col, msg) in &scopes.bad_annotations {
+    for fa in &analyses {
+        for (line, col, msg) in &fa.scopes.bad_annotations {
             findings.push(Finding {
                 lint: "malformed-allow".into(),
-                file: rel.clone(),
+                file: fa.rel.clone(),
                 line: *line,
                 col: *col,
                 message: msg.clone(),
@@ -192,26 +216,6 @@ pub fn check(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
                 ),
             });
         }
-
-        index.insert(file.as_path(), analyses.len());
-        analyses.push(FileAnalysis { rel, toks, scopes, ast });
-    }
-
-    // Struct table over every parsed file (test-region structs excluded;
-    // first definition of a name wins).
-    let mut structs = dataflow::StructTable::new();
-    for fa in &analyses {
-        ast::for_each_struct(&fa.ast, &mut |s| {
-            if fa.scopes.in_test.get(s.span.start).copied().unwrap_or(false) {
-                return;
-            }
-            structs.entry(s.name.clone()).or_insert_with(|| {
-                s.fields
-                    .iter()
-                    .map(|(n, t)| (n.clone(), dataflow::abs_from_typeref(t)))
-                    .collect()
-            });
-        });
     }
 
     for (name, files) in &per_lint {
@@ -219,6 +223,7 @@ pub fn check(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
             || name == lints::NI_CYCLE_BUDGET
             || name == lints::NI_STACK_DEPTH
             || name == lints::NI_BOUNDS
+            || name == lints::Q16_RANGE
         {
             // Whole-set passes: reachability, cost summarization and
             // call summaries cross file boundaries.
@@ -229,6 +234,7 @@ pub fn check(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
                 lints::NI_BOUNDS => {
                     lints::ni_bounds(&set, &structs, &mut findings);
                 }
+                lints::Q16_RANGE => lints::q16_range(&set, &structs, &mut findings),
                 _ => lints::ni_stack_depth(&set, &structs, cfg.lint(name), &mut findings),
             }
             continue;
@@ -251,7 +257,6 @@ pub fn check(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
                 lints::SWEEP_DETERMINISM => {
                     lints::sweep_determinism(&fa.rel, &fa.toks, &fa.scopes, &fa.ast, &mut findings)
                 }
-                lints::Q16_RANGE => lints::q16_range(&fa.rel, &fa.toks, &fa.scopes, &fa.ast, &structs, &mut findings),
                 _ => unreachable!("validated above"),
             }
         }
@@ -280,30 +285,7 @@ pub fn budget_report(root: &Path, cfg: &Config) -> Result<(Vec<costmodel::RootRe
     let lint = cfg
         .lint(lints::NI_CYCLE_BUDGET)
         .ok_or_else(|| format!("analysis.toml has no [lint.{}] section", lints::NI_CYCLE_BUDGET))?;
-    let files = lint_files(root, lint)?;
-    let mut analyses: Vec<FileAnalysis> = Vec::with_capacity(files.len());
-    for file in &files {
-        let src = std::fs::read_to_string(file).map_err(|e| format!("reading {}: {e}", file.display()))?;
-        let toks = lexer::lex(&src);
-        let scopes = scope::analyze(&toks);
-        let ast = parser::parse(&toks);
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-        analyses.push(FileAnalysis { rel, toks, scopes, ast });
-    }
-    let mut structs = dataflow::StructTable::new();
-    for fa in &analyses {
-        ast::for_each_struct(&fa.ast, &mut |s| {
-            if fa.scopes.in_test.get(s.span.start).copied().unwrap_or(false) {
-                return;
-            }
-            structs.entry(s.name.clone()).or_insert_with(|| {
-                s.fields
-                    .iter()
-                    .map(|(n, t)| (n.clone(), dataflow::abs_from_typeref(t)))
-                    .collect()
-            });
-        });
-    }
+    let (analyses, structs) = load(root, &lint_files(root, lint)?)?;
     let set: Vec<&FileAnalysis> = analyses.iter().collect();
     let opts = costmodel::CostModel::from_config(Some(lint));
     let report = costmodel::analyze(&set, &structs, &opts, lints::NI_CYCLE_BUDGET);
@@ -318,30 +300,7 @@ pub fn bounds_report(root: &Path, cfg: &Config) -> Result<(Vec<lints::BoundsSite
     let lint = cfg
         .lint(lints::NI_BOUNDS)
         .ok_or_else(|| format!("analysis.toml has no [lint.{}] section", lints::NI_BOUNDS))?;
-    let files = lint_files(root, lint)?;
-    let mut analyses: Vec<FileAnalysis> = Vec::with_capacity(files.len());
-    for file in &files {
-        let src = std::fs::read_to_string(file).map_err(|e| format!("reading {}: {e}", file.display()))?;
-        let toks = lexer::lex(&src);
-        let scopes = scope::analyze(&toks);
-        let ast = parser::parse(&toks);
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-        analyses.push(FileAnalysis { rel, toks, scopes, ast });
-    }
-    let mut structs = dataflow::StructTable::new();
-    for fa in &analyses {
-        ast::for_each_struct(&fa.ast, &mut |s| {
-            if fa.scopes.in_test.get(s.span.start).copied().unwrap_or(false) {
-                return;
-            }
-            structs.entry(s.name.clone()).or_insert_with(|| {
-                s.fields
-                    .iter()
-                    .map(|(n, t)| (n.clone(), dataflow::abs_from_typeref(t)))
-                    .collect()
-            });
-        });
-    }
+    let (analyses, structs) = load(root, &lint_files(root, lint)?)?;
     let set: Vec<&FileAnalysis> = analyses.iter().collect();
     let mut findings = Vec::new();
     let sites = lints::ni_bounds(&set, &structs, &mut findings);

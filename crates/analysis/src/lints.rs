@@ -22,8 +22,8 @@
 use crate::ast::{self, for_each_expr_in_block, for_each_fn, BinOp, Expr, LitKind, Param};
 use crate::callgraph::CallGraph;
 use crate::dataflow::{
-    abs_from_typeref, bound_le, collect_consts, flow_fn, AbsTy, Bound, Check, Checked, Domain, Env, Interval, Prov,
-    RangeDomain, RangeVal, StructTable, TyCx, TypeDomain,
+    abs_from_typeref, bound_le, flow_fn, AbsTy, Bound, Check, Checked, Domain, Env, Interval, Prov, RangeDomain,
+    RangeVal, StructTable, TyCx,
 };
 use crate::diag::Finding;
 use crate::lexer::{Tok, TokKind};
@@ -366,13 +366,14 @@ impl Q16Check<'_, '_> {
     }
 }
 
-impl Check<TypeDomain<'_>> for Q16Check<'_, '_> {
-    fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
-        let first = children.first().cloned().unwrap_or(AbsTy::Unknown);
+impl Check<RangeDomain<'_>> for Q16Check<'_, '_> {
+    fn check(&mut self, _: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
+        let first = children.first().map_or(AbsTy::Unknown, |c| c.ty.clone());
+        let second = children.get(1).map(|c| &c.ty);
         match e {
             Expr::Binary {
                 op: BinOp::Mul, tok, ..
-            } if first == AbsTy::RawQ16 && children.get(1) == Some(&AbsTy::RawQ16) => {
+            } if first == AbsTy::RawQ16 && second == Some(&AbsTy::RawQ16) => {
                 self.emit(*tok, "Q16×Q16 raw multiply without i128 widening".to_string());
             }
             Expr::Binary {
@@ -398,7 +399,7 @@ impl Check<TypeDomain<'_>> for Q16Check<'_, '_> {
             }
             Expr::Binary {
                 op: BinOp::Div, tok, ..
-            } if first.prov() == Prov::FracNum && children.get(1).map(AbsTy::prov) == Some(Prov::FracDen) => {
+            } if first.prov() == Prov::FracNum && second.map(AbsTy::prov) == Some(Prov::FracDen) => {
                 self.emit(
                     *tok,
                     "`Frac::num()` / `Frac::den()` floor-division truncates the exact rational".to_string(),
@@ -431,9 +432,7 @@ pub fn q16_overflow(
     out: &mut Vec<Finding>,
 ) {
     let mut dom = Checked {
-        inner: TypeDomain {
-            cx: TyCx { structs, toks },
-        },
+        inner: RangeDomain::new(TyCx { structs, toks }),
         hook: Q16Check {
             toks,
             scopes,
@@ -449,16 +448,16 @@ pub fn q16_overflow(
 // ---------------------------------------------------------------------
 
 struct AllocCheck<'a, 'o> {
-    toks: &'a [Tok],
-    scopes: &'a Scopes,
-    file: &'a Path,
-    root: &'a str,
+    files: &'a [&'a FileAnalysis],
+    file: usize,
+    root: String,
     out: &'o mut Vec<Finding>,
 }
 
 impl AllocCheck<'_, '_> {
     fn emit(&mut self, tok: usize, message: String) {
-        if self.scopes.is_exempt(NI_NO_ALLOC, tok) {
+        let fa = self.files[self.file];
+        if fa.scopes.is_exempt(NI_NO_ALLOC, tok) {
             return;
         }
         let note = format!(
@@ -467,21 +466,14 @@ impl AllocCheck<'_, '_> {
              `// analysis: allow(ni-no-alloc) reason=\"…\"`",
             self.root
         );
-        if let Some(t) = self.toks.get(tok) {
-            self.out.push(Finding {
-                lint: NI_NO_ALLOC.to_string(),
-                file: self.file.to_path_buf(),
-                line: t.line,
-                col: t.col,
-                message,
-                note: Some(note),
-            });
+        if let Some(t) = fa.toks.get(tok) {
+            self.out.push(finding(NI_NO_ALLOC, &fa.rel, t, message, &note));
         }
     }
 }
 
-impl Check<TypeDomain<'_>> for AllocCheck<'_, '_> {
-    fn check(&mut self, _: &TypeDomain<'_>, e: &Expr, children: &[AbsTy]) {
+impl Check<RangeDomain<'_>> for AllocCheck<'_, '_> {
+    fn check(&mut self, _: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
         match e {
             Expr::MacroCall { name, tok, .. } if matches!(name.as_str(), "vec" | "format") => {
                 self.emit(*tok, format!("`{name}!` allocates in NI hot code"));
@@ -503,7 +495,7 @@ impl Check<TypeDomain<'_>> for AllocCheck<'_, '_> {
                 }
             }
             Expr::MethodCall { method, tok, .. } => {
-                let recv = children.first();
+                let recv = children.first().map(|c| &c.ty);
                 match method.as_str() {
                     "to_string" | "to_owned" | "to_vec" | "into_owned" | "collect" => {
                         self.emit(*tok, format!("`.{method}(…)` allocates in NI hot code"));
@@ -525,33 +517,56 @@ impl Check<TypeDomain<'_>> for AllocCheck<'_, '_> {
     }
 }
 
-/// Run `ni-no-alloc` over its whole file set at once: build the
-/// name-keyed call graph, walk reachability from every `// analysis: hot`
-/// root, and scan each reachable function with the allocation domain.
+/// Run `ni-no-alloc` over its whole file set at once: scan every
+/// function reachable from a `// analysis: hot` root with the allocation
+/// check.
 pub fn ni_no_alloc(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec<Finding>) {
+    let mut hook = AllocCheck {
+        files,
+        file: 0,
+        root: String::new(),
+        out,
+    };
+    flow_hot(files, structs, NI_NO_ALLOC, &BTreeMap::new(), &mut hook);
+}
+
+/// A [`Check`] told where the hot-path walk is before each function.
+trait HotCheck: for<'s> Check<RangeDomain<'s>> {
+    /// The next function lives in `files[file]` and is reached from hot
+    /// root `root`.
+    fn enter(&mut self, file: usize, root: &str);
+}
+
+impl HotCheck for AllocCheck<'_, '_> {
+    fn enter(&mut self, file: usize, root: &str) {
+        self.file = file;
+        self.root = root.to_string();
+    }
+}
+
+/// Build `lint`'s name-keyed call graph, walk reachability from every
+/// `// analysis: hot` root, and flow each reachable function with the
+/// interval domain (seeded with `summaries`) and `hook` riding along.
+fn flow_hot(
+    files: &[&FileAnalysis],
+    structs: &StructTable,
+    lint: &str,
+    summaries: &BTreeMap<String, Interval>,
+    hook: &mut impl HotCheck,
+) {
     let pairs: Vec<(&ast::File, &Scopes)> = files.iter().map(|fa| (&fa.ast, &fa.scopes)).collect();
-    let graph = CallGraph::build(&pairs, NI_NO_ALLOC);
+    let graph = CallGraph::build(&pairs, lint);
     let hot = graph.hot_reachable();
     for (i, node) in graph.nodes.iter().enumerate() {
         let Some(root) = hot.root_of(i) else { continue };
-        let fa = files[node.file];
-        let root = root.to_string();
-        let mut dom = Checked {
-            inner: TypeDomain {
-                cx: TyCx {
-                    structs,
-                    toks: &fa.toks,
-                },
-            },
-            hook: AllocCheck {
-                toks: &fa.toks,
-                scopes: &fa.scopes,
-                file: &fa.rel,
-                root: &root,
-                out,
-            },
-        };
-        flow_fn(node.item, node.self_ty, &mut dom);
+        hook.enter(node.file, root);
+        let mut inner = RangeDomain::new(TyCx {
+            structs,
+            toks: &files[node.file].toks,
+        });
+        inner.summaries = summaries.clone();
+        let hook = &mut *hook;
+        flow_fn(node.item, node.self_ty, &mut Checked { inner, hook });
     }
 }
 
@@ -757,6 +772,13 @@ impl RangeCheck<'_> {
     }
 }
 
+impl HotCheck for RangeCheck<'_> {
+    fn enter(&mut self, file: usize, root: &str) {
+        self.file_idx = file;
+        self.root = root.to_string();
+    }
+}
+
 impl Check<RangeDomain<'_>> for RangeCheck<'_> {
     fn check(&mut self, d: &RangeDomain<'_>, e: &Expr, children: &[RangeVal]) {
         match self.checks {
@@ -800,13 +822,10 @@ fn range_summaries(files: &[&FileAnalysis], structs: &StructTable) -> BTreeMap<S
     let mut summaries = BTreeMap::new();
     for _ in 0..2 {
         for fa in files {
-            let mut dom = RangeDomain::new(
-                TyCx {
-                    structs,
-                    toks: &fa.toks,
-                },
-                collect_consts(&fa.toks),
-            );
+            let mut dom = RangeDomain::new(TyCx {
+                structs,
+                toks: &fa.toks,
+            });
             dom.summaries = summaries.clone();
             for_each_fn(&fa.ast, &mut |f, self_ty| flow_fn(f, self_ty, &mut dom));
             summaries = dom.summaries;
@@ -859,32 +878,14 @@ fn drain_sites(
 /// report (proven and unproven sites) for the CLI `bounds` subcommand.
 pub fn ni_bounds(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec<Finding>) -> Vec<BoundsSite> {
     let summaries = range_summaries(files, structs);
-    let pairs: Vec<(&ast::File, &Scopes)> = files.iter().map(|fa| (&fa.ast, &fa.scopes)).collect();
-    let graph = CallGraph::build(&pairs, NI_BOUNDS);
-    let hot = graph.hot_reachable();
     let mut sites: BTreeMap<(usize, usize), Site> = BTreeMap::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        let Some(root) = hot.root_of(i) else { continue };
-        let fa = files[node.file];
-        let mut d = RangeDomain::new(
-            TyCx {
-                structs,
-                toks: &fa.toks,
-            },
-            collect_consts(&fa.toks),
-        );
-        d.summaries = summaries.clone();
-        let mut dom = Checked {
-            inner: d,
-            hook: RangeCheck {
-                file_idx: node.file,
-                root: root.to_string(),
-                checks: RangeChecks::Bounds,
-                sites: &mut sites,
-            },
-        };
-        flow_fn(node.item, node.self_ty, &mut dom);
-    }
+    let mut hook = RangeCheck {
+        file_idx: 0,
+        root: String::new(),
+        checks: RangeChecks::Bounds,
+        sites: &mut sites,
+    };
+    flow_hot(files, structs, NI_BOUNDS, &summaries, &mut hook);
     drain_sites(
         NI_BOUNDS,
         |s| {
@@ -902,48 +903,41 @@ pub fn ni_bounds(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec<F
     )
 }
 
-/// Run `q16-range` over one file: flow every function with the interval
-/// domain (intra-file call summaries included) and prove multiplies,
-/// left shifts and narrowing casts within their width.
-pub fn q16_range(
-    file: &Path,
-    toks: &[Tok],
-    scopes: &Scopes,
-    ast: &ast::File,
-    structs: &StructTable,
-    out: &mut Vec<Finding>,
-) {
-    let consts = collect_consts(toks);
-    let mut pre = RangeDomain::new(TyCx { structs, toks }, consts.clone());
-    for_each_fn(ast, &mut |f, self_ty| flow_fn(f, self_ty, &mut pre));
-    let mut d = RangeDomain::new(TyCx { structs, toks }, consts);
-    d.summaries = pre.summaries;
+/// Run `q16-range` over its whole file set: collect bottom-up call
+/// summaries, then flow every function with the interval domain and prove
+/// multiplies, left shifts and narrowing casts within their width.
+pub fn q16_range(files: &[&FileAnalysis], structs: &StructTable, out: &mut Vec<Finding>) {
+    let summaries = range_summaries(files, structs);
     let mut sites: BTreeMap<(usize, usize), Site> = BTreeMap::new();
-    let mut dom = Checked {
-        inner: d,
-        hook: RangeCheck {
-            file_idx: 0,
-            root: String::new(),
-            checks: RangeChecks::Q16,
-            sites: &mut sites,
-        },
-    };
-    for_each_fn(ast, &mut |f, self_ty| flow_fn(f, self_ty, &mut dom));
-    const NOTE: &str = "overflow wraps silently in release builds: bound the operands with a \
-                        guard the interval domain can see, widen the arithmetic, or annotate \
-                        `// analysis: allow(q16-range) reason=\"…\"` citing the magnitude contract";
-    for ((_, tok), site) in sites {
-        let Some(t) = toks.get(tok) else { continue };
-        if !site.ok && !scopes.is_exempt(Q16_RANGE, tok) {
-            out.push(finding(
-                Q16_RANGE,
-                file,
-                t,
-                format!("{}: {}", site.what, site.detail),
-                NOTE,
-            ));
-        }
+    for (file_idx, fa) in files.iter().enumerate() {
+        let mut inner = RangeDomain::new(TyCx {
+            structs,
+            toks: &fa.toks,
+        });
+        inner.summaries = summaries.clone();
+        let mut dom = Checked {
+            inner,
+            hook: RangeCheck {
+                file_idx,
+                root: String::new(),
+                checks: RangeChecks::Q16,
+                sites: &mut sites,
+            },
+        };
+        for_each_fn(&fa.ast, &mut |f, self_ty| flow_fn(f, self_ty, &mut dom));
     }
+    drain_sites(
+        Q16_RANGE,
+        |_| {
+            "overflow wraps silently in release builds: bound the operands with a \
+             guard the interval domain can see, widen the arithmetic, or annotate \
+             `// analysis: allow(q16-range) reason=\"…\"` citing the magnitude contract"
+                .to_string()
+        },
+        files,
+        sites,
+        out,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1035,13 +1029,11 @@ impl Domain for TaintDom<'_, '_> {
                 return false;
             }
         }
-        // Everything else propagates taint from any operand.
+        // Everything else propagates taint from any operand. `out[i] =
+        // value` is the blessed pattern (the slot index, not the arrival
+        // order, decides placement): the engine never re-taints `out`.
         children.iter().any(|t| *t)
     }
-
-    // `out[i] = value` is the blessed pattern: the slot index, not the
-    // arrival order, decides placement. No check, no re-taint.
-    fn assign_index(&mut self, _target: &Expr, _value: &bool) {}
 }
 
 /// Run `sweep-determinism` over one file: direct thread-identity /
@@ -1202,6 +1194,33 @@ mod tests {
         // With a SAFETY comment, only the allowlist finding remains.
         let hits = run(UNSAFE_HYGIENE, "// SAFETY: caller checked bounds\nunsafe { go() }");
         assert_eq!(hits.len(), 1, "{hits:?}");
+    }
+
+    #[test]
+    fn q16_range_summaries_span_its_file_set() {
+        // One summary pass over the whole `q16-range` file set: a
+        // helper's return interval proves a multiply in another file.
+        let fa = |rel: &str, src: &str| {
+            let toks = lex(src);
+            FileAnalysis {
+                rel: PathBuf::from(rel),
+                scopes: analyze(&toks),
+                ast: crate::parser::parse(&toks),
+                toks,
+            }
+        };
+        let helper = fa("helper.rs", "pub fn low_bits(x: u64) -> u64 { x & 0xffff }");
+        let user = fa(
+            "user.rs",
+            "pub fn area(a: u64, b: u64) -> u64 { let w: u64 = low_bits(a); let h: u64 = low_bits(b); w * h }",
+        );
+        let structs = StructTable::new();
+        let mut out = Vec::new();
+        q16_range(&[&user], &structs, &mut out);
+        assert_eq!(out.len(), 1, "without the helper the product is unbounded: {out:?}");
+        out.clear();
+        q16_range(&[&helper, &user], &structs, &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! CLI: `cargo run -p nistream-analysis -- check [--format=json|sarif]
+//! CLI: `cargo run -p nistream-analysis -- check [--format=text|sarif]
 //! [--root=DIR]`, plus `list-lints`, `budget` and `bounds`.
 //!
 //! Exit status: 0 when the tree is clean, 1 when any finding is reported
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nistream-analysis check [--format=text|json|sarif] [--root=DIR]\n\
+        "usage: nistream-analysis check [--format=text|sarif] [--root=DIR]\n\
          \x20      nistream-analysis list-lints [--root=DIR]\n\
          \x20      nistream-analysis budget [--root=DIR]\n\
          \x20      nistream-analysis bounds [--root=DIR]\n\
@@ -193,7 +193,6 @@ fn bounds(root: &std::path::Path) -> ExitCode {
 #[derive(PartialEq)]
 enum Format {
     Text,
-    Json,
     Sarif,
 }
 
@@ -235,7 +234,6 @@ fn main() -> ExitCode {
             ("--format", Some(v)) => {
                 format = match v.as_str() {
                     "text" => Format::Text,
-                    "json" => Format::Json,
                     "sarif" => Format::Sarif,
                     _ => return usage(),
                 }
@@ -261,7 +259,6 @@ fn main() -> ExitCode {
     };
 
     match format {
-        Format::Json => println!("{}", nistream_analysis::to_json(&findings)),
         Format::Sarif => print!("{}", sarif::to_sarif(&findings)),
         Format::Text => {
             for f in &findings {

@@ -79,6 +79,13 @@ const EXPECTED: &[(&str, &str, u32, u32, &str)] = &[
         "`.push_back(…)` may grow a `VecDeque` in NI hot code",
     ),
     (
+        "ni-no-alloc",
+        "alloc_violations.rs",
+        68,
+        18,
+        "`.push_back(…)` may grow a `VecDeque` in NI hot code",
+    ),
+    (
         "ni-bounds",
         "bounds_violations.rs",
         10,
@@ -119,6 +126,13 @@ const EXPECTED: &[(&str, &str, u32, u32, &str)] = &[
         28,
         6,
         "index not proven in range: index [0, 0] over length [0, +inf]",
+    ),
+    (
+        "ni-bounds",
+        "bounds_violations.rs",
+        50,
+        25,
+        "unsigned subtraction not proven wrap-free: [0, len(self.keys)] - [0, 18446744073709551615] may underflow",
     ),
     (
         "ni-cycle-budget",

@@ -288,13 +288,10 @@ fn abstract_result(src: &str) -> dataflow::Interval {
     let toks = lexer::lex(src);
     let file = parser::parse(&toks);
     let structs = dataflow::StructTable::new();
-    let mut dom = dataflow::RangeDomain::new(
-        dataflow::TyCx {
-            structs: &structs,
-            toks: &toks,
-        },
-        dataflow::collect_consts(&toks),
-    );
+    let mut dom = dataflow::RangeDomain::new(dataflow::TyCx {
+        structs: &structs,
+        toks: &toks,
+    });
     ast::for_each_fn(&file, &mut |f, self_ty| dataflow::flow_fn(f, self_ty, &mut dom));
     *dom.summaries.get("f").expect("no summary for generated fn")
 }

@@ -69,7 +69,7 @@ pub fn host_config(level: LoadLevel, run_secs: u64) -> HostLoadConfig {
     // §4.2.3: "The system is then loaded using the remote web clients …
     // and stream requests are made to the scheduler simultaneously" —
     // clients connect when the load window opens (15 s into the trace).
-    let mut plan = ClientPlan::two_streams(run_secs);
+    let mut plan = ClientPlan::two_streams();
     for c in &mut plan.clients {
         c.connect_at += SimDuration::from_secs(15);
     }
@@ -101,7 +101,7 @@ pub fn ni_config(run_secs: u64) -> NiLoadConfig {
     let mut cfg = NiLoadConfig {
         run: SimDuration::from_secs(run_secs),
         frames_per_stream: (run_secs * 30) as usize,
-        plan: ClientPlan::two_streams(run_secs),
+        plan: ClientPlan::two_streams(),
         ..NiLoadConfig::default()
     };
     let host_cfg = host_config(LoadLevel::Avg60, run_secs);

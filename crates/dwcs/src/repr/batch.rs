@@ -474,9 +474,11 @@ impl ScheduleRepr for BatchSoa {
     fn pop_min(&mut self) -> Option<(StreamId, HeadKey)> {
         let (sid, key) = self.peek_min()?;
         let slot: usize = sid.index();
-        // peek_min returned a present slot, so it is inside the columns.
+        // peek_min returned a present slot, so it is inside the columns
+        // and counted in `len`.
         debug_assert!(slot < self.tag.len());
         self.tag[slot] &= !QUEUED;
+        debug_assert!(1 <= self.len);
         self.len -= 1;
         debug_assert!(slot < self.deadline.len());
         self.deadline[slot] = u64::MAX;

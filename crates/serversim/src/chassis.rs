@@ -108,7 +108,7 @@ impl Default for ChassisConfig {
     fn default() -> ChassisConfig {
         ChassisConfig {
             cards: 1,
-            plan: ClientPlan::two_streams(100),
+            plan: ClientPlan::two_streams(),
             frames_per_stream: 3_000,
             run: SimDuration::from_secs(100),
             ni_cache: true,
@@ -1039,7 +1039,10 @@ pub struct SweepRow {
 
 /// A uniform Path-B plan: `n` identical 30 fps / 260 kb/s clients with
 /// connect times phase-spread across one period so arrivals don't align.
-pub fn uniform_plan(n: usize, run_for: SimDuration) -> ClientPlan {
+/// Every client plays until the run ends, so the plan does not depend on
+/// the run length `_run_for`; the parameter stays because the external
+/// `perfbench` harness calls this signature.
+pub fn uniform_plan(n: usize, _run_for: SimDuration) -> ClientPlan {
     let period: u64 = Cadence::NTSC.period_ns();
     let clients = (0..n)
         .map(|i| MpegClient {
@@ -1049,7 +1052,6 @@ pub fn uniform_plan(n: usize, run_for: SimDuration) -> ClientPlan {
             loss_num: 2,
             loss_den: 8,
             bitrate: 260_000,
-            play_for: SimTime::ZERO + run_for,
             vbr: None,
         })
         .collect();

@@ -63,7 +63,7 @@ impl Default for HostLoadConfig {
         HostLoadConfig {
             cpus: 2,
             web: LoadProfile::none(),
-            plan: ClientPlan::two_streams(100),
+            plan: ClientPlan::two_streams(),
             frames_per_stream: 3_000, // 30 fps × 100 s: the file outlasts the run
             run: SimDuration::from_secs(100),
             seed: 0x686f_7374, // "host"
@@ -668,7 +668,7 @@ mod tests {
         HostLoadConfig {
             run: SimDuration::from_secs(30),
             frames_per_stream: 900, // 30 fps × 30 s
-            plan: ClientPlan::two_streams(30),
+            plan: ClientPlan::two_streams(),
             ..HostLoadConfig::default()
         }
     }

@@ -136,7 +136,7 @@ pub struct NiLoadConfig {
 impl Default for NiLoadConfig {
     fn default() -> NiLoadConfig {
         NiLoadConfig {
-            plan: ClientPlan::two_streams(100),
+            plan: ClientPlan::two_streams(),
             frames_per_stream: 3_000,
             run: SimDuration::from_secs(100),
             host_web: LoadProfile::none(),
@@ -207,7 +207,7 @@ mod tests {
 
     fn quick() -> NiLoadConfig {
         NiLoadConfig {
-            plan: ClientPlan::two_streams(30),
+            plan: ClientPlan::two_streams(),
             frames_per_stream: 900,
             run: SimDuration::from_secs(30),
             ..NiLoadConfig::default()

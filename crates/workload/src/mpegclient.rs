@@ -2,9 +2,10 @@
 //!
 //! The figures' streaming workload: "Two MPEG clients shown as streams s1
 //! and s2 connect to the system" and play for the duration of the run.
-//! A [`ClientPlan`] describes when each client connects, the QoS it
-//! negotiates (frame period and loss-tolerance), and how long it plays —
-//! the experiment harness turns plans into `OpenStream`/producer schedules.
+//! A [`ClientPlan`] describes when each client connects and the QoS it
+//! negotiates (frame period and loss-tolerance); every client plays until
+//! the run ends. The experiment harness turns plans into
+//! `OpenStream`/producer schedules.
 
 use crate::vbr::VbrSpec;
 use dwcs::types::Time;
@@ -26,8 +27,6 @@ pub struct MpegClient {
     pub loss_den: u32,
     /// Stream bitrate (bits/s) the producer feeds at.
     pub bitrate: u64,
-    /// Playback duration.
-    pub play_for: SimTime,
     /// VBR shape of the stream's frames. `None` is constant-bitrate — the
     /// figure experiments' historical behavior, byte-for-byte.
     pub vbr: Option<VbrSpec>,
@@ -46,7 +45,7 @@ impl ClientPlan {
     /// Figures 7/9 is ~250–260 kb/s — low-rate MPEG-1 (quarter-size
     /// video); a frame period of 33.37 ms (30 fps) with a 2-of-8
     /// loss window matches the traces.
-    pub fn two_streams(run_secs: u64) -> ClientPlan {
+    pub fn two_streams() -> ClientPlan {
         let client = |name: &str, offset_ms: u64| MpegClient {
             name: name.to_string(),
             connect_at: SimTime::from_nanos(offset_ms * 1_000_000),
@@ -54,29 +53,11 @@ impl ClientPlan {
             loss_num: 2,
             loss_den: 8,
             bitrate: 260_000,
-            play_for: SimTime::from_nanos(run_secs * 1_000_000_000),
             vbr: None,
         };
         ClientPlan {
             clients: vec![client("s1", 0), client("s2", 40)],
         }
-    }
-
-    /// A synthetic many-client plan for scalability sweeps.
-    pub fn fan(n: u32, bitrate: u64, fps: u64, run_secs: u64) -> ClientPlan {
-        let clients = (0..n)
-            .map(|i| MpegClient {
-                name: format!("s{}", i + 1),
-                connect_at: SimTime::from_nanos(u64::from(i) * 10_000_000),
-                period: Cadence { fps: fps as u32 }.period_ns(),
-                loss_num: 2,
-                loss_den: 8,
-                bitrate,
-                play_for: SimTime::from_nanos(run_secs * 1_000_000_000),
-                vbr: None,
-            })
-            .collect();
-        ClientPlan { clients }
     }
 
     /// Mean frame size in bytes implied by a client's bitrate and period.
@@ -91,7 +72,7 @@ mod tests {
 
     #[test]
     fn two_streams_matches_figures() {
-        let p = ClientPlan::two_streams(100);
+        let p = ClientPlan::two_streams();
         assert_eq!(p.clients.len(), 2);
         assert_eq!(p.clients[0].name, "s1");
         assert_eq!(p.clients[1].name, "s2");
@@ -118,11 +99,13 @@ mod tests {
     fn mean_frame_bytes_matches_frame_bytes() {
         // The integer path used by NI-side generators agrees with the
         // float path of the figure harness for every plan we build.
-        for c in ClientPlan::two_streams(100)
-            .clients
-            .iter()
-            .chain(ClientPlan::fan(8, 1_500_000, 25, 10).clients.iter())
-        {
+        let pal = MpegClient {
+            name: "pal".to_string(),
+            period: Cadence::PAL.period_ns(), // 25 fps
+            bitrate: 1_500_000,
+            ..ClientPlan::two_streams().clients[0].clone()
+        };
+        for c in ClientPlan::two_streams().clients.iter().chain([pal].iter()) {
             assert_eq!(
                 crate::vbr::mean_frame_bytes(c.bitrate, c.period),
                 ClientPlan::frame_bytes(c),
@@ -130,13 +113,5 @@ mod tests {
                 c.name
             );
         }
-    }
-
-    #[test]
-    fn fan_spreads_connects() {
-        let p = ClientPlan::fan(8, 1_500_000, 25, 10);
-        assert_eq!(p.clients.len(), 8);
-        assert!(p.clients.windows(2).all(|w| w[0].connect_at < w[1].connect_at));
-        assert_eq!(p.clients[3].period, 40_000_000);
     }
 }

@@ -15,7 +15,7 @@ fn main() {
     let base = || HostLoadConfig {
         run: SimDuration::from_secs(run),
         frames_per_stream: (run * 30) as usize,
-        plan: ClientPlan::two_streams(run),
+        plan: ClientPlan::two_streams(),
         ..HostLoadConfig::default()
     };
 
@@ -46,7 +46,7 @@ fn main() {
         let mut cfg = NiLoadConfig {
             run: SimDuration::from_secs(run),
             frames_per_stream: (run * 30) as usize,
-            plan: ClientPlan::two_streams(run),
+            plan: ClientPlan::two_streams(),
             ..NiLoadConfig::default()
         };
         if target > 0.0 {

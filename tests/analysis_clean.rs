@@ -15,3 +15,23 @@ fn repository_satisfies_its_static_invariants() {
         findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
     );
 }
+
+/// The `ni-bounds` ledger (`nistream-analysis bounds`) is pinned: a change
+/// that silently drops hot-path obligations, or leaves one unproven,
+/// fails here rather than only in the CI report.
+#[test]
+fn ni_bounds_ledger_is_pinned() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("analysis.toml")).expect("analysis.toml is readable");
+    let cfg = nistream_analysis::Config::parse(&text).expect("analysis.toml is well-formed");
+    let (sites, findings) = nistream_analysis::bounds_report(root, &cfg).expect("the ni-bounds file set loads");
+    let proven = sites.iter().filter(|s| s.proven).count();
+    let waived = sites.iter().filter(|s| !s.proven && s.exempt).count();
+    let unproven = sites.len() - proven - waived;
+    assert_eq!(
+        (sites.len(), proven, waived, unproven),
+        (45, 41, 4, 0),
+        "ni-bounds ledger moved (obligations, proven, waived, unproven)"
+    );
+    assert!(findings.is_empty());
+}

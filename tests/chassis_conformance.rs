@@ -17,7 +17,7 @@ use simkit::SimDuration;
 fn chassis_quick(trace_capacity: usize) -> ChassisConfig {
     ChassisConfig {
         cards: 1,
-        plan: ClientPlan::two_streams(30),
+        plan: ClientPlan::two_streams(),
         frames_per_stream: 900,
         run: SimDuration::from_secs(30),
         ni_cache: true,

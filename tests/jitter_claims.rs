@@ -18,7 +18,7 @@ fn host_cfg(loaded: bool) -> HostLoadConfig {
     let mut cfg = HostLoadConfig {
         run: SimDuration::from_secs(30),
         frames_per_stream: 900,
-        plan: ClientPlan::two_streams(30),
+        plan: ClientPlan::two_streams(),
         ..HostLoadConfig::default()
     };
     if loaded {
@@ -63,7 +63,7 @@ fn ni_scheduler_jitter_is_load_independent_and_tiny() {
         let mut cfg = NiLoadConfig {
             run: SimDuration::from_secs(30),
             frames_per_stream: 900,
-            plan: ClientPlan::two_streams(30),
+            plan: ClientPlan::two_streams(),
             ..NiLoadConfig::default()
         };
         if loaded {

@@ -41,7 +41,7 @@ fn path_ordering_matches_table4() {
 #[test]
 fn ni_pipeline_is_deterministic_and_load_blind() {
     let cfg = || niload::NiLoadConfig {
-        plan: ClientPlan::two_streams(10),
+        plan: ClientPlan::two_streams(),
         frames_per_stream: 300,
         run: SimDuration::from_secs(10),
         ..niload::NiLoadConfig::default()

@@ -19,7 +19,7 @@ fn loaded_cfg(seed: u64) -> HostLoadConfig {
     let mut cfg = HostLoadConfig {
         run: SimDuration::from_secs(30),
         frames_per_stream: 900,
-        plan: ClientPlan::two_streams(30),
+        plan: ClientPlan::two_streams(),
         trace_capacity: 1 << 16,
         seed,
         ..HostLoadConfig::default()

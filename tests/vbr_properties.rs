@@ -111,7 +111,6 @@ proptest! {
             loss_num: 2,
             loss_den: 8,
             bitrate,
-            play_for: SimTime::ZERO,
             vbr: None,
         };
         prop_assert_eq!(mean_frame_bytes(bitrate, period), ClientPlan::frame_bytes(&client));
