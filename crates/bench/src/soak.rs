@@ -25,7 +25,7 @@ use dwcs::{FrameKind, SchedulerConfig, StreamId};
 use hwsim::i960::dwcs_work;
 use hwsim::{Ethernet, I960Core};
 use mpeg1::Cadence;
-use nistream_trace::{regressions, Aggregate, ChassisAggregate, Slo, SloMargin, SloObjective, TraceCapture, TraceRing};
+use nistream_trace::{regressions, Aggregate, ChassisAggregate, Slo, SloMargin, SloObjective};
 use serversim::chassis::{self, CardFailure, ChassisConfig, Sourcing};
 use serversim::hostload;
 use simkit::SimDuration;
@@ -165,15 +165,13 @@ pub struct SoakRow {
 // ---------------------------------------------------------------------------
 
 /// The NI cost-model binding used by the soak loop: i960 decision and
-/// dispatch pricing plus Ethernet wire occupancy, with a trace ring the
-/// probe tick drains. (The chassis cards, and with them the single-NI
+/// dispatch pricing plus Ethernet wire occupancy. (The chassis cards, and with them the single-NI
 /// experiment, run the richer `serversim::niload::NiWirePlatform`; this
 /// one holds only what the SLO fold needs.)
 struct SoakPlatform {
     now_ns: u64,
     core: I960Core,
     eth: Ethernet,
-    trace: Option<TraceRing>,
 }
 
 impl SoakPlatform {
@@ -182,12 +180,7 @@ impl SoakPlatform {
             now_ns: 0,
             core: I960Core::new().with_cache(true),
             eth: Ethernet::new(),
-            trace: Some(TraceRing::with_capacity(RING_CAP)),
         }
-    }
-
-    fn drain(&mut self) -> TraceCapture {
-        self.trace.as_mut().map(TraceCapture::from_ring).unwrap_or_default()
     }
 }
 
@@ -211,10 +204,6 @@ impl Platform for SoakPlatform {
     fn dispatch(&mut self, rec: &DispatchRecord) {
         self.now_ns += self.core.dispatch_time().as_nanos();
         self.now_ns += self.eth.send_occupancy(u64::from(rec.frame.desc.len)).as_nanos();
-    }
-
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        self.trace.as_mut()
     }
 }
 
@@ -315,6 +304,7 @@ fn run_ni(sc: NiScenario) -> (SoakRow, PickerStats) {
     // Closed streams' ids are reused, so every id stays below the live cap.
     let live_max = n.min(sc.live_cap);
     let mut ext = MediaSchedExt::with_platform(live_max.max(1), sched_cfg, SoakPlatform::new());
+    ext.enable_trace(RING_CAP);
 
     let mut slots: Vec<Slot> = sc
         .sessions
@@ -432,7 +422,7 @@ fn run_ni(sc: NiScenario) -> (SoakRow, PickerStats) {
                 clock = ext.platform().now_ns;
             }
             EV_PROBE => {
-                let cap = ext.platform_mut().drain();
+                let cap = ext.drain_trace();
                 assert_eq!(cap.overflow, 0, "{}: soak ring overflowed", sc.name);
                 agg.fold_all(&cap.events);
                 if let Some(ctrl) = abr.as_mut() {
@@ -455,7 +445,7 @@ fn run_ni(sc: NiScenario) -> (SoakRow, PickerStats) {
         }
     }
 
-    let cap = ext.platform_mut().drain();
+    let cap = ext.drain_trace();
     assert_eq!(cap.overflow, 0, "{}: soak ring overflowed at drain", sc.name);
     agg.fold_all(&cap.events);
 

@@ -25,7 +25,7 @@ use dwcs::ring::{Consumer, Producer, SpscRing};
 use dwcs::scheduler::Pacing;
 use dwcs::svc::{DispatchRecord, Platform, SchedService};
 use dwcs::{DualHeap, FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
-use nistream_trace::{TraceCapture, TraceRing};
+use nistream_trace::TraceCapture;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -211,28 +211,12 @@ pub struct EnginePlatform {
     clock: EngineClock,
     pool: FramePool,
     sink: Box<dyn FrameSink>,
-    trace: Option<TraceRing>,
 }
 
 impl EnginePlatform {
-    /// Bind a clock, payload pool and sink into a platform (untraced).
+    /// Bind a clock, payload pool and sink into a platform.
     pub fn new(clock: EngineClock, pool: FramePool, sink: Box<dyn FrameSink>) -> EnginePlatform {
-        EnginePlatform {
-            clock,
-            pool,
-            sink,
-            trace: None,
-        }
-    }
-
-    /// Install a trace ring of `capacity` events (0 removes tracing).
-    pub fn set_trace(&mut self, capacity: usize) {
-        self.trace = (capacity > 0).then(|| TraceRing::with_capacity(capacity));
-    }
-
-    /// Drain the trace ring (empty capture when tracing is off).
-    pub fn drain_trace(&mut self) -> TraceCapture {
-        self.trace.as_mut().map(TraceCapture::from_ring).unwrap_or_default()
+        EnginePlatform { clock, pool, sink }
     }
 }
 
@@ -255,10 +239,6 @@ impl Platform for EnginePlatform {
     fn reclaim(&mut self, desc: &FrameDesc) {
         self.pool.release(desc.addr as SlotId);
         self.sink.dropped(desc);
-    }
-
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        self.trace.as_mut()
     }
 }
 
@@ -442,7 +422,7 @@ fn handle_command(
             let _ = reply.send(all);
         }
         Command::DrainTrace(reply) => {
-            let _ = reply.send(svc.platform_mut().drain_trace());
+            let _ = reply.send(svc.drain_trace());
         }
         Command::Shutdown => return true,
     }
@@ -458,7 +438,7 @@ fn scheduler_loop(
     trace_capacity: usize,
 ) {
     let mut svc = host_sched_core(cfg, clock.clone(), pool.clone(), sink);
-    svc.platform_mut().set_trace(trace_capacity);
+    svc.set_trace(trace_capacity);
     let mut rings: Vec<(StreamId, Consumer<FrameDesc>)> = Vec::new();
 
     loop {
@@ -484,8 +464,8 @@ fn scheduler_loop(
         }
 
         // 3. One service pass: decide, reclaim drops, dispatch.
-        let out = svc.service_once();
-        if out.dispatched > 0 || out.decision.dropped > 0 {
+        let d = svc.service_once();
+        if d.frame.is_some() || d.dropped > 0 {
             continue; // stay hot while frames flow
         }
 
@@ -743,8 +723,8 @@ mod tests {
             svc.ingest_at(sid, desc, 0);
         }
         while svc.has_pending() {
-            let out = svc.service_once();
-            if out.dispatched == 0 && out.decision.dropped == 0 {
+            let d = svc.service_once();
+            if d.frame.is_none() && d.dropped == 0 {
                 let at = svc.next_eligible().expect("queued frames have a deadline");
                 assert!(at > clock.now_ns(), "an idle pass leaves nothing eligible");
                 clock.set_ns(at);
@@ -921,9 +901,9 @@ mod tests {
         // Far past the first deadline: seq 0 drops (slot reclaimed), the
         // re-anchored seq 1 dispatches on time.
         clock.set_ns(100 * MILLISECOND);
-        let out = svc.service_once();
-        assert_eq!(out.decision.dropped, 1);
-        assert_eq!(out.dispatched, 1);
+        let d = svc.service_once();
+        assert_eq!(d.dropped, 1);
+        assert!(d.frame.is_some());
         assert_eq!(drops.lock().len(), 1);
         let recs = records.lock();
         assert_eq!(recs.len(), 1);

@@ -18,10 +18,10 @@ use crate::extension::{ExtReply, ExtensionModule};
 use crate::instr::{StreamSpec, VcmInstruction};
 use dwcs::svc::{Platform, SchedService};
 use dwcs::{
-    BatchSummary, CardId, DualHeap, DwcsScheduler, FrameDesc, FrameKind, SchedDecision, SchedulerConfig, StreamId,
-    StreamQos, Time,
+    BatchSummary, DualHeap, DwcsScheduler, FrameDesc, FrameKind, SchedDecision, SchedulerConfig, StreamId, StreamQos,
+    Time,
 };
-use nistream_trace::{TraceCapture, TraceEvent, TraceRing};
+use nistream_trace::{TraceCapture, TraceEvent};
 use std::collections::VecDeque;
 
 pub use dwcs::svc::DispatchRecord;
@@ -49,7 +49,6 @@ pub struct NiOutbox {
     now: Time,
     outbox: VecDeque<DispatchRecord>,
     reclaimed: VecDeque<FrameDesc>,
-    trace: Option<TraceRing>,
 }
 
 impl Platform for NiOutbox {
@@ -70,10 +69,6 @@ impl Platform for NiOutbox {
             self.reclaimed.pop_front();
         }
         self.reclaimed.push_back(*desc);
-    }
-
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        self.trace.as_mut()
     }
 }
 
@@ -116,23 +111,6 @@ impl MediaSchedExt {
     pub fn drain_reclaimed(&mut self) -> Vec<FrameDesc> {
         self.svc.platform_mut().reclaimed.drain(..).collect()
     }
-
-    /// Attach an NI-resident trace ring of `capacity` events (0 removes
-    /// tracing). The service core then emits the canonical event stream
-    /// into it; drain with [`drain_trace`](MediaSchedExt::drain_trace).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.svc.platform_mut().trace = (capacity > 0).then(|| TraceRing::with_capacity(capacity));
-    }
-
-    /// Drain captured trace events (empty capture when tracing is off).
-    pub fn drain_trace(&mut self) -> TraceCapture {
-        self.svc
-            .platform_mut()
-            .trace
-            .as_mut()
-            .map(TraceCapture::from_ring)
-            .unwrap_or_default()
-    }
 }
 
 impl<P: Platform> MediaSchedExt<P> {
@@ -149,7 +127,7 @@ impl<P: Platform> MediaSchedExt<P> {
     /// the platform. Returns the raw decision for cost-model pricing.
     pub fn poll_decision(&mut self, now: Time) -> SchedDecision {
         self.svc.platform_mut().set_now(now);
-        self.svc.service_once().decision
+        self.svc.service_once()
     }
 
     /// Up to `budget` service passes in one call at NI time `now`
@@ -194,19 +172,20 @@ impl<P: Platform> MediaSchedExt<P> {
         self.svc.platform_mut()
     }
 
-    /// Stamp the chassis card identity of the underlying service core.
-    pub fn set_card(&mut self, card: CardId) {
-        self.svc.set_card(card);
+    /// Attach an NI-resident trace ring of `capacity` events (0 removes
+    /// tracing); drain with [`drain_trace`](MediaSchedExt::drain_trace).
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.svc.set_trace(capacity);
     }
 
-    /// The chassis card the underlying service core is placed on.
-    pub fn card(&self) -> CardId {
-        self.svc.card()
+    /// Drain captured trace events (empty capture when tracing is off).
+    pub fn drain_trace(&mut self) -> TraceCapture {
+        self.svc.drain_trace()
     }
 
     fn open(&mut self, spec: StreamSpec, now: Time) -> ExtReply {
         if spec.period == 0 || spec.loss_den == 0 || spec.loss_num > spec.loss_den {
-            if let Some(ring) = self.svc.platform_mut().tracer() {
+            if let Some(ring) = self.svc.tracer() {
                 ring.push(TraceEvent::Reject {
                     at: now,
                     reason: u32::from(status::BAD_QOS),

@@ -95,6 +95,6 @@ pub use key::HeadKey;
 pub use qos::{LossPolicy, MissOutcome, StreamQos, Window};
 pub use repr::{BTreeRepr, BatchSoa, CalendarQueue, DualHeap, LinearScan, ScheduleRepr, SortedList, Work};
 pub use ring::SpscRing;
-pub use scheduler::{BatchSink, BatchSummary, DeadlineAnchor, DwcsScheduler, SchedDecision, SchedulerConfig};
-pub use svc::{Congestion, DispatchRecord, Platform, SchedService, ServiceOutcome};
-pub use types::{CardId, FrameDesc, FrameKind, StreamId, Time};
+pub use scheduler::{DeadlineAnchor, DwcsScheduler, SchedDecision, SchedulerConfig};
+pub use svc::{BatchSummary, Congestion, DispatchRecord, Platform, SchedService};
+pub use types::{FrameDesc, FrameKind, StreamId, Time};

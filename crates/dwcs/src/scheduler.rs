@@ -20,14 +20,12 @@
 //! conserves memory. Also, packets do not suffer additional queuing delay
 //! and jitter in dispatch queues."
 //!
-//! There is one service pass, `DwcsScheduler::service_pass`: read the
-//! clock, decide, report to a [`BatchSink`], deliver at most one frame.
-//! Every placement runs it — one pass at a time through
-//! `SchedService::service_once`, or `budget` in a row through
-//! [`DwcsScheduler::schedule_batch`]. [`DwcsScheduler::schedule_next`] is
-//! the bare decide-and-account half for harnesses that price decisions
-//! themselves; it hands dropped frames to a callback
-//! ([`DwcsScheduler::schedule_next_with`]) and keeps none of them.
+//! This module is the decide-and-account half. The service pass that
+//! wraps it — read the clock, decide, reclaim drops, trace, deliver at
+//! most one frame — is [`SchedService::service_once`](crate::svc::SchedService::service_once),
+//! which every placement runs. [`DwcsScheduler::schedule_next`] serves
+//! harnesses that price decisions themselves; it hands dropped frames to a
+//! callback ([`DwcsScheduler::schedule_next_with`]) and keeps none of them.
 
 use crate::key::HeadKey;
 use crate::metrics::StreamStats;
@@ -133,51 +131,6 @@ pub struct SchedDecision {
     /// Late frames dropped while reaching this decision.
     pub dropped: u32,
     /// Data-structure work performed (for the co-processor cost model).
-    pub work: Work,
-}
-
-/// Observer driving `DwcsScheduler::service_pass`: supplies the clock
-/// and receives each pass's events in order (drops, then the decision,
-/// then dispatches, then end-of-pass). The pass is monomorphized over the
-/// sink, so a trivial sink (the benchmark drain) compiles down to the bare
-/// scheduling work.
-pub trait BatchSink {
-    /// Current time. Called once, at the start of every pass.
-    fn now(&mut self) -> Time;
-
-    /// A late frame dropped (within loss budget) during the pass that
-    /// started at `at`. Emitted in drop order, before the pass's decision
-    /// completes — reclaim-before-dispatch ordering (DESIGN.md §8) holds.
-    fn on_drop(&mut self, desc: FrameDesc, at: Time);
-
-    /// One completed decision pass, after drops and before any dispatch.
-    /// `backlog` counts frames still queued across active streams.
-    fn on_decision(&mut self, decision: &SchedDecision, backlog: u64, at: Time) {
-        let _ = (decision, backlog, at);
-    }
-
-    /// The pass's dispatched frame. `dropped_before` carries the pass's
-    /// drop count, mirroring `DispatchRecord`.
-    fn on_dispatch(&mut self, frame: DispatchedFrame, dropped_before: u32, at: Time);
-
-    /// End of one pass; `depth` is the remaining queued-frame count
-    /// (the `QueueDepth` trace hook).
-    fn end_pass(&mut self, depth: u64, at: Time) {
-        let _ = (depth, at);
-    }
-}
-
-/// What one [`DwcsScheduler::schedule_batch`] call did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchSummary {
-    /// Service passes executed (≤ the requested budget; the batch stops
-    /// early at the first pass that makes no progress).
-    pub passes: u32,
-    /// Frames handed to [`BatchSink::on_dispatch`].
-    pub dispatched: u32,
-    /// Late frames dropped across all passes.
-    pub dropped: u32,
-    /// Data-structure work summed across all passes.
     pub work: Work,
 }
 
@@ -497,44 +450,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             work.add(self.repr.take_work());
             return SchedDecision { frame, dropped, work };
         }
-    }
-
-    /// One service pass — the only one; every placement runs it. At the
-    /// sink's clock, read once, it makes one decision (drops go to
-    /// [`BatchSink::on_drop`] as they happen, so reclaim precedes dispatch,
-    /// DESIGN.md §8), reports it to [`BatchSink::on_decision`], delivers
-    /// its frame, if any, through [`BatchSink::on_dispatch`], and ends with
-    /// [`BatchSink::end_pass`].
-    pub(crate) fn service_pass<S: BatchSink>(&mut self, sink: &mut S) -> SchedDecision {
-        let now = sink.now();
-        let decision = self.schedule_next_with(now, |desc| sink.on_drop(desc, now));
-        sink.on_decision(&decision, self.total_backlog(), now);
-        if let Some(frame) = decision.frame {
-            sink.on_dispatch(frame, decision.dropped, now);
-        }
-        sink.end_pass(self.total_backlog(), now);
-        decision
-    }
-
-    /// Run up to `budget` service passes back to back. The batch stops
-    /// early at the first pass that makes no progress — nothing decided,
-    /// dropped, or dispatched. With a non-decreasing clock, every remaining
-    /// pass at the same instant would also be idle, so stopping is
-    /// equivalent to running the rest of the budget.
-    pub fn schedule_batch<S: BatchSink>(&mut self, budget: u32, sink: &mut S) -> BatchSummary {
-        let mut summary = BatchSummary::default();
-        // analysis: allow(ni-cycle-budget) reason="budget-bounded host-side batch sweep; NI placements keep the single-decision service path"
-        for _ in 0..budget {
-            let decision = self.service_pass(sink);
-            summary.passes += 1;
-            summary.dropped += decision.dropped;
-            summary.dispatched += u32::from(decision.frame.is_some());
-            summary.work.add(decision.work);
-            if decision.frame.is_none() && decision.dropped == 0 {
-                break;
-            }
-        }
-        summary
     }
 
     fn account_dispatch(&mut self, f: DispatchedFrame, now: Time) {

@@ -39,34 +39,6 @@ impl fmt::Display for StreamId {
     }
 }
 
-/// Index of one NI co-processor card in a multi-card chassis. The paper's
-/// Figure 1 node holds several I2O cards behind one PCI bus; a service
-/// core carries the identity of the card it runs on so placement layers
-/// can key streams and tag trace events per card. Single-card placements
-/// never set it and stay on the default card 0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct CardId(pub u16);
-
-impl CardId {
-    /// Dense array index.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for CardId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
-impl fmt::Display for CardId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
 /// MPEG-1 frame classes (the unit of scheduling in the paper is an MPEG-I
 /// frame) plus a generic class for non-video packets.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -154,13 +126,6 @@ mod tests {
     fn stream_id_is_dense() {
         assert_eq!(StreamId(7).index(), 7);
         assert_eq!(format!("{}", StreamId(3)), "s3");
-    }
-
-    #[test]
-    fn card_id_is_dense_and_defaults_to_zero() {
-        assert_eq!(CardId(5).index(), 5);
-        assert_eq!(format!("{}", CardId(2)), "c2");
-        assert_eq!(CardId::default(), CardId(0));
     }
 
     #[test]

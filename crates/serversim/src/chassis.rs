@@ -5,9 +5,10 @@
 //! stream sourcing is required, given the limited I/O slot real-estate."
 //! [`cluster`](crate::cluster) prices that balance analytically; this
 //! module *runs* it. A [`ChassisConfig`] instantiates N independent NI
-//! instances — each owning its own `dwcs::svc::SchedService` core (stamped
-//! with a [`CardId`]), i960 + Ethernet cost models, and `nistream-trace`
-//! ring — behind one host, all sharing a single arbitrated PCI bus
+//! instances — each owning its own `dwcs::svc::SchedService` core (with
+//! that core's `nistream-trace` ring, drained per card into a
+//! `TaggedCapture`) and i960 + Ethernet cost models — behind one host,
+//! all sharing a single arbitrated PCI bus
 //! (`simkit::Resource` for FIFO grants, `hwsim::PciBus` for cycle pricing)
 //! so cross-card Path-B DMA transfers genuinely contend.
 //!
@@ -44,7 +45,7 @@ use dvcm::instr::{StreamSpec, VcmInstruction};
 use dvcm::{ExtensionModule, MediaSchedExt};
 use dwcs::admission::DemandFold;
 use dwcs::scheduler::Pacing;
-use dwcs::{CardId, FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
+use dwcs::{FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
 use hwsim::PciBus;
 use i2o::message::HEADER_WORDS;
 use i2o::{I2oFunction, MessageFrame, PeerFrameXfer, PeerMigrate, Tid};
@@ -763,10 +764,10 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
 
     // --- Per-card NI stacks. ---
     let mut cards: Vec<Card> = (0..ncards)
-        .map(|c| {
-            let platform = NiWirePlatform::new(total, cfg.ni_cache, cfg.trace_capacity);
+        .map(|_| {
+            let platform = NiWirePlatform::new(total, cfg.ni_cache);
             let mut ext = MediaSchedExt::with_platform(total.max(1), sched_cfg.clone(), platform);
-            ext.set_card(CardId(c as u16));
+            ext.enable_trace(cfg.trace_capacity);
             Card {
                 ext,
                 dead: false,
@@ -962,7 +963,11 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
     let mut total_decisions = 0u64;
     let mut cards_out = Vec::with_capacity(ncards);
     for (c, card) in w.cards.iter_mut().enumerate() {
-        let p = card.ext.platform_mut();
+        let trace = TaggedCapture {
+            card: c as u32,
+            capture: card.ext.drain_trace(),
+        };
+        let p = card.ext.platform();
         total_decision += p.decision_total;
         total_decisions += p.decisions;
         let mean = if p.decisions == 0 {
@@ -971,10 +976,6 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
             p.decision_total.as_micros_f64() / p.decisions as f64
         };
         let decisions = p.decisions;
-        let trace = TaggedCapture {
-            card: c as u32,
-            capture: p.drain_trace(),
-        };
         cards_out.push(CardReport {
             card: c,
             dead: card.dead,

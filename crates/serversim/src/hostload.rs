@@ -24,7 +24,7 @@ use dwcs::svc::{DispatchRecord, Platform, SchedService};
 use dwcs::{DualHeap, FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
 use hwsim::HostCpu;
 use mpeg1::GopPattern;
-use nistream_trace::{TraceCapture, TraceRing};
+use nistream_trace::TraceCapture;
 use simkit::{Engine, Pcg32, SimDuration, SimTime, Trace, UtilizationSampler};
 use std::collections::VecDeque;
 use workload::apache::ApachePool;
@@ -160,13 +160,11 @@ pub struct HostSendPlatform {
     frames_sent: Vec<u64>,
     bw: Vec<RateWindow>,
     qdelay: Vec<Vec<(u64, f64)>>,
-    trace: Option<TraceRing>,
 }
 
 impl HostSendPlatform {
-    /// A platform serving `nstreams` streams, with a trace ring of
-    /// `trace_capacity` events (0 disables tracing).
-    pub fn new(nstreams: usize, trace_capacity: usize) -> HostSendPlatform {
+    /// A platform serving `nstreams` streams.
+    pub fn new(nstreams: usize) -> HostSendPlatform {
         HostSendPlatform {
             now_ns: 0,
             send_model: HostCpu::new(),
@@ -175,13 +173,7 @@ impl HostSendPlatform {
                 .map(|_| RateWindow::new(SimDuration::from_secs(1)))
                 .collect(),
             qdelay: vec![Vec::new(); nstreams],
-            trace: (trace_capacity > 0).then(|| TraceRing::with_capacity(trace_capacity)),
         }
-    }
-
-    /// Drain the trace ring (empty capture when tracing is off).
-    pub fn drain_trace(&mut self) -> TraceCapture {
-        self.trace.as_mut().map(TraceCapture::from_ring).unwrap_or_default()
     }
 }
 
@@ -204,10 +196,6 @@ impl Platform for HostSendPlatform {
         let delay_ms = self.now_ns.saturating_sub(rec.frame.desc.enqueued_at) as f64 / 1e6;
         let n = self.frames_sent[si];
         self.qdelay[si].push((n, delay_ms));
-    }
-
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        self.trace.as_mut()
     }
 }
 
@@ -390,8 +378,7 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
                         used += decision_cost;
                         let decide_at = now + used;
                         w.svc.platform_mut().now_ns = decide_at.as_nanos();
-                        let out = w.svc.service_once();
-                        if out.dispatched > 0 {
+                        if w.svc.service_once().frame.is_some() {
                             used = SimDuration::from_nanos(w.svc.platform_mut().now_ns.saturating_sub(now.as_nanos()));
                         }
                         if used >= QUANTUM {
@@ -539,8 +526,9 @@ pub fn run(cfg: HostLoadConfig) -> HostLoadResult {
         late_grace: grace,
         ..SchedulerConfig::default()
     };
-    let platform = HostSendPlatform::new(nstreams, cfg.trace_capacity);
+    let platform = HostSendPlatform::new(nstreams);
     let mut svc = SchedService::new(DualHeap::new(nstreams.max(1)), sched_cfg, platform);
+    svc.set_trace(cfg.trace_capacity);
     let mut sids = Vec::new();
     let mut frame_bytes = Vec::new();
     let mut vbr_gens = Vec::new();
@@ -642,7 +630,7 @@ pub fn run(cfg: HostLoadConfig) -> HostLoadResult {
         streams,
         web_completed: w.pool.completed,
         max_dwcs_wait_ms: w.max_dwcs_wait.as_millis_f64(),
-        trace: w.svc.platform_mut().drain_trace(),
+        trace: w.svc.drain_trace(),
     }
 }
 

@@ -24,7 +24,7 @@ use dwcs::scheduler::SchedDecision;
 use dwcs::svc::{DispatchRecord, Platform};
 use hwsim::i960::dwcs_work;
 use hwsim::{Ethernet, I960Core};
-use nistream_trace::{TraceCapture, TraceRing};
+use nistream_trace::TraceCapture;
 use simkit::{SimDuration, SimTime};
 use workload::mpegclient::ClientPlan;
 use workload::profile::LoadProfile;
@@ -47,14 +47,12 @@ pub struct NiWirePlatform {
     pub(crate) qdelay: Vec<Vec<(u64, f64)>>,
     pub(crate) decision_total: SimDuration,
     pub(crate) decisions: u64,
-    pub(crate) trace: Option<TraceRing>,
 }
 
 impl NiWirePlatform {
     /// A platform serving `nstreams` streams, with the cache policy of the
-    /// modelled i960 and a trace ring of `trace_capacity` events (0
-    /// disables tracing).
-    pub fn new(nstreams: usize, ni_cache: bool, trace_capacity: usize) -> NiWirePlatform {
+    /// modelled i960.
+    pub fn new(nstreams: usize, ni_cache: bool) -> NiWirePlatform {
         let n = nstreams.max(1);
         NiWirePlatform {
             now_ns: 0,
@@ -65,13 +63,7 @@ impl NiWirePlatform {
             qdelay: vec![Vec::new(); n],
             decision_total: SimDuration::ZERO,
             decisions: 0,
-            trace: (trace_capacity > 0).then(|| TraceRing::with_capacity(trace_capacity)),
         }
-    }
-
-    /// Drain the trace ring (empty capture when tracing is off).
-    pub fn drain_trace(&mut self) -> TraceCapture {
-        self.trace.as_mut().map(TraceCapture::from_ring).unwrap_or_default()
     }
 }
 
@@ -104,10 +96,6 @@ impl Platform for NiWirePlatform {
         self.bw[si].record(SimTime::from_nanos(self.now_ns), len);
         let delay_ms = self.now_ns.saturating_sub(rec.frame.desc.enqueued_at) as f64 / 1e6;
         self.qdelay[si].push((self.sent[si], delay_ms));
-    }
-
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        self.trace.as_mut()
     }
 }
 

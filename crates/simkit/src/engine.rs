@@ -68,12 +68,6 @@ struct ArenaSlot<W> {
     state: SlotState<W>,
 }
 
-/// Observer invoked as each event fires: `(time, sequence)`. The sequence
-/// number is the one [`Engine::schedule_at`] assigned, so a hook sees the
-/// exact deterministic firing order and can feed an external tracer
-/// without touching the world.
-pub type FireHook = Box<dyn FnMut(SimTime, u64)>;
-
 /// The discrete-event engine for worlds of type `W`.
 pub struct Engine<W> {
     now: SimTime,
@@ -85,7 +79,6 @@ pub struct Engine<W> {
     seq: u64,
     fired: u64,
     pending: usize,
-    hook: Option<FireHook>,
 }
 
 impl<W> Default for Engine<W> {
@@ -105,20 +98,7 @@ impl<W> Engine<W> {
             seq: 0,
             fired: 0,
             pending: 0,
-            hook: None,
         }
-    }
-
-    /// Install an observer called as each event fires, after the clock has
-    /// advanced to the event's time but before the event itself runs.
-    /// Replaces any previous hook.
-    pub fn set_fire_hook(&mut self, hook: impl FnMut(SimTime, u64) + 'static) {
-        self.hook = Some(Box::new(hook));
-    }
-
-    /// Remove the fire observer, returning it if one was installed.
-    pub fn clear_fire_hook(&mut self) -> Option<FireHook> {
-        self.hook.take()
     }
 
     /// Current simulated time.
@@ -216,9 +196,6 @@ impl<W> Engine<W> {
                     self.now = at;
                     self.fired += 1;
                     self.pending -= 1;
-                    if let Some(hook) = self.hook.as_mut() {
-                        hook(at, entry.seq);
-                    }
                     f(world, self);
                     return true;
                 }
@@ -444,40 +421,6 @@ mod tests {
         eng.schedule_at(at(7), |_: &mut World, _| {});
         eng.cancel(id);
         assert_eq!(eng.peek_time(), Some(at(7)));
-    }
-
-    #[test]
-    fn fire_hook_observes_time_and_sequence_before_each_event() {
-        let mut eng: Engine<World> = Engine::new();
-        let mut w = World::default();
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let log = seen.clone();
-        eng.set_fire_hook(move |t, seq| log.borrow_mut().push((t.as_nanos(), seq)));
-        let cancelled = eng.schedule_at(at(5), |_: &mut World, _| {});
-        eng.schedule_at(at(10), |w: &mut World, _| w.log.push((10, "a")));
-        eng.schedule_at(at(10), |w: &mut World, _| w.log.push((10, "b")));
-        eng.cancel(cancelled);
-        eng.run(&mut w);
-        // Cancelled events never reach the hook; survivors report the
-        // sequence numbers schedule_at assigned, in firing order.
-        assert_eq!(*seen.borrow(), vec![(10, 1), (10, 2)]);
-        assert_eq!(w.log, vec![(10, "a"), (10, "b")]);
-    }
-
-    #[test]
-    fn clear_fire_hook_stops_observation() {
-        let mut eng: Engine<World> = Engine::new();
-        let mut w = World::default();
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let log = seen.clone();
-        eng.set_fire_hook(move |t, _| log.borrow_mut().push(t.as_nanos()));
-        eng.schedule_at(at(1), |_: &mut World, _| {});
-        eng.step(&mut w);
-        assert!(eng.clear_fire_hook().is_some());
-        assert!(eng.clear_fire_hook().is_none(), "already removed");
-        eng.schedule_at(at(2), |_: &mut World, _| {});
-        eng.step(&mut w);
-        assert_eq!(*seen.borrow(), vec![1], "nothing observed after clear");
     }
 
     #[test]

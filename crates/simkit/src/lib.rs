@@ -41,7 +41,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use engine::{Engine, EventFn, EventId, FireHook};
+pub use engine::{Engine, EventFn, EventId};
 pub use reference::{HeapEngine, HeapEventFn, HeapEventId};
 pub use resource::Resource;
 pub use rng::Pcg32;

@@ -53,8 +53,8 @@ impl<W> Ord for Entry<W> {
 
 /// The heap-based discrete-event engine for worlds of type `W`.
 ///
-/// API-compatible with [`Engine`](crate::Engine) minus the fire hook
-/// (the differential test observes firings through the world instead).
+/// API-compatible with [`Engine`](crate::Engine); the differential test
+/// observes firings through the world.
 pub struct HeapEngine<W> {
     now: SimTime,
     heap: BinaryHeap<Entry<W>>,

@@ -20,9 +20,9 @@
 //!   with `assert_eq!` on the raw bytes.
 //!
 //! The event stream is emitted centrally by `dwcs::svc::SchedService`
-//! through the `Platform::tracer` hook, so every placement — host
-//! engine, DVCM extension, both simulators — produces the *same* events
-//! for the same schedule.
+//! into the one ring it owns, so every placement — host engine, DVCM
+//! extension, both simulators — produces the *same* events for the same
+//! schedule.
 
 pub mod aggregate;
 pub mod chassis;

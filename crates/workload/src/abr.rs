@@ -135,7 +135,6 @@ mod tests {
             backlog: 10,
             drops: 3,
             late: 0,
-            passes: 1,
         }
     }
 
@@ -144,7 +143,6 @@ mod tests {
             backlog: 0,
             drops: 0,
             late: 0,
-            passes: 1,
         }
     }
 
@@ -198,7 +196,6 @@ mod tests {
             backlog: 65,
             drops: 0,
             late: 0,
-            passes: 1,
         };
         assert_eq!(c.on_probe(&probe), Some(130_000));
     }

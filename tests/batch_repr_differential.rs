@@ -19,7 +19,6 @@ use nistream::dwcs::scheduler::SchedulerConfig;
 use nistream::dwcs::svc::{DispatchRecord, Platform, SchedService};
 use nistream::dwcs::types::{FrameDesc, FrameKind, StreamId, Time, MILLISECOND};
 use nistream::dwcs::HeadKey;
-use nistream::trace::TraceRing;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -102,9 +101,6 @@ impl Platform for Recorder {
     fn reclaim(&mut self, desc: &FrameDesc) {
         let now = self.now;
         self.events.push((1, desc.stream.0, desc.seq, now));
-    }
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        None
     }
 }
 

@@ -20,6 +20,9 @@
 //! 3. **Calibration** — the constants the analyzer mirrors from
 //!    `hwsim::calib` actually match, by name, so the two models cannot
 //!    silently drift apart.
+//!
+//! A fourth test ratchets the static worst case of the two service-pass
+//! roots: it may stay or fall, never rise.
 
 use nistream::dwcs::types::MILLISECOND;
 use nistream::dwcs::{DwcsScheduler, FrameDesc, FrameKind, LinearScan, StreamQos};
@@ -30,13 +33,18 @@ use nistream_analysis::{costmodel, Config};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Static worst-case report for `SchedService::service_once`, straight
-/// from the repo's own `analysis.toml`.
-fn static_report() -> (costmodel::RootReport, costmodel::CostModel) {
+/// Static worst-case reports for every hot root, straight from the repo's
+/// own `analysis.toml`.
+fn budget_report() -> (Vec<costmodel::RootReport>, costmodel::CostModel) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(root.join("analysis.toml")).expect("analysis.toml");
     let cfg = Config::parse(&text).expect("analysis.toml parses");
-    let (roots, model) = nistream_analysis::budget_report(root, &cfg).expect("budget report");
+    nistream_analysis::budget_report(root, &cfg).expect("budget report")
+}
+
+/// Static worst-case report for `SchedService::service_once`.
+fn static_report() -> (costmodel::RootReport, costmodel::CostModel) {
+    let (roots, model) = budget_report();
     let svc = roots
         .into_iter()
         .find(|r| r.root == "SchedService::service_once")
@@ -135,4 +143,28 @@ fn analyzer_mirror_constants_match_hwsim_calibration() {
     assert_eq!(costmodel::SOFT_FP_RATIO_CYCLES, lookup("SOFT_FP_RATIO_CYCLES"));
     assert_eq!(costmodel::TOUCH_HIT_CYCLES, lookup("TOUCH_HIT_CYCLES"));
     assert_eq!(costmodel::TOUCH_MISS_CYCLES, lookup("TOUCH_MISS_CYCLES"));
+}
+
+/// The static worst case of each service-pass root may only stay or fall.
+/// The ceilings are the analyzer's values for the current code; a change
+/// that tightens the bound lowers them here.
+#[test]
+fn service_pass_static_budget_does_not_grow() {
+    let (roots, _) = budget_report();
+    for (name, ceiling) in [
+        ("SchedService::service_once", 1_380_342),
+        ("SchedService::service_batch", 1_380_998),
+    ] {
+        let report = roots
+            .iter()
+            .find(|r| r.root == name)
+            .unwrap_or_else(|| panic!("{name} is a hot root"));
+        let Bound::Int(hi) = report.cycles.hi else {
+            panic!("{name} must have a static bound: {:?}", report.cycles)
+        };
+        assert!(
+            hi <= ceiling,
+            "{name}: static worst case {hi} cycles rose above {ceiling}"
+        );
+    }
 }

@@ -14,11 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nistream::dwcs::qos::StreamQos;
-use nistream::dwcs::repr::{BatchSoa, LinearScan};
+use nistream::dwcs::repr::{BatchSoa, LinearScan, ScheduleRepr};
 use nistream::dwcs::scheduler::{DwcsScheduler, SchedulerConfig};
 use nistream::dwcs::svc::{DispatchRecord, Platform, SchedService};
 use nistream::dwcs::types::{FrameDesc, FrameKind, StreamId, Time, MILLISECOND};
-use nistream::trace::TraceRing;
 
 thread_local! {
     static GATE: Cell<bool> = const { Cell::new(false) };
@@ -68,10 +67,10 @@ fn gate_off() -> u64 {
     GATED_ALLOCS.with(Cell::get)
 }
 
-/// Minimal placement: settable clock, counting sink, NI trace ring.
+/// Minimal placement: settable clock, counting sink.
+#[derive(Default)]
 struct NullPlatform {
     now: Time,
-    ring: TraceRing,
     dispatched: u64,
     reclaimed: u64,
 }
@@ -89,9 +88,19 @@ impl Platform for NullPlatform {
     fn reclaim(&mut self, _desc: &FrameDesc) {
         self.reclaimed += 1;
     }
-    fn tracer(&mut self) -> Option<&mut TraceRing> {
-        Some(&mut self.ring)
-    }
+}
+
+/// A service core over `repr` with a 64-event trace ring, so the gate
+/// covers the trace path too.
+fn traced_svc<R: ScheduleRepr>(repr: R) -> SchedService<R, NullPlatform> {
+    let mut svc = SchedService::new(repr, SchedulerConfig::default(), NullPlatform::default());
+    svc.set_trace(64);
+    svc
+}
+
+/// Events the core's ring has evicted so far.
+fn ring_overflow<R: ScheduleRepr>(svc: &mut SchedService<R, NullPlatform>) -> u64 {
+    svc.tracer().map_or(0, |ring| ring.overflow())
 }
 
 const PERIOD: Time = 10 * MILLISECOND;
@@ -124,13 +133,7 @@ fn drop_burst(svc: &mut SchedService<LinearScan, NullPlatform>, sid: StreamId, s
 
 #[test]
 fn steady_state_service_pass_allocates_nothing() {
-    let platform = NullPlatform {
-        now: 0,
-        ring: TraceRing::with_capacity(64),
-        dispatched: 0,
-        reclaimed: 0,
-    };
-    let mut svc = SchedService::new(LinearScan::new(8), SchedulerConfig::default(), platform);
+    let mut svc = traced_svc(LinearScan::new(8));
     // Loss tolerance 1/2: late heads drop within budget.
     let sid = svc.open(StreamQos::new(PERIOD, 1, 2));
 
@@ -146,7 +149,7 @@ fn steady_state_service_pass_allocates_nothing() {
     }
     t = drop_burst(&mut svc, sid, seq, 8, t);
     seq += 8;
-    assert!(svc.platform().ring.overflow() > 0, "warm-up should overflow the ring");
+    assert!(ring_overflow(&mut svc) > 0, "warm-up should overflow the ring");
     let warm_reclaimed = svc.platform().reclaimed;
     assert!(warm_reclaimed > 0, "warm-up should exercise the drop path");
 
@@ -181,13 +184,7 @@ fn steady_state_service_pass_allocates_nothing() {
 /// drop/reclaim path is covered on the batch path.
 #[test]
 fn batch_service_pass_allocates_nothing() {
-    let platform = NullPlatform {
-        now: 0,
-        ring: TraceRing::with_capacity(64),
-        dispatched: 0,
-        reclaimed: 0,
-    };
-    let mut svc = SchedService::new(BatchSoa::new(8), SchedulerConfig::default(), platform);
+    let mut svc = traced_svc(BatchSoa::new(8));
     let sids: Vec<StreamId> = (0..3).map(|_| svc.open(StreamQos::new(PERIOD, 1, 2))).collect();
 
     // Warm-up: per-stream queues, trace-ring overflow, and the pyramid's
@@ -214,7 +211,7 @@ fn batch_service_pass_allocates_nothing() {
     while svc.has_pending() {
         let _ = svc.service_batch(16);
     }
-    assert!(svc.platform().ring.overflow() > 0, "warm-up should overflow the ring");
+    assert!(ring_overflow(&mut svc) > 0, "warm-up should overflow the ring");
     let warm_reclaimed = svc.platform().reclaimed;
     assert!(warm_reclaimed > 0, "warm-up should exercise the drop path");
 

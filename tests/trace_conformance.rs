@@ -32,10 +32,11 @@ fn canon(cap: &TraceCapture) -> String {
     format!("overflow={}\n{}", cap.overflow, to_lines(&cap.events))
 }
 
-/// Drive the shared script through a raw `SchedService` bound to any
-/// platform; returns the drained capture.
-fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P, drain: impl FnOnce(&mut P) -> TraceCapture) -> TraceCapture {
+/// Drive the shared script through a raw, traced `SchedService` bound to
+/// any platform; returns the drained capture.
+fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P) -> TraceCapture {
     let mut svc = SchedService::new(DualHeap::new(16), cfg, platform);
+    svc.set_trace(CAP);
     let streams = script();
     let sids: Vec<_> = streams
         .iter()
@@ -74,7 +75,7 @@ fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P, drain: impl FnOnce(&m
             || svc.borrow().has_pending(),
         );
     }
-    drain(svc.platform_mut())
+    svc.drain_trace()
 }
 
 /// The host engine's service core (virtual clock, real frame pool).
@@ -83,7 +84,7 @@ fn trace_host_engine(cfg: SchedulerConfig) -> TraceCapture {
     let clock = EngineClock::virtual_clock();
     let (sink, _records, _drops) = CollectSink::shared(clock.clone());
     let mut svc = host_sched_core(cfg, clock.clone(), pool.clone(), Box::new(sink));
-    svc.platform_mut().set_trace(CAP);
+    svc.set_trace(CAP);
 
     let streams = script();
     let sids: Vec<_> = streams
@@ -123,7 +124,7 @@ fn trace_host_engine(cfg: SchedulerConfig) -> TraceCapture {
             || svc.borrow().has_pending(),
         );
     }
-    svc.platform_mut().drain_trace()
+    svc.drain_trace()
 }
 
 /// The DVCM media-scheduler extension (VCM instruction path, NI outbox).
@@ -202,16 +203,8 @@ fn assert_trace_nontrivial(cap: &TraceCapture) {
 fn all_four_placements_emit_byte_identical_traces() {
     let engine = trace_host_engine(base_config());
     let ext = trace_ni_extension(base_config());
-    let hostsend = run_svc(
-        base_config(),
-        HostSendPlatform::new(3, CAP),
-        HostSendPlatform::drain_trace,
-    );
-    let niwire = run_svc(
-        base_config(),
-        NiWirePlatform::new(3, true, CAP),
-        NiWirePlatform::drain_trace,
-    );
+    let hostsend = run_svc(base_config(), HostSendPlatform::new(3));
+    let niwire = run_svc(base_config(), NiWirePlatform::new(3, true));
 
     assert_trace_nontrivial(&engine);
     let golden = canon(&engine);
@@ -227,15 +220,7 @@ fn cost_models_do_not_leak_into_the_trace() {
     // different amounts mid-pass — yet every event is stamped with the
     // pass-start time, so the narration is identical. The cache flag
     // changes i960 pricing only; flipping it must change nothing either.
-    let cached = run_svc(
-        base_config(),
-        NiWirePlatform::new(3, true, CAP),
-        NiWirePlatform::drain_trace,
-    );
-    let uncached = run_svc(
-        base_config(),
-        NiWirePlatform::new(3, false, CAP),
-        NiWirePlatform::drain_trace,
-    );
+    let cached = run_svc(base_config(), NiWirePlatform::new(3, true));
+    let uncached = run_svc(base_config(), NiWirePlatform::new(3, false));
     assert_eq!(canon(&cached), canon(&uncached));
 }
