@@ -8,18 +8,25 @@
 //!   synchronization-free SPSC ring — Figure 4(b)'s "circular queue for
 //!   each stream eliminates the need for synchronization between the
 //!   scheduler … and the server that queues packets".
-//! * **The scheduler thread** drains rings into the shared service core
+//! * **The doorbell.** Like the host posting to the I2O inbound queue and
+//!   ringing the NI's doorbell (§3), a producer that posts a descriptor
+//!   sets its stream's bit in a ready bitmap (one `AtomicU64` per 64
+//!   stream slots) and unparks the scheduler thread. Commands unpark it
+//!   too. The scheduler runs when work arrives, not on a timer.
+//! * **The scheduler thread** swaps the ready words out, drains only the
+//!   rings whose bits were set into the shared service core
 //!   ([`dwcs::svc::SchedService`], dual-heap representation,
 //!   deadline-paced by default) bound to an [`EnginePlatform`]: decisions,
 //!   drop-reclaim ordering and dispatch accounting live in the core; the
 //!   platform resolves descriptors to pooled payloads and hands frames to
 //!   the configured [`FrameSink`]. Dropped frames' pool slots are
-//!   reclaimed by the platform.
+//!   reclaimed by the platform. With nothing eligible it parks with no
+//!   timeout; with a deadline pending it parks until that deadline.
 //! * **Control** flows over a command channel (open/close/stats/shutdown)
 //!   — the moral equivalent of DVCM instructions through the I2O unit.
 
 use crate::pool::{FramePool, SlotId};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use dwcs::metrics::StreamStats;
 use dwcs::ring::{Consumer, Producer, SpscRing};
 use dwcs::scheduler::Pacing;
@@ -29,7 +36,7 @@ use nistream_trace::TraceCapture;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Errors from the server API.
@@ -259,12 +266,105 @@ pub fn host_sched_core(
 }
 
 enum Command {
-    Open(StreamQos, Consumer<FrameDesc>, Sender<StreamId>),
-    Close(StreamId),
+    Open(
+        StreamQos,
+        Consumer<FrameDesc>,
+        Arc<StreamLink>,
+        Sender<(StreamId, Arc<AtomicU64>)>,
+    ),
+    Close(StreamId, Sender<()>),
     Stats(StreamId, Sender<Option<StreamStats>>),
     StatsAll(Sender<Vec<(StreamId, StreamStats)>>),
     DrainTrace(Sender<TraceCapture>),
     Shutdown,
+}
+
+/// Whether a stream is still open, shared by its [`StreamHandle`] and the
+/// scheduler thread. A producer holds the lock while it stores and posts a
+/// frame; the scheduler takes it to close the stream before draining the
+/// ring. So a frame either lands in the ring before the close drains it,
+/// or is refused without taking a pool slot.
+type StreamLink = parking_lot::Mutex<bool>;
+
+/// The producer's half of the doorbell: its stream's bit in one ready
+/// word, and the scheduler thread to wake.
+struct Doorbell {
+    word: Arc<AtomicU64>,
+    bit: u64,
+    scheduler: Thread,
+}
+
+impl Doorbell {
+    /// Flag the stream ready and wake the scheduler. A bit already set
+    /// means a wake for it is already owed, since only the scheduler's
+    /// swap clears it.
+    fn ring(&self) {
+        if self.word.fetch_or(self.bit, Ordering::AcqRel) & self.bit == 0 {
+            self.scheduler.unpark();
+        }
+    }
+}
+
+/// One open stream as the scheduler thread sees it.
+struct StreamRing {
+    cons: Consumer<FrameDesc>,
+    link: Arc<StreamLink>,
+}
+
+/// The scheduler thread's stream table: rings indexed by stream slot and
+/// the ready bitmap the producers ring, one word per 64 slots.
+#[derive(Default)]
+struct Streams {
+    rings: Vec<Option<StreamRing>>,
+    ready: Vec<Arc<AtomicU64>>,
+}
+
+impl Streams {
+    /// Install a newly opened stream's ring; returns its ready word.
+    fn insert(&mut self, sid: StreamId, ring: StreamRing) -> Arc<AtomicU64> {
+        let i = sid.index();
+        if self.rings.len() <= i {
+            self.rings.resize_with(i + 1, || None);
+        }
+        self.rings[i] = Some(ring);
+        while self.ready.len() <= i / 64 {
+            self.ready.push(Arc::new(AtomicU64::new(0)));
+        }
+        Arc::clone(&self.ready[i / 64])
+    }
+
+    fn is_open(&self, sid: StreamId) -> bool {
+        self.rings.get(sid.index()).is_some_and(Option::is_some)
+    }
+
+    /// Refuse the stream's further frames, then hand back the ring with
+    /// whatever was posted before the refusal.
+    fn remove(&mut self, sid: StreamId) -> Option<Consumer<FrameDesc>> {
+        let ring = self.rings.get_mut(sid.index())?.take()?;
+        *ring.link.lock() = false;
+        Some(ring.cons)
+    }
+
+    /// Drain the rings whose ready bits are set into the service core.
+    fn drain_ready(&mut self, svc: &mut HostSchedCore, t: u64) {
+        for (w, word) in self.ready.iter().enumerate() {
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::AcqRel);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A bit can outlive its stream (rung just before a close).
+                if let Some(Some(ring)) = self.rings.get_mut(i) {
+                    let sid = StreamId(i as u32);
+                    while let Some(desc) = ring.cons.pop() {
+                        svc.ingest_at(sid, desc, t);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Builder for [`MediaServer`].
@@ -371,6 +471,7 @@ impl MediaServerBuilder {
 
         Ok(MediaServer {
             cmd_tx,
+            scheduler: handle.thread().clone(),
             pool,
             epoch,
             ring_capacity: self.ring_capacity,
@@ -383,33 +484,27 @@ impl MediaServerBuilder {
 
 /// Apply one control command to the service core. Returns `true` on
 /// shutdown.
-fn handle_command(
-    svc: &mut HostSchedCore,
-    rings: &mut Vec<(StreamId, Consumer<FrameDesc>)>,
-    pool: &FramePool,
-    cmd: Command,
-) -> bool {
+fn handle_command(svc: &mut HostSchedCore, streams: &mut Streams, pool: &FramePool, cmd: Command) -> bool {
     match cmd {
-        Command::Open(qos, cons, reply) => {
+        Command::Open(qos, cons, link, reply) => {
             let sid = svc.open(qos);
-            rings.push((sid, cons));
-            let _ = reply.send(sid);
+            let word = streams.insert(sid, StreamRing { cons, link });
+            let _ = reply.send((sid, word));
         }
-        Command::Close(sid) => {
+        Command::Close(sid, reply) => {
             // Reclaim anything still queued in the ring; the service core
             // routes frames already drained into the scheduler through
             // the platform's reclaimer.
-            if let Some(pos) = rings.iter().position(|(s, _)| *s == sid) {
-                let (_, mut cons) = rings.remove(pos);
+            if let Some(mut cons) = streams.remove(sid) {
                 while let Some(desc) = cons.pop() {
                     pool.release(desc.addr as SlotId);
                 }
+                svc.close(sid);
             }
-            svc.close(sid);
+            let _ = reply.send(());
         }
         Command::Stats(sid, reply) => {
-            let known = svc.scheduler().stream_ids().any(|s| s == sid);
-            let _ = reply.send(known.then(|| svc.scheduler().stats(sid).clone()));
+            let _ = reply.send(streams.is_open(sid).then(|| svc.scheduler().stats(sid).clone()));
         }
         Command::StatsAll(reply) => {
             let all: Vec<_> = svc
@@ -439,29 +534,24 @@ fn scheduler_loop(
 ) {
     let mut svc = host_sched_core(cfg, clock.clone(), pool.clone(), sink);
     svc.set_trace(trace_capacity);
-    let mut rings: Vec<(StreamId, Consumer<FrameDesc>)> = Vec::new();
+    let mut streams = Streams::default();
 
     loop {
         // 1. Control commands.
         loop {
             match cmd_rx.try_recv() {
                 Ok(cmd) => {
-                    if handle_command(&mut svc, &mut rings, &pool, cmd) {
+                    if handle_command(&mut svc, &mut streams, &pool, cmd) {
                         return;
                     }
                 }
-                Err(crossbeam::channel::TryRecvError::Disconnected) => return,
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
             }
         }
 
-        // 2. Drain producer rings into the service core.
-        let t = clock.now_ns();
-        for (sid, cons) in &mut rings {
-            while let Some(desc) = cons.pop() {
-                svc.ingest_at(*sid, desc, t);
-            }
-        }
+        // 2. Drain the rings whose doorbell rang into the service core.
+        streams.drain_ready(&mut svc, clock.now_ns());
 
         // 3. One service pass: decide, reclaim drops, dispatch.
         let d = svc.service_once();
@@ -469,21 +559,17 @@ fn scheduler_loop(
             continue; // stay hot while frames flow
         }
 
-        // 4. Idle: sleep until the next deadline or the next command.
-        let t = clock.now_ns();
-        let sleep = match svc.next_eligible() {
-            Some(at) if at > t => Duration::from_nanos((at - t).min(500_000)),
-            Some(_) => continue,
-            None => Duration::from_micros(500),
-        };
-        match cmd_rx.recv_timeout(sleep) {
-            Ok(cmd) => {
-                if handle_command(&mut svc, &mut rings, &pool, cmd) {
-                    return;
+        // 4. Idle: park until a doorbell or command, or until the next
+        // deadline. An unpark that lands before the park leaves a token,
+        // so the park returns at once and no wake is lost.
+        match svc.next_eligible() {
+            None => std::thread::park(),
+            Some(at) => {
+                let t = clock.now_ns();
+                if at > t {
+                    std::thread::park_timeout(Duration::from_nanos(at - t));
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -493,6 +579,8 @@ fn scheduler_loop(
 pub struct StreamHandle {
     id: StreamId,
     producer: Producer<FrameDesc>,
+    link: Arc<StreamLink>,
+    doorbell: Doorbell,
     pool: FramePool,
     epoch: Instant,
     seq: u64,
@@ -510,10 +598,15 @@ impl StreamHandle {
         self.send_kind(payload, self.kind_cycle[(self.seq % 9) as usize])
     }
 
-    /// Queue one frame with an explicit picture kind.
+    /// Queue one frame with an explicit picture kind. A closed stream
+    /// refuses it with [`ServerError::NoSuchStream`].
     pub fn send_kind(&mut self, payload: &[u8], kind: FrameKind) -> Result<(), ServerError> {
         if payload.len() > self.pool.slot_size() {
             return Err(ServerError::FrameTooLarge);
+        }
+        let open = self.link.lock();
+        if !*open {
+            return Err(ServerError::NoSuchStream);
         }
         let slot = self.pool.store(payload).ok_or(ServerError::PoolExhausted)?;
         let desc = FrameDesc {
@@ -526,7 +619,9 @@ impl StreamHandle {
         };
         match self.producer.push(desc) {
             Ok(()) => {
+                drop(open);
                 self.seq += 1;
+                self.doorbell.ring();
                 Ok(())
             }
             Err(_) => {
@@ -545,6 +640,7 @@ impl StreamHandle {
 /// The media server: a DWCS scheduler thread plus producer-facing API.
 pub struct MediaServer {
     cmd_tx: Sender<Command>,
+    scheduler: Thread,
     pool: FramePool,
     epoch: Instant,
     ring_capacity: usize,
@@ -559,17 +655,34 @@ impl MediaServer {
         MediaServerBuilder::default()
     }
 
+    /// Post a command and ring the scheduler's doorbell.
+    fn command(&self, cmd: Command) -> Result<(), ServerError> {
+        self.cmd_tx.send(cmd).map_err(|_| ServerError::Stopped)?;
+        self.scheduler.unpark();
+        Ok(())
+    }
+
+    /// Post a command carrying a reply sender and wait for the reply.
+    fn request<T>(&self, cmd: impl FnOnce(Sender<T>) -> Command) -> Result<T, ServerError> {
+        let (tx, rx) = bounded(1);
+        self.command(cmd(tx))?;
+        rx.recv().map_err(|_| ServerError::Stopped)
+    }
+
     /// Open a stream with the given QoS; returns its producer handle.
     pub fn open_stream(&self, qos: StreamQos) -> Result<StreamHandle, ServerError> {
         let (producer, consumer) = SpscRing::with_capacity(self.ring_capacity);
-        let (reply_tx, reply_rx) = bounded(1);
-        self.cmd_tx
-            .send(Command::Open(qos, consumer, reply_tx))
-            .map_err(|_| ServerError::Stopped)?;
-        let id = reply_rx.recv().map_err(|_| ServerError::Stopped)?;
+        let link = Arc::new(parking_lot::Mutex::new(true));
+        let (id, word) = self.request(|reply| Command::Open(qos, consumer, Arc::clone(&link), reply))?;
         Ok(StreamHandle {
             id,
             producer,
+            link,
+            doorbell: Doorbell {
+                word,
+                bit: 1 << (id.index() % 64),
+                scheduler: self.scheduler.clone(),
+            },
             pool: self.pool.clone(),
             epoch: self.epoch,
             seq: 0,
@@ -587,34 +700,33 @@ impl MediaServer {
         })
     }
 
-    /// Close a stream (its backlog is discarded and pool slots reclaimed).
+    /// Close a stream and wait until the scheduler has: its backlog is
+    /// discarded, its pool slots reclaimed, and its handle's further sends
+    /// refused with [`ServerError::NoSuchStream`].
     pub fn close_stream(&self, sid: StreamId) -> Result<(), ServerError> {
-        self.cmd_tx.send(Command::Close(sid)).map_err(|_| ServerError::Stopped)
+        self.request(|reply| Command::Close(sid, reply))
     }
 
     /// Fetch a stream's service statistics.
     pub fn stats(&self, sid: StreamId) -> Result<StreamStats, ServerError> {
-        let (tx, rx) = bounded(1);
-        self.cmd_tx
-            .send(Command::Stats(sid, tx))
-            .map_err(|_| ServerError::Stopped)?;
-        rx.recv()
-            .map_err(|_| ServerError::Stopped)?
+        self.request(|reply| Command::Stats(sid, reply))?
             .ok_or(ServerError::NoSuchStream)
     }
 
     /// Fetch statistics for every open stream.
     pub fn stats_all(&self) -> Result<Vec<(StreamId, StreamStats)>, ServerError> {
-        let (tx, rx) = bounded(1);
-        self.cmd_tx
-            .send(Command::StatsAll(tx))
-            .map_err(|_| ServerError::Stopped)?;
-        rx.recv().map_err(|_| ServerError::Stopped)
+        self.request(Command::StatsAll)
     }
 
     /// Records accumulated by a [`SinkKind::Collect`] sink.
     pub fn collected(&self) -> Vec<SentRecord> {
         self.records.lock().clone()
+    }
+
+    /// How many records [`MediaServer::collected`] would return, without
+    /// copying them.
+    pub fn collected_len(&self) -> usize {
+        self.records.lock().len()
     }
 
     /// Descriptors of frames dropped by the scheduler (late within loss
@@ -627,11 +739,7 @@ impl MediaServer {
     /// Drain the scheduler thread's trace ring (empty capture when the
     /// server was built without [`MediaServerBuilder::trace`]).
     pub fn drain_trace(&self) -> Result<TraceCapture, ServerError> {
-        let (tx, rx) = bounded(1);
-        self.cmd_tx
-            .send(Command::DrainTrace(tx))
-            .map_err(|_| ServerError::Stopped)?;
-        rx.recv().map_err(|_| ServerError::Stopped)
+        self.request(Command::DrainTrace)
     }
 
     /// Nanoseconds since the server started (the scheduler's clock).
@@ -641,7 +749,7 @@ impl MediaServer {
 
     /// Stop the scheduler thread and wait for it.
     pub fn shutdown(&self) {
-        let _ = self.cmd_tx.send(Command::Shutdown);
+        let _ = self.command(Command::Shutdown);
         if let Some(h) = self.handle.lock().take() {
             let _ = h.join();
         }
@@ -665,7 +773,7 @@ mod tests {
             if cond() {
                 return true;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
         cond()
     }
@@ -782,6 +890,9 @@ mod tests {
     fn stats_for_unknown_stream_errors() {
         let server = MediaServer::builder().start().unwrap();
         assert_eq!(server.stats(StreamId(42)).unwrap_err(), ServerError::NoSuchStream);
+        // Closing an id that was never opened is a no-op, not a dead server.
+        server.close_stream(StreamId(42)).unwrap();
+        assert_eq!(server.stats(StreamId(42)).unwrap_err(), ServerError::NoSuchStream);
         server.shutdown();
     }
 
@@ -799,11 +910,47 @@ mod tests {
         }
         assert_eq!(s.send(&[0u8; 16]).unwrap_err(), ServerError::PoolExhausted);
         server.close_stream(s.id()).unwrap();
-        assert!(
-            wait_until(Duration::from_secs(5), || s.pool.free_slots() == 8),
-            "free {}",
-            s.pool.free_slots()
-        );
+        assert_eq!(s.pool.free_slots(), 8, "close returns once the backlog is reclaimed");
+        server.shutdown();
+    }
+
+    #[test]
+    fn send_on_closed_stream_is_refused_without_taking_a_slot() {
+        let server = MediaServer::builder().pool(8, 1024).start().unwrap();
+        let mut s = server.open_stream(StreamQos::new(10_000 * MILLISECOND, 1, 2)).unwrap();
+        server.close_stream(s.id()).unwrap();
+        // A closed stream's ring is orphaned: a frame posted there would
+        // hold its pool slot for good.
+        for _ in 0..8 {
+            assert_eq!(s.send(&[0u8; 16]).unwrap_err(), ServerError::NoSuchStream);
+        }
+        assert_eq!(s.pool.free_slots(), 8);
+        let mut next = server.open_stream(StreamQos::new(10_000 * MILLISECOND, 1, 2)).unwrap();
+        assert_eq!(next.id(), s.id(), "the closed slot is reused");
+        next.send(&[0u8; 16]).unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn frames_racing_a_close_do_not_leak() {
+        // Long period: nothing dispatches, so every accepted frame is still
+        // queued when the close lands and must be reclaimed by it.
+        let server = MediaServer::builder().pool(8, 64).start().unwrap();
+        let pool = server.pool.clone();
+        for _ in 0..200 {
+            let mut s = server.open_stream(StreamQos::new(10_000 * MILLISECOND, 1, 2)).unwrap();
+            let sid = s.id();
+            let producer = std::thread::spawn(move || loop {
+                match s.send(&[0u8; 64]) {
+                    Err(ServerError::NoSuchStream) => break,
+                    Ok(()) | Err(_) => std::thread::yield_now(),
+                }
+            });
+            std::thread::yield_now();
+            server.close_stream(sid).unwrap();
+            producer.join().unwrap();
+            assert_eq!(pool.free_slots(), 8, "a frame raced the close and kept its slot");
+        }
         server.shutdown();
     }
 

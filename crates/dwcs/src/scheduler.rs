@@ -34,7 +34,8 @@ use crate::repr::{ScheduleRepr, Work};
 use crate::types::{FrameDesc, StreamId, Time};
 use fixedpt::ops::{LogicalOp, OpMeter};
 use fixedpt::SharedMeter;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// When a packet becomes eligible for service.
 ///
@@ -164,6 +165,10 @@ struct StreamSlot {
 /// The DWCS scheduler, generic over schedule representation.
 pub struct DwcsScheduler<R> {
     streams: Vec<StreamSlot>,
+    /// Indices of the inactive slots in `streams`, lowest on top, so
+    /// [`DwcsScheduler::add_stream`] reuses the lowest free slot in
+    /// O(log n) instead of scanning for it.
+    free_slots: BinaryHeap<Reverse<u32>>,
     repr: R,
     meter: SharedMeter,
     cfg: SchedulerConfig,
@@ -185,6 +190,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     pub fn with_config(repr: R, cfg: SchedulerConfig) -> DwcsScheduler<R> {
         DwcsScheduler {
             streams: Vec::new(),
+            free_slots: BinaryHeap::new(),
             repr,
             meter: fixedpt::ops::null_meter(),
             cfg,
@@ -204,8 +210,9 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         &self.meter
     }
 
-    /// Register a stream; returns its dense id. Slots of removed streams
-    /// are reused.
+    /// Register a stream; returns its dense id. The lowest slot of a
+    /// removed stream is reused first, so ids stay dense and a reopened id
+    /// is the same one a scan for the first inactive slot would find.
     pub fn add_stream(&mut self, qos: StreamQos) -> StreamId {
         self.live_streams += 1;
         let slot = StreamSlot {
@@ -217,9 +224,9 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             stats: StreamStats::default(),
             active: true,
         };
-        if let Some(i) = self.streams.iter().position(|s| !s.active) {
-            self.streams[i] = slot;
-            StreamId(i as u32)
+        if let Some(Reverse(i)) = self.free_slots.pop() {
+            self.streams[i as usize] = slot;
+            StreamId(i)
         } else {
             self.streams.push(slot);
             StreamId((self.streams.len() - 1) as u32)
@@ -244,6 +251,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             }
             self.repr.remove(sid);
             self.live_streams -= 1;
+            self.free_slots.push(Reverse(sid.0));
         }
     }
 
@@ -861,6 +869,37 @@ mod tests {
         assert!(s.schedule_next(0).frame.is_none());
         let b = s.add_stream(StreamQos::new(MILLISECOND, 1, 2));
         assert_eq!(b, a, "slot reused");
+    }
+
+    #[test]
+    fn slot_reuse_matches_first_inactive_scan() {
+        // A seeded open/close script: every id `add_stream` hands out must
+        // be the one a scan for the first inactive slot would pick.
+        let mut s = sched();
+        let mut active: Vec<bool> = Vec::new();
+        let mut open: Vec<StreamId> = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..4_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if open.is_empty() || x % 5 < 3 {
+                let expect = active.iter().position(|a| !a).unwrap_or(active.len());
+                let sid = s.add_stream(StreamQos::new(MILLISECOND, 1, 2));
+                assert_eq!(sid.index(), expect, "lowest free slot");
+                if expect == active.len() {
+                    active.push(true);
+                } else {
+                    active[expect] = true;
+                }
+                open.push(sid);
+            } else {
+                let sid = open.swap_remove((x >> 8) as usize % open.len());
+                s.remove_stream(sid);
+                active[sid.index()] = false;
+            }
+            assert_eq!(s.stream_count(), open.len());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         if cond() {
             return true;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::yield_now();
     }
     cond()
 }
@@ -40,7 +40,7 @@ fn concurrent_producers_from_multiple_threads() {
             while pushed < FRAMES {
                 match handle.send(&payload) {
                     Ok(()) => pushed += 1,
-                    Err(_) => std::thread::sleep(Duration::from_micros(200)),
+                    Err(_) => std::thread::yield_now(),
                 }
             }
         }));
@@ -89,7 +89,7 @@ fn paced_engine_tracks_stream_rate_under_saturation() {
     let mut s = server.open_stream(StreamQos::new(period, 2, 8).send_late()).unwrap();
     for _ in 0..100 {
         while s.send(&[7u8; 128]).is_err() {
-            std::thread::sleep(Duration::from_micros(100));
+            std::thread::yield_now();
         }
     }
     assert!(wait_until(Duration::from_secs(10), || server.collected().len() >= 100));
@@ -117,7 +117,7 @@ fn pool_slots_fully_recovered_after_run() {
         // send everything, wait for drain
         for _ in 0..500u32 {
             while s.send(&[1u8; 64]).is_err() {
-                std::thread::sleep(Duration::from_micros(100));
+                std::thread::yield_now();
             }
         }
         s
