@@ -2,11 +2,11 @@
 //!
 //! The paper's feasibility argument is that a DWCS decision fits a
 //! 66 MHz i960 between frame deadlines (§5, ≈78 µs per decision). The
-//! dynamic model (`hwsim::calib`, `OpMeter`) *observes* that; this
-//! module *proves a bound*: an abstract interpretation over the tolerant
-//! AST that assigns every statement an **interval of cycles**
-//! `[best, worst]` and summarises the call graph bottom-up from each
-//! `// analysis: hot` root.
+//! dynamic model (`hwsim::I960Core` on the `hwsim::calib` tables)
+//! *observes* that; this module *proves a bound*: an abstract
+//! interpretation over the tolerant AST that assigns every statement an
+//! **interval of cycles** `[best, worst]` and summarises the call graph
+//! bottom-up from each `// analysis: hot` root.
 //!
 //! Three inputs make loops finite:
 //!

@@ -23,7 +23,7 @@ use dwcs::{
     BTreeRepr, BatchSoa, CalendarQueue, DualHeap, HeadKey, LinearScan, ScheduleRepr, SortedList, StreamId, Work,
 };
 use fixedpt::ops::MathMode;
-use hwsim::i960::{dwcs_work, I960Core};
+use hwsim::i960::I960Core;
 use hwsim::profiles::{decision_us, ALL};
 use nistream_bench::{format_table, par_sweep, trace_path, write_trace, Cell, TraceCapture};
 use serversim::chassis;
@@ -167,13 +167,7 @@ fn price_decisions(r: &mut dyn ScheduleRepr, streams: u32) -> (Work, SimDuration
         r.update(sid, next);
         let work = r.take_work();
         total.add(work);
-        time += core.decision_time(
-            dwcs_work::Work {
-                compares: work.compares,
-                touches: work.touches,
-            },
-            0,
-        );
+        time += core.decision_time(work, 0);
     }
     (total, time)
 }

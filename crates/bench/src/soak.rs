@@ -22,7 +22,6 @@ use dvcm::{ExtensionModule, MediaSchedExt};
 use dwcs::scheduler::{Pacing, SchedDecision};
 use dwcs::svc::{DispatchRecord, Platform};
 use dwcs::{FrameKind, SchedulerConfig, StreamId};
-use hwsim::i960::dwcs_work;
 use hwsim::{Ethernet, I960Core};
 use mpeg1::Cadence;
 use nistream_trace::{regressions, Aggregate, ChassisAggregate, Slo, SloMargin, SloObjective};
@@ -194,11 +193,7 @@ impl Platform for SoakPlatform {
     }
 
     fn on_decision(&mut self, decision: &SchedDecision, backlog: u64) {
-        let work = dwcs_work::Work {
-            compares: decision.work.compares,
-            touches: decision.work.touches,
-        };
-        self.now_ns += self.core.decision_time(work, backlog.min(64)).as_nanos();
+        self.now_ns += self.core.decision_time(decision.work, backlog.min(64)).as_nanos();
     }
 
     fn dispatch(&mut self, rec: &DispatchRecord) {

@@ -40,7 +40,7 @@ use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Errors from the server API.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerError {
     /// The scheduler thread is gone (shutdown or panicked).
     Stopped,
@@ -279,12 +279,14 @@ enum Command {
     Shutdown,
 }
 
-/// Whether a stream is still open, shared by its [`StreamHandle`] and the
-/// scheduler thread. A producer holds the lock while it stores and posts a
-/// frame; the scheduler takes it to close the stream before draining the
-/// ring. So a frame either lands in the ring before the close drains it,
-/// or is refused without taking a pool slot.
-type StreamLink = parking_lot::Mutex<bool>;
+/// Whether a stream still takes frames, shared by its [`StreamHandle`] and
+/// the scheduler thread: `Ok` while open, else the error a send gets
+/// ([`ServerError::NoSuchStream`] once closed, [`ServerError::Stopped`]
+/// once the scheduler thread has exited). A producer holds the lock while
+/// it stores and posts a frame; the scheduler takes it to close the stream
+/// before draining the ring. So a frame either lands in the ring before
+/// the close drains it, or is refused without taking a pool slot.
+type StreamLink = parking_lot::Mutex<Result<(), ServerError>>;
 
 /// The producer's half of the doorbell: its stream's bit in one ready
 /// word, and the scheduler thread to wake.
@@ -341,7 +343,7 @@ impl Streams {
     /// whatever was posted before the refusal.
     fn remove(&mut self, sid: StreamId) -> Option<Consumer<FrameDesc>> {
         let ring = self.rings.get_mut(sid.index())?.take()?;
-        *ring.link.lock() = false;
+        *ring.link.lock() = Err(ServerError::NoSuchStream);
         Some(ring.cons)
     }
 
@@ -363,6 +365,17 @@ impl Streams {
                     }
                 }
             }
+        }
+    }
+}
+
+impl Drop for Streams {
+    /// The scheduler thread is exiting (shutdown, a dropped server or a
+    /// panic): nothing drains the rings any more, so refuse every open
+    /// stream's further frames.
+    fn drop(&mut self) {
+        for ring in self.rings.iter().flatten() {
+            *ring.link.lock() = Err(ServerError::Stopped);
         }
     }
 }
@@ -599,15 +612,14 @@ impl StreamHandle {
     }
 
     /// Queue one frame with an explicit picture kind. A closed stream
-    /// refuses it with [`ServerError::NoSuchStream`].
+    /// refuses it with [`ServerError::NoSuchStream`], a stopped server
+    /// with [`ServerError::Stopped`].
     pub fn send_kind(&mut self, payload: &[u8], kind: FrameKind) -> Result<(), ServerError> {
         if payload.len() > self.pool.slot_size() {
             return Err(ServerError::FrameTooLarge);
         }
         let open = self.link.lock();
-        if !*open {
-            return Err(ServerError::NoSuchStream);
-        }
+        (*open)?;
         let slot = self.pool.store(payload).ok_or(ServerError::PoolExhausted)?;
         let desc = FrameDesc {
             stream: self.id,
@@ -672,7 +684,7 @@ impl MediaServer {
     /// Open a stream with the given QoS; returns its producer handle.
     pub fn open_stream(&self, qos: StreamQos) -> Result<StreamHandle, ServerError> {
         let (producer, consumer) = SpscRing::with_capacity(self.ring_capacity);
-        let link = Arc::new(parking_lot::Mutex::new(true));
+        let link = Arc::new(parking_lot::Mutex::new(Ok(())));
         let (id, word) = self.request(|reply| Command::Open(qos, consumer, Arc::clone(&link), reply))?;
         Ok(StreamHandle {
             id,
@@ -969,6 +981,19 @@ mod tests {
         server.shutdown();
         // API after shutdown errors cleanly.
         assert!(server.open_stream(StreamQos::new(MILLISECOND, 1, 2)).is_err());
+    }
+
+    #[test]
+    fn send_after_shutdown_is_refused_without_taking_a_slot() {
+        let server = MediaServer::builder().pool(8, 1024).start().unwrap();
+        let mut s = server.open_stream(StreamQos::new(10_000 * MILLISECOND, 1, 2)).unwrap();
+        server.shutdown();
+        // Nothing drains the ring once the scheduler is gone: a frame
+        // posted there would hold its pool slot for good.
+        for _ in 0..9 {
+            assert_eq!(s.send(&[0u8; 16]).unwrap_err(), ServerError::Stopped);
+        }
+        assert_eq!(s.pool.free_slots(), 8);
     }
 
     #[test]

@@ -18,6 +18,24 @@ struct Slots {
     data: Vec<Box<[u8]>>,
     len: Vec<u32>,
     free: Vec<SlotId>,
+    /// `is_free[i]` ⇔ slot `i` is on `free`: the O(1) double-free check.
+    is_free: Vec<bool>,
+}
+
+impl Slots {
+    /// Is `id` a slot a producer holds (in range and not free)?
+    fn held(&self, id: SlotId) -> bool {
+        self.is_free.get(id as usize) == Some(&false)
+    }
+
+    /// Return a held slot to the free list; a no-op for any other id.
+    fn release(&mut self, id: SlotId) {
+        if self.held(id) {
+            self.len[id as usize] = 0;
+            self.is_free[id as usize] = true;
+            self.free.push(id);
+        }
+    }
 }
 
 /// Fixed-capacity pool of frame buffers, shared between producers and the
@@ -36,6 +54,7 @@ impl FramePool {
                 data: (0..slots).map(|_| vec![0u8; slot_size].into_boxed_slice()).collect(),
                 len: vec![0; slots],
                 free: (0..slots as u32).rev().collect(),
+                is_free: vec![true; slots],
             })),
             slot_size,
         }
@@ -54,38 +73,28 @@ impl FramePool {
         }
         let mut s = self.inner.lock();
         let id = s.free.pop()?;
+        s.is_free[id as usize] = false;
         s.data[id as usize][..payload.len()].copy_from_slice(payload);
         s.len[id as usize] = payload.len() as u32;
         Some(id)
     }
 
     /// Read a slot's payload through `f`, then release the slot.
-    /// Returns `false` if the slot id is invalid.
+    /// Returns `None` if the slot is not held (out of range or already free).
     pub fn take<R>(&self, id: SlotId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let mut s = self.inner.lock();
-        let idx = id as usize;
-        if idx >= s.data.len() || s.free.contains(&id) {
+        if !s.held(id) {
             return None;
         }
-        let len = s.len[idx] as usize;
-        // Split borrows: read the payload, then mutate the free list.
-        let r = {
-            let buf = &s.data[idx][..len];
-            f(buf)
-        };
-        s.len[idx] = 0;
-        s.free.push(id);
+        let idx = id as usize;
+        let r = f(&s.data[idx][..s.len[idx] as usize]);
+        s.release(id);
         Some(r)
     }
 
     /// Release a slot without reading (dropped frames).
     pub fn release(&self, id: SlotId) {
-        let mut s = self.inner.lock();
-        let idx = id as usize;
-        if idx < s.data.len() && !s.free.contains(&id) {
-            s.len[idx] = 0;
-            s.free.push(id);
-        }
+        self.inner.lock().release(id);
     }
 
     /// Free slots remaining.

@@ -74,9 +74,10 @@
 //! ## Fixed-point arithmetic
 //!
 //! Window-constraints are exact [`fixedpt::Frac`] ratios compared by
-//! cross-multiplication — the paper's fixed-point build. An op meter can be
-//! attached to count arithmetic by class so the i960 cost model can price a
-//! software-float build of the same decisions (Tables 1–2).
+//! cross-multiplication — the paper's fixed-point build. Each decision reports
+//! the [`Work`] its representation did, which the i960 cost model prices
+//! under either build, so a software-float build of the same decisions costs
+//! what Tables 1–2 measure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,6 @@
 //! streams with slack.
 
 use crate::types::Time;
-use fixedpt::ops::{LogicalOp, OpMeter};
 use fixedpt::Frac;
 
 /// Whether packets that miss their deadline may be discarded.
@@ -136,8 +135,7 @@ impl Window {
     /// consumed (`y' -= 1` while `y' > x'`); when only losable slots remain
     /// (`y' == x'`) the constraint is trivially satisfied for the rest of
     /// the window, so the window resets to the original `x/y`.
-    pub fn on_timely_service(&mut self, meter: &OpMeter) {
-        meter.record(LogicalOp::RatioUpdate, 1);
+    pub fn on_timely_service(&mut self) {
         if self.y > self.x {
             self.y -= 1;
         }
@@ -154,8 +152,7 @@ impl Window {
     /// `y'` — under precedence rule 3 (equal zero constraints → highest `y'`
     /// first) this pushes the violated stream toward the head of the line,
     /// the same corrective pressure the DWCS papers describe.
-    pub fn on_miss(&mut self, meter: &OpMeter) -> MissOutcome {
-        meter.record(LogicalOp::RatioUpdate, 1);
+    pub fn on_miss(&mut self) -> MissOutcome {
         if self.x > 0 {
             self.x -= 1;
             self.y -= 1;
@@ -180,11 +177,6 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixedpt::ops::MathMode;
-
-    fn meter() -> OpMeter {
-        OpMeter::new(MathMode::FixedPoint)
-    }
 
     fn qos(x: u32, y: u32) -> StreamQos {
         StreamQos::new(1_000_000, x, y)
@@ -211,36 +203,33 @@ mod tests {
 
     #[test]
     fn timely_service_consumes_window_and_resets() {
-        let m = meter();
         let q = qos(1, 3);
         let mut w = Window::new(&q);
         assert_eq!((w.x(), w.y()), (1, 3));
-        w.on_timely_service(&m); // y' 3→2
+        w.on_timely_service(); // y' 3→2
         assert_eq!((w.x(), w.y()), (1, 2));
-        w.on_timely_service(&m); // y' 2→1 == x' → reset
+        w.on_timely_service(); // y' 2→1 == x' → reset
         assert_eq!((w.x(), w.y()), (1, 3));
     }
 
     #[test]
     fn zero_tolerance_window_cycles() {
-        let m = meter();
         let q = qos(0, 2);
         let mut w = Window::new(&q);
-        w.on_timely_service(&m); // y' 2→1
+        w.on_timely_service(); // y' 2→1
         assert_eq!((w.x(), w.y()), (0, 1));
-        w.on_timely_service(&m); // y' 1→0 == x' → reset
+        w.on_timely_service(); // y' 1→0 == x' → reset
         assert_eq!((w.x(), w.y()), (0, 2));
         assert_eq!(w.violations(), 0);
     }
 
     #[test]
     fn tolerated_miss_spends_loss_budget() {
-        let m = meter();
         let q = qos(2, 4);
         let mut w = Window::new(&q);
-        assert_eq!(w.on_miss(&m), MissOutcome::Tolerated);
+        assert_eq!(w.on_miss(), MissOutcome::Tolerated);
         assert_eq!((w.x(), w.y()), (1, 3));
-        assert_eq!(w.on_miss(&m), MissOutcome::Tolerated);
+        assert_eq!(w.on_miss(), MissOutcome::Tolerated);
         // x'=0, y'=2 — not equal, window continues with no budget.
         assert_eq!((w.x(), w.y()), (0, 2));
         assert_eq!(w.violations(), 0);
@@ -248,48 +237,44 @@ mod tests {
 
     #[test]
     fn miss_to_window_completion_resets() {
-        let m = meter();
         let q = qos(1, 2);
         let mut w = Window::new(&q);
-        assert_eq!(w.on_miss(&m), MissOutcome::Tolerated);
+        assert_eq!(w.on_miss(), MissOutcome::Tolerated);
         // x' 1→0, y' 2→1; not equal... 0 != 1, continues.
         assert_eq!((w.x(), w.y()), (0, 1));
-        w.on_timely_service(&m); // y' 1→0 == x' → reset
+        w.on_timely_service(); // y' 1→0 == x' → reset
         assert_eq!((w.x(), w.y()), (1, 2));
     }
 
     #[test]
     fn violation_recorded_and_window_stretched() {
-        let m = meter();
         let q = qos(0, 3);
         let mut w = Window::new(&q);
-        assert_eq!(w.on_miss(&m), MissOutcome::Violation);
+        assert_eq!(w.on_miss(), MissOutcome::Violation);
         assert_eq!(w.violations(), 1);
         assert_eq!((w.x(), w.y()), (0, 6)); // y' stretched by y0
         assert!(w.constraint().is_zero());
-        assert_eq!(w.on_miss(&m), MissOutcome::Violation);
+        assert_eq!(w.on_miss(), MissOutcome::Violation);
         assert_eq!(w.violations(), 2);
     }
 
     #[test]
     fn constraint_tracks_state() {
-        let m = meter();
         let q = qos(3, 6);
         let mut w = Window::new(&q);
         assert_eq!(w.constraint().reduced(), Frac::new(1, 2));
-        w.on_timely_service(&m); // 3/5
+        w.on_timely_service(); // 3/5
         assert_eq!(w.constraint(), Frac::new(3, 5));
-        w.on_miss(&m); // 2/4
+        w.on_miss(); // 2/4
         assert_eq!(w.constraint().reduced(), Frac::new(1, 2));
     }
 
     #[test]
     fn fully_lossy_stream_never_violates() {
-        let m = meter();
         let q = qos(4, 4);
         let mut w = Window::new(&q);
         for _ in 0..100 {
-            assert_eq!(w.on_miss(&m), MissOutcome::Tolerated);
+            assert_eq!(w.on_miss(), MissOutcome::Tolerated);
         }
         assert_eq!(w.violations(), 0);
     }

@@ -22,8 +22,9 @@
 //! | [`CalendarQueue`] | O(1) amortised | O(1) amortised | §3.1.1's "calendar queues" |
 //! | [`BatchSoa`] | O(1) + deferred | O(log n) amortised | struct-of-arrays winner tree, dirty-tracked incremental refresh |
 //!
-//! Every operation accrues a [`Work`] tally (comparisons + memory touches)
-//! which the i960 cost model converts into simulated cycles — that is how
+//! Every operation accrues a [`Work`] tally (comparisons + memory touches;
+//! defined in `fixedpt::ops` so `hwsim` prices this very type) which the
+//! i960 cost model converts into simulated cycles — that is how
 //! the *same algorithm execution* yields different decision times for
 //! different data structures and cache settings (Tables 1–3 run
 //! [`DualHeap`]; Ablation 4 runs all six).
@@ -39,29 +40,12 @@ pub use batch::BatchSoa;
 pub use btree::BTreeRepr;
 pub use calendar::CalendarQueue;
 pub use dual_heap::DualHeap;
+pub use fixedpt::ops::Work;
 pub use linear::LinearScan;
 pub use sorted::SortedList;
 
 use crate::key::HeadKey;
 use crate::types::StreamId;
-
-/// Data-structure work performed, for the co-processor cost model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Work {
-    /// Key comparisons executed (each is a couple of integer multiplies in
-    /// the fixed-point build, or software-FP ops in the float build).
-    pub compares: u64,
-    /// Descriptor/node memory touches (priced by the cache model).
-    pub touches: u64,
-}
-
-impl Work {
-    /// Accumulate another tally.
-    pub fn add(&mut self, other: Work) {
-        self.compares += other.compares;
-        self.touches += other.touches;
-    }
-}
 
 /// A schedule representation: an index over per-stream head packets.
 ///

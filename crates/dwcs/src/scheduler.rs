@@ -32,8 +32,6 @@ use crate::metrics::StreamStats;
 use crate::qos::{LossPolicy, MissOutcome, StreamQos, Window};
 use crate::repr::{ScheduleRepr, Work};
 use crate::types::{FrameDesc, StreamId, Time};
-use fixedpt::ops::{LogicalOp, OpMeter};
-use fixedpt::SharedMeter;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -170,7 +168,6 @@ pub struct DwcsScheduler<R> {
     /// O(log n) instead of scanning for it.
     free_slots: BinaryHeap<Reverse<u32>>,
     repr: R,
-    meter: SharedMeter,
     cfg: SchedulerConfig,
     arrival_seq: u64,
     live_streams: usize,
@@ -192,22 +189,11 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             streams: Vec::new(),
             free_slots: BinaryHeap::new(),
             repr,
-            meter: fixedpt::ops::null_meter(),
             cfg,
             arrival_seq: 0,
             live_streams: 0,
             queued_frames: 0,
         }
-    }
-
-    /// Attach an op meter (the i960 cost model prices its counts).
-    pub fn set_meter(&mut self, meter: SharedMeter) {
-        self.meter = meter;
-    }
-
-    /// The attached meter.
-    pub fn meter(&self) -> &OpMeter {
-        &self.meter
     }
 
     /// Register a stream; returns its dense id. The lowest slot of a
@@ -307,7 +293,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         });
         slot.stats.note_enqueue();
         self.queued_frames += 1;
-        self.meter.record(LogicalOp::Counter, 2);
         if was_empty {
             if let Some(key) = head_key(slot) {
                 self.repr.update(sid, key);
@@ -327,13 +312,9 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     /// reaching the decision to `on_drop`, in drop order. Nothing is kept
     /// for later: a caller that needs the descriptors takes them here.
     ///
-    /// The decision is metered, and its frame is accounted as sent now.
+    /// The decision's frame is accounted as sent now.
     pub fn schedule_next_with(&mut self, now: Time, mut on_drop: impl FnMut(FrameDesc)) -> SchedDecision {
-        // One ratio evaluation per decision (the priority computation the
-        // soft-float build pays dearly for).
-        self.meter.record(LogicalOp::RatioDivide, 1);
         let decision = self.decide_core(now, &mut on_drop);
-        self.charge(&decision.work);
         if let Some(f) = decision.frame {
             self.account_dispatch(f, now);
         }
@@ -341,8 +322,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     }
 
     /// Core decision: pick, drop-late-if-lossy, adjust windows. Dropped
-    /// descriptors go to `on_drop` in drop order. Metering is the caller's
-    /// job ([`DwcsScheduler::schedule_next_with`]).
+    /// descriptors go to `on_drop` in drop order.
     fn decide_core(&mut self, now: Time, on_drop: &mut dyn FnMut(FrameDesc)) -> SchedDecision {
         let mut dropped = 0u32;
         let mut work = Work::default();
@@ -407,7 +387,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
 
             let late = deadline.saturating_add(self.cfg.late_grace) < now;
             let frame = if late {
-                let outcome = slot.window.on_miss(&self.meter);
+                let outcome = slot.window.on_miss();
                 if outcome == MissOutcome::Violation {
                     slot.stats.note_violation();
                 }
@@ -444,7 +424,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
                     on_time: false,
                 })
             } else {
-                slot.window.on_timely_service(&self.meter);
+                slot.window.on_timely_service();
                 Some(DispatchedFrame {
                     desc: qf.desc,
                     deadline,
@@ -465,11 +445,6 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         let delay = now.saturating_sub(f.desc.enqueued_at);
         slot.stats.note_sent(f.desc.len, delay, f.on_time);
         slot.stats.note_departure_at(now);
-    }
-
-    fn charge(&self, work: &Work) {
-        self.meter.record(LogicalOp::RatioCompare, work.compares);
-        self.meter.record(LogicalOp::Touch, work.touches);
     }
 
     /// Per-stream statistics.

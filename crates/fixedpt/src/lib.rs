@@ -15,10 +15,9 @@
 //!   the DWCS scheduler performs per pairwise priority test).
 //! * [`Q16`] — a Q16.16 fixed-point scalar for rate/bandwidth style
 //!   arithmetic, with shift-based scaling.
-//! * [`ops`] — an operation meter ([`OpMeter`], [`OpKind`]) that counts
-//!   arithmetic by class so the `hwsim` i960 model can charge per-operation
-//!   cycle costs for either the software-FP or the fixed-point build of the
-//!   scheduler.
+//! * [`ops`] — the arithmetic build ([`ops::MathMode`]) and the [`ops::Work`] a
+//!   scheduling decision reports, which the `hwsim` i960 model prices for
+//!   either the software-FP or the fixed-point build of the scheduler.
 //!
 //! Everything here is plain integer arithmetic (no allocation; the only
 //! panicking paths are explicit zero-denominator constructions), suitable for
@@ -32,5 +31,4 @@ pub mod ops;
 pub mod q16;
 
 pub use frac::Frac;
-pub use ops::{OpKind, OpMeter, SharedMeter};
 pub use q16::Q16;

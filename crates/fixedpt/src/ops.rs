@@ -1,73 +1,12 @@
-//! Arithmetic operation metering.
+//! The arithmetic build and the work a scheduling decision performs.
 //!
 //! The paper compares two builds of the embedded scheduler: one using the
 //! VxWorks **software floating-point library** and one using the authors'
 //! **fixed-point** fraction representation. On the i960RD the difference is
 //! ~20 µs per scheduling decision (Tables 1–2). To reproduce that on a
-//! simulated i960 we count arithmetic operations by class as the scheduler
-//! runs; the `hwsim::I960Core` model then charges a per-class cycle cost that
-//! depends on the selected [math mode](crate::ops::MathMode).
-//!
-//! Metering is opt-in and zero-cost when unused: the scheduler takes an
-//! `&OpMeter` only in its instrumented entry points, and [`OpMeter::record`]
-//! is a handful of relaxed atomic adds.
-
-use core::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Classes of arithmetic the scheduler performs, priced separately by the
-/// co-processor cost model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum OpKind {
-    /// Integer add/sub/compare (single-cycle class on i960).
-    IntAlu,
-    /// Integer multiply (cross-multiplication compares land here).
-    IntMul,
-    /// Integer divide (avoided by the fixed-point build; shifts used instead).
-    IntDiv,
-    /// Shift (the fixed-point division idiom).
-    Shift,
-    /// Software-emulated floating-point add/sub/compare.
-    FloatAlu,
-    /// Software-emulated floating-point multiply.
-    FloatMul,
-    /// Software-emulated floating-point divide.
-    FloatDiv,
-    /// Heap/queue pointer chasing — memory touch, priced by the cache model.
-    MemTouch,
-}
-
-/// Number of [`OpKind`] variants (array-indexed counters).
-pub const OP_KINDS: usize = 8;
-
-impl OpKind {
-    /// Dense index for table lookups.
-    #[inline]
-    pub const fn index(self) -> usize {
-        match self {
-            OpKind::IntAlu => 0,
-            OpKind::IntMul => 1,
-            OpKind::IntDiv => 2,
-            OpKind::Shift => 3,
-            OpKind::FloatAlu => 4,
-            OpKind::FloatMul => 5,
-            OpKind::FloatDiv => 6,
-            OpKind::MemTouch => 7,
-        }
-    }
-
-    /// All variants in index order.
-    pub const ALL: [OpKind; OP_KINDS] = [
-        OpKind::IntAlu,
-        OpKind::IntMul,
-        OpKind::IntDiv,
-        OpKind::Shift,
-        OpKind::FloatAlu,
-        OpKind::FloatMul,
-        OpKind::FloatDiv,
-        OpKind::MemTouch,
-    ];
-}
+//! simulated i960, each decision reports the [`Work`] its schedule
+//! representation did, and `hwsim::I960Core` prices that work at a per-op
+//! cycle cost that depends on the selected [`MathMode`].
 
 /// Which arithmetic build of the scheduler is being modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -79,141 +18,21 @@ pub enum MathMode {
     SoftFloat,
 }
 
-impl MathMode {
-    /// Map a *logical* scheduler operation to the physical op class this
-    /// build executes. The fixed-point build turns divides into shifts and
-    /// ratio compares into integer multiplies; the soft-float build performs
-    /// every ratio operation in emulated floating point.
-    #[inline]
-    pub fn lower(self, logical: LogicalOp) -> OpKind {
-        match (self, logical) {
-            (_, LogicalOp::Counter) => OpKind::IntAlu,
-            (_, LogicalOp::Touch) => OpKind::MemTouch,
-            (MathMode::FixedPoint, LogicalOp::RatioCompare) => OpKind::IntMul,
-            (MathMode::FixedPoint, LogicalOp::RatioUpdate) => OpKind::IntAlu,
-            (MathMode::FixedPoint, LogicalOp::RatioDivide) => OpKind::Shift,
-            (MathMode::SoftFloat, LogicalOp::RatioCompare) => OpKind::FloatAlu,
-            (MathMode::SoftFloat, LogicalOp::RatioUpdate) => OpKind::FloatAlu,
-            (MathMode::SoftFloat, LogicalOp::RatioDivide) => OpKind::FloatDiv,
-        }
-    }
+/// Data-structure work performed by one scheduling decision, for the
+/// co-processor cost model.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Key comparisons executed (each is a couple of integer multiplies in
+    /// the fixed-point build, or software-FP ops in the float build).
+    pub compares: u64,
+    /// Descriptor/node memory touches (priced by the cache model).
+    pub touches: u64,
 }
 
-/// Logical operations the scheduler issues, independent of the build.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LogicalOp {
-    /// Plain counter bookkeeping (x', y', indices).
-    Counter,
-    /// Priority test between two window-constraints.
-    RatioCompare,
-    /// Window-constraint adjustment after a service/drop.
-    RatioUpdate,
-    /// Explicit ratio evaluation (soft-float divides; fixed-point shifts).
-    RatioDivide,
-    /// A data-structure memory touch (heap node, descriptor).
-    Touch,
-}
-
-/// Thread-safe operation counters, one per [`OpKind`].
-#[derive(Debug, Default)]
-pub struct OpMeter {
-    counts: [AtomicU64; OP_KINDS],
-    mode: MathMode,
-}
-
-impl OpMeter {
-    /// New meter for the given build mode.
-    pub fn new(mode: MathMode) -> OpMeter {
-        OpMeter {
-            counts: Default::default(),
-            mode,
-        }
-    }
-
-    /// The build mode this meter lowers logical ops with.
-    pub fn mode(&self) -> MathMode {
-        self.mode
-    }
-
-    /// Record `n` occurrences of a logical operation.
-    #[inline]
-    pub fn record(&self, logical: LogicalOp, n: u64) {
-        let kind = self.mode.lower(logical);
-        self.counts[kind.index()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record a physical op class directly (used by data-structure code that
-    /// knows its own access pattern).
-    #[inline]
-    pub fn record_kind(&self, kind: OpKind, n: u64) {
-        self.counts[kind.index()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current count for one class.
-    pub fn count(&self, kind: OpKind) -> u64 {
-        self.counts[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot all counters (index order of [`OpKind::ALL`]).
-    pub fn snapshot(&self) -> [u64; OP_KINDS] {
-        core::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Total ops across all classes.
-    pub fn total(&self) -> u64 {
-        self.snapshot().iter().sum()
-    }
-}
-
-/// Shared handle to a meter — what scheduler instances hold.
-pub type SharedMeter = Arc<OpMeter>;
-
-/// A disabled meter for un-instrumented runs (all records still occur but
-/// callers can share one global sink; the cost is a relaxed add).
-pub fn null_meter() -> SharedMeter {
-    Arc::new(OpMeter::new(MathMode::FixedPoint))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lowering_differs_by_mode() {
-        assert_eq!(MathMode::FixedPoint.lower(LogicalOp::RatioCompare), OpKind::IntMul);
-        assert_eq!(MathMode::SoftFloat.lower(LogicalOp::RatioCompare), OpKind::FloatAlu);
-        assert_eq!(MathMode::FixedPoint.lower(LogicalOp::RatioDivide), OpKind::Shift);
-        assert_eq!(MathMode::SoftFloat.lower(LogicalOp::RatioDivide), OpKind::FloatDiv);
-    }
-
-    #[test]
-    fn counters_accumulate_and_reset() {
-        let m = OpMeter::new(MathMode::SoftFloat);
-        m.record(LogicalOp::RatioCompare, 3);
-        m.record(LogicalOp::Counter, 2);
-        m.record_kind(OpKind::MemTouch, 5);
-        assert_eq!(m.count(OpKind::FloatAlu), 3);
-        assert_eq!(m.count(OpKind::IntAlu), 2);
-        assert_eq!(m.count(OpKind::MemTouch), 5);
-        assert_eq!(m.total(), 10);
-        m.reset();
-        assert_eq!(m.total(), 0);
-    }
-
-    #[test]
-    fn indices_are_dense_and_unique() {
-        let mut seen = [false; OP_KINDS];
-        for k in OpKind::ALL {
-            assert!(!seen[k.index()]);
-            seen[k.index()] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
+impl Work {
+    /// Accumulate another tally.
+    pub fn add(&mut self, other: Work) {
+        self.compares += other.compares;
+        self.touches += other.touches;
     }
 }

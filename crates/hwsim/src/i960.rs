@@ -17,23 +17,8 @@
 
 use crate::cache::DataCache;
 use crate::calib;
-use dwcs_work::Work;
-use fixedpt::ops::MathMode;
+use fixedpt::ops::{MathMode, Work};
 use simkit::SimDuration;
-
-/// Re-export target: `dwcs::repr::Work` without making hwsim depend on the
-/// whole scheduler crate — structurally identical.
-pub mod dwcs_work {
-    /// Comparisons + memory touches performed by a schedule representation
-    /// (mirror of `dwcs::repr::Work`; converted by the glue in `dvcm`).
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct Work {
-        /// Key comparisons.
-        pub compares: u64,
-        /// Descriptor/node touches.
-        pub touches: u64,
-    }
-}
 
 /// Where frame descriptors live (Table 2 vs Table 3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -106,19 +91,26 @@ impl I960Core {
         }
     }
 
-    /// Time for one scheduling decision.
+    /// Cycles for one scheduling decision.
     ///
     /// `work` — comparisons/touches the schedule representation reported;
     /// `ring_scan` — descriptors walked in the per-stream circular buffers
     /// (the firmware's linear descriptor loop; the microbenchmark's mean
-    /// occupancy).
-    pub fn decision_time(&mut self, work: Work, ring_scan: u64) -> SimDuration {
+    /// occupancy). Touches advance the data-cache state.
+    pub fn decision_cycles(&mut self, work: Work, ring_scan: u64) -> u64 {
         let mut cycles = calib::NI_DECISION_BASE_CYCLES;
         cycles += calib::RATIO_EVALS_PER_DECISION * self.ratio_cycles();
         // Representation comparisons are ratio-flavoured too (priority
         // tests): priced per build.
         cycles += work.compares * self.ratio_cycles() / 4;
         cycles += self.touch_cycles(work.touches + ring_scan);
+        cycles
+    }
+
+    /// Time for one scheduling decision: [`I960Core::decision_cycles`] at
+    /// the core clock.
+    pub fn decision_time(&mut self, work: Work, ring_scan: u64) -> SimDuration {
+        let cycles = self.decision_cycles(work, ring_scan);
         SimDuration::for_cycles_at_hz(cycles, self.hz)
     }
 

@@ -143,7 +143,7 @@ pub fn service_estimate_ns(frame_bytes: u32, ni_cache: bool) -> u64 {
     let mut core = hwsim::I960Core::new().with_cache(ni_cache);
     let mut eth = hwsim::Ethernet::new();
     let per_frame = core.decision_time(
-        hwsim::i960::dwcs_work::Work {
+        fixedpt::ops::Work {
             compares: 8,
             touches: 8,
         },

@@ -19,7 +19,7 @@
 
 use dwcs::{DualHeap, DwcsScheduler, FrameDesc, FrameKind, StreamQos};
 use fixedpt::ops::MathMode;
-use hwsim::i960::{dwcs_work, DescriptorStore, I960Core};
+use hwsim::i960::{DescriptorStore, I960Core};
 use mpeg1::{EncoderConfig, Segmenter, SyntheticEncoder};
 use nistream_trace::{TraceEvent, TraceRing};
 use simkit::SimDuration;
@@ -180,11 +180,7 @@ fn run_inner(cfg: &MicroConfig, mut trace: Option<&mut TraceRing>) -> MicroResul
                 });
             }
         }
-        let work = dwcs_work::Work {
-            compares: d.work.compares,
-            touches: d.work.touches,
-        };
-        now += core.decision_time(work, occupancy);
+        now += core.decision_time(d.work, occupancy);
         if let Some(_f) = d.frame {
             now += core.dispatch_time();
             sent += 1;

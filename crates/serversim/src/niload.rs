@@ -22,7 +22,6 @@ use crate::hostload::{self, HostLoadConfig, HostLoadResult, StreamSeries};
 use crate::report::RateWindow;
 use dwcs::scheduler::SchedDecision;
 use dwcs::svc::{DispatchRecord, Platform};
-use hwsim::i960::dwcs_work;
 use hwsim::{Ethernet, I960Core};
 use nistream_trace::TraceCapture;
 use simkit::{SimDuration, SimTime};
@@ -77,11 +76,7 @@ impl Platform for NiWirePlatform {
     }
 
     fn on_decision(&mut self, decision: &SchedDecision, backlog: u64) {
-        let work = dwcs_work::Work {
-            compares: decision.work.compares,
-            touches: decision.work.touches,
-        };
-        let cost = self.core.decision_time(work, backlog.min(64));
+        let cost = self.core.decision_time(decision.work, backlog.min(64));
         self.decision_total += cost;
         self.decisions += 1;
         self.now_ns += cost.as_nanos();

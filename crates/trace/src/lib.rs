@@ -24,6 +24,8 @@
 //! extension, both simulators — produces the *same* events for the same
 //! schedule.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod chassis;
 pub mod event;

@@ -3,13 +3,14 @@
 //! The `ni-cycle-budget` lint derives a *static* worst-case cycle interval
 //! for `SchedService::service_once` by abstract interpretation over the
 //! `analysis.toml` file set. This gate validates that bound against the
-//! *dynamic* model: a metered scheduler run, priced per decision with the
-//! same `hwsim::calib` tables the analyzer mirrors.
+//! *dynamic* model: a scheduler run whose decisions are priced one by one
+//! by `hwsim::I960Core::decision_cycles`, the price the NI placement
+//! charges, built on the same `hwsim::calib` tables the analyzer mirrors.
 //!
 //! Three properties tie the two models together:
 //!
 //! 1. **Soundness** — the static worst case dominates every dynamically
-//!    metered decision (a WCET bound below an observed cost would be a
+//!    priced decision of every representation the NI runs (a WCET bound below an observed cost would be a
 //!    bug in the analyzer, the calibration, or an annotation).
 //! 2. **Sanity** — the static bound is not uselessly loose: it stays
 //!    within a fixed factor of the observed worst decision. The factor is
@@ -25,13 +26,11 @@
 //! roots: it may stay or fall, never rise.
 
 use nistream::dwcs::types::MILLISECOND;
-use nistream::dwcs::{DwcsScheduler, FrameDesc, FrameKind, LinearScan, StreamQos};
-use nistream::fixedpt::ops::{MathMode, OpKind, OpMeter};
-use nistream::hwsim::calib;
+use nistream::dwcs::{DualHeap, DwcsScheduler, FrameDesc, FrameKind, LinearScan, ScheduleRepr, StreamQos};
+use nistream::hwsim::{calib, I960Core};
 use nistream_analysis::dataflow::Bound;
 use nistream_analysis::{costmodel, Config};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Static worst-case reports for every hot root, straight from the repo's
 /// own `analysis.toml`.
@@ -52,13 +51,13 @@ fn static_report() -> (costmodel::RootReport, costmodel::CostModel) {
     (svc, model)
 }
 
-/// Run the NI-placement scheduler (fixed-point build, linear-scan repr —
-/// what the i960 firmware does) and price each decision with the i960
-/// cost tables. Returns per-decision cycle costs.
-fn metered_decision_cycles() -> Vec<u64> {
-    let meter = Arc::new(OpMeter::new(MathMode::FixedPoint));
-    let mut s = DwcsScheduler::new(LinearScan::new(4));
-    s.set_meter(Arc::clone(&meter));
+/// Run the NI-placement scheduler over `repr` (`LinearScan` is what the
+/// i960 firmware does, `DualHeap` what every placement runs) and price each
+/// decision the way `NiWirePlatform::on_decision` does: fixed-point build,
+/// cache off so every touch is a miss, ring scan of the remaining backlog
+/// capped at 64. Returns per-decision cycle costs.
+fn priced_decision_cycles(repr: impl ScheduleRepr) -> Vec<u64> {
+    let mut s = DwcsScheduler::new(repr);
     let sids: Vec<_> = (0..3)
         .map(|i| s.add_stream(StreamQos::new((10 + i) * MILLISECOND, 2, 8)))
         .collect();
@@ -68,29 +67,13 @@ fn metered_decision_cycles() -> Vec<u64> {
         }
     }
 
-    // Fixed-point lowering: compares land in IntMul, divides in Shift,
-    // counter updates in IntAlu, data-structure traffic in MemTouch.
-    // Price every touch as a miss — the static model does the same.
-    let price = |snap: &[u64]| -> u64 {
-        calib::NI_DECISION_BASE_CYCLES
-            + snap[OpKind::IntAlu.index()]
-            + snap[OpKind::IntMul.index()] * calib::FIXED_RATIO_CYCLES
-            + snap[OpKind::Shift.index()] * calib::FIXED_RATIO_CYCLES
-            + snap[OpKind::FloatAlu.index()] * calib::SOFT_FP_RATIO_CYCLES
-            + snap[OpKind::FloatDiv.index()] * calib::SOFT_FP_RATIO_CYCLES
-            + snap[OpKind::MemTouch.index()] * calib::TOUCH_MISS_CYCLES
-    };
-
+    let mut core = I960Core::new();
     let mut out = Vec::new();
-    let mut prev = meter.snapshot();
     let mut t = 0;
     while s.has_pending() {
-        let _ = s.schedule_next(t);
+        let d = s.schedule_next(t);
         t += MILLISECOND;
-        let now = meter.snapshot();
-        let delta: Vec<u64> = now.iter().zip(prev.iter()).map(|(a, b)| a - b).collect();
-        prev = now;
-        out.push(price(&delta));
+        out.push(core.decision_cycles(d.work, s.total_backlog().min(64)));
     }
     assert!(out.len() >= 120, "3 streams x 40 frames of decisions");
     out
@@ -108,22 +91,26 @@ fn static_bound_dominates_every_metered_decision() {
         model.budget_cycles
     );
 
-    let decisions = metered_decision_cycles();
-    let worst = *decisions.iter().max().expect("at least one decision");
-    for (i, &d) in decisions.iter().enumerate() {
+    for (name, decisions) in [
+        ("LinearScan", priced_decision_cycles(LinearScan::new(4))),
+        ("DualHeap", priced_decision_cycles(DualHeap::new(4))),
+    ] {
+        let worst = *decisions.iter().max().expect("at least one decision");
+        for (i, &d) in decisions.iter().enumerate() {
+            assert!(
+                i128::from(d) <= hi,
+                "{name}: decision {i} cost {d} cycles, above the static worst case {hi}"
+            );
+        }
+
+        // The static ceiling is pessimistic, not absurd: every annotated
+        // loop bound (16-stream scans, 16 drops per decision) multiplied
+        // together against a 3-stream run justifies a wide but *fixed* gap.
         assert!(
-            i128::from(d) <= hi,
-            "decision {i} cost {d} cycles, above the static worst case {hi}"
+            hi <= i128::from(worst.saturating_mul(1024)),
+            "{name}: static bound {hi} is more than 1024x the observed worst decision {worst}"
         );
     }
-
-    // The static ceiling is pessimistic, not absurd: every annotated loop
-    // bound (16-stream scans, 16 drops per decision) multiplied together
-    // against a 3-stream run justifies a wide but *fixed* gap.
-    assert!(
-        hi <= i128::from(worst.saturating_mul(1024)),
-        "static bound {hi} is more than 1024x the observed worst decision {worst}"
-    );
     // And the best case can never undercut the decision baseline.
     assert!(lo >= i128::from(calib::NI_DECISION_BASE_CYCLES));
 }
@@ -152,8 +139,8 @@ fn analyzer_mirror_constants_match_hwsim_calibration() {
 fn service_pass_static_budget_does_not_grow() {
     let (roots, _) = budget_report();
     for (name, ceiling) in [
-        ("SchedService::service_once", 1_380_342),
-        ("SchedService::service_batch", 1_380_998),
+        ("SchedService::service_once", 1_371_011),
+        ("SchedService::service_batch", 1_371_667),
     ] {
         let report = roots
             .iter()

@@ -250,7 +250,7 @@ fn batch_service_pass_allocates_nothing() {
 }
 
 /// A scheduler driven through bare `schedule_next` — as the bus
-/// simulator, the fairness and op-metering tests and the Criterion
+/// simulator, the fairness and FP-pricing tests and the Criterion
 /// benches drive it, with nobody collecting dropped descriptors — must
 /// not retain them. Every drop is handed out during the decision that
 /// made it; nothing is staged inside the scheduler, so a long run of

@@ -1,18 +1,17 @@
-//! The fixed-point story, end to end: identical scheduler executions
-//! metered under the two arithmetic builds produce different op-class
-//! profiles, and the i960 cost tables price the soft-float build ~20 µs
-//! per decision slower — Tables 1–2's mechanism, verifiable in isolation.
+//! The fixed-point story, end to end: one scheduler execution's decisions,
+//! each carrying the [`Work`] its representation did, priced by the i960
+//! model under the two arithmetic builds. The soft-float build costs ~20 µs
+//! more per decision — Tables 1–2's mechanism, verifiable in isolation.
 
 use nistream::dwcs::types::MILLISECOND;
-use nistream::dwcs::{DualHeap, DwcsScheduler, FrameDesc, FrameKind, StreamQos};
-use nistream::fixedpt::ops::{MathMode, OpKind, OpMeter};
-use nistream::hwsim::calib;
-use std::sync::Arc;
+use nistream::dwcs::{DualHeap, DwcsScheduler, FrameDesc, FrameKind, StreamQos, Work};
+use nistream::fixedpt::ops::MathMode;
+use nistream::hwsim::{calib, I960Core};
 
-fn run_metered(mode: MathMode) -> Arc<OpMeter> {
-    let meter = Arc::new(OpMeter::new(mode));
+/// 3 streams × 40 frames through `DualHeap`; returns each decision's work
+/// and the backlog left after it (the ring scan the NI placement prices).
+fn decisions() -> Vec<(Work, u64)> {
     let mut s = DwcsScheduler::new(DualHeap::new(4));
-    s.set_meter(Arc::clone(&meter));
     let sids: Vec<_> = (0..3)
         .map(|i| s.add_stream(StreamQos::new((10 + i) * MILLISECOND, 2, 8)))
         .collect();
@@ -21,79 +20,33 @@ fn run_metered(mode: MathMode) -> Arc<OpMeter> {
             s.enqueue(sid, FrameDesc::new(sid, seq, 1000, FrameKind::P), 0);
         }
     }
+    let mut out = Vec::new();
     let mut t = 0;
     while s.has_pending() {
-        let _ = s.schedule_next(t);
+        let d = s.schedule_next(t);
+        out.push((d.work, s.total_backlog().min(64)));
         t += MILLISECOND;
     }
-    meter
-}
-
-#[test]
-fn builds_produce_disjoint_op_classes() {
-    let fixed = run_metered(MathMode::FixedPoint);
-    let float = run_metered(MathMode::SoftFloat);
-
-    // Fixed build: integer multiplies + shifts, zero float ops.
-    assert!(fixed.count(OpKind::IntMul) > 0, "cross-multiply compares");
-    assert!(fixed.count(OpKind::Shift) > 0, "shift divides");
-    assert_eq!(fixed.count(OpKind::FloatAlu), 0);
-    assert_eq!(fixed.count(OpKind::FloatDiv), 0);
-
-    // Float build: the same logical ops land in the FP classes.
-    assert!(float.count(OpKind::FloatAlu) > 0);
-    assert!(float.count(OpKind::FloatDiv) > 0);
-    assert_eq!(float.count(OpKind::IntMul), 0, "no cross-multiplies in FP build");
-
-    // The *logical* work is identical — only the lowering differs:
-    //   compares:   fixed -> IntMul,  float -> FloatAlu
-    //   updates:    fixed -> IntAlu,  float -> FloatAlu
-    //   divides:    fixed -> Shift,   float -> FloatDiv
-    //   counters:   IntAlu in both
-    let fixed_updates = fixed.count(OpKind::IntAlu) - float.count(OpKind::IntAlu);
-    assert_eq!(
-        float.count(OpKind::FloatAlu),
-        fixed.count(OpKind::IntMul) + fixed_updates,
-        "float ALU ops = compares + window updates"
-    );
-    assert_eq!(fixed.count(OpKind::Shift), float.count(OpKind::FloatDiv));
-    assert_eq!(fixed.count(OpKind::MemTouch), float.count(OpKind::MemTouch));
+    out
 }
 
 #[test]
 fn pricing_the_profiles_reproduces_the_fp_penalty() {
-    let fixed = run_metered(MathMode::FixedPoint);
-    let float = run_metered(MathMode::SoftFloat);
+    let decisions = decisions();
+    assert_eq!(decisions.len(), 120, "3 streams × 40 frames");
 
-    // Price each profile with the i960 tables (cycles per class).
-    let price = |m: &OpMeter| -> u64 {
-        m.count(OpKind::IntAlu)
-            + m.count(OpKind::IntMul) * calib::FIXED_RATIO_CYCLES
-            + m.count(OpKind::Shift) * calib::FIXED_RATIO_CYCLES
-            + m.count(OpKind::FloatAlu) * calib::SOFT_FP_RATIO_CYCLES
-            + m.count(OpKind::FloatDiv) * calib::SOFT_FP_RATIO_CYCLES
+    let price = |math: MathMode| -> u64 {
+        let mut core = I960Core::new().with_math(math);
+        decisions.iter().map(|&(w, scan)| core.decision_cycles(w, scan)).sum()
     };
-    let fixed_cycles = price(&fixed);
-    let float_cycles = price(&float);
-    assert!(
-        float_cycles > fixed_cycles * 3,
-        "soft-FP arithmetic dominates: {float_cycles} vs {fixed_cycles}"
-    );
+    let fixed_cycles = price(MathMode::FixedPoint);
+    let float_cycles = price(MathMode::SoftFloat);
 
     // Per decision, the difference lands in Tables 1-2's ~20 µs at 66 MHz.
-    let decisions = 120.0; // 3 streams × 40 frames
-    let delta_us = (float_cycles - fixed_cycles) as f64 / decisions / 66.0;
+    let cycles_per_us = (calib::I960_HZ / 1_000_000) as f64;
+    let delta_us = (float_cycles - fixed_cycles) as f64 / decisions.len() as f64 / cycles_per_us;
     assert!(
-        (5.0..=60.0).contains(&delta_us),
+        (15.0..=30.0).contains(&delta_us),
         "per-decision FP penalty {delta_us:.1} µs"
     );
-}
-
-#[test]
-fn meter_reset_and_snapshot() {
-    let meter = run_metered(MathMode::FixedPoint);
-    let snap = meter.snapshot();
-    assert_eq!(snap.iter().sum::<u64>(), meter.total());
-    meter.reset();
-    assert_eq!(meter.total(), 0);
 }
