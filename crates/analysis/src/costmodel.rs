@@ -847,7 +847,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// A method call: an exact impl match on the receiver's type outranks
-    /// everything (`SortedList::position` is a binary search, not
+    /// everything (a user type's own `position` is its body, not
     /// `Iterator::position`); then lazy adapters defer, drains multiply,
     /// cheap std combinators cost an integer method, and the rest resolve
     /// through the call graph with receiver-type refinement.

@@ -8,7 +8,7 @@
 //!    (`serversim::chassis`) under rising offered load. Admitted and
 //!    sustained streams show the card saturating on CPU and wire while
 //!    bus utilization and DMA wait show the bus far from full.
-//! 4. Schedule representation (§3.1.1): the six `dwcs::repr` structures
+//! 4. Schedule representation (§3.1.1): the three `dwcs::repr` structures
 //!    run the same steady-state decision kernel, and each decision's
 //!    comparisons and touches are priced on the i960RD with its data
 //!    cache on. Host wall-clock of the same structures is `perfbench`'s
@@ -19,9 +19,7 @@
 //!
 //! Run: `cargo run --release -p nistream-bench --bin ablation_report`
 
-use dwcs::{
-    BTreeRepr, BatchSoa, CalendarQueue, DualHeap, HeadKey, LinearScan, ScheduleRepr, SortedList, StreamId, Work,
-};
+use dwcs::{BatchSoa, DualHeap, HeadKey, LinearScan, ScheduleRepr, StreamId, Work};
 use fixedpt::ops::MathMode;
 use hwsim::i960::I960Core;
 use hwsim::profiles::{decision_us, ALL};
@@ -178,12 +176,9 @@ fn repr_cost() -> String {
     let mut rows = Vec::new();
     for n in [4u32, 16, 40, 1024] {
         let cap = n as usize;
-        let reprs: [Box<dyn ScheduleRepr>; 6] = [
+        let reprs: [Box<dyn ScheduleRepr>; 3] = [
             Box::new(LinearScan::new(cap)),
-            Box::new(SortedList::new()),
             Box::new(DualHeap::new(cap)),
-            Box::new(BTreeRepr::new()),
-            Box::new(CalendarQueue::new(1_000_000, 32)),
             Box::new(BatchSoa::new(cap)),
         ];
         for mut r in reprs {
@@ -216,7 +211,7 @@ fn repr_cost() -> String {
     );
     let _ = writeln!(
         out,
-        "does the firmware's linear scan cost ~2.5x the btree (§3.1.1's trade-off)."
+        "does the firmware's linear scan cost ~2.4x the dual heap (§3.1.1's trade-off)."
     );
     out
 }

@@ -29,13 +29,12 @@
 //!   explicitly decouples "scheduling analysis" from "schedule
 //!   representation" so that FCFS circular buffers, sorted lists, heaps or
 //!   calendar queues can be compared): [`repr::LinearScan`] (what the i960
-//!   firmware actually did — loop over descriptors), [`repr::SortedList`],
-//!   [`repr::DualHeap`] (the paper's Figure 4: a deadline heap plus a
-//!   loss-tolerance heap), [`repr::BTreeRepr`], [`repr::CalendarQueue`],
-//!   and [`repr::BatchSoa`] (a struct-of-arrays table under an 8-ary
-//!   winner pyramid, sized for 100k+ streams host-side).
-//!   All representations are observationally identical; property tests
-//!   cross-check them against `LinearScan`.
+//!   firmware actually did — loop over descriptors), [`repr::DualHeap`]
+//!   (the paper's Figure 4: a deadline heap plus a loss-tolerance heap;
+//!   every placement runs it) and [`repr::BatchSoa`] (a struct-of-arrays
+//!   table under an 8-ary winner pyramid, sized for 100k+ streams
+//!   host-side). All representations are observationally identical;
+//!   property tests cross-check them against `LinearScan`.
 //! * [`ring::SpscRing`] — the synchronization-free single-producer /
 //!   single-consumer circular buffer of Figure 4(b) ("using a circular queue
 //!   for each stream eliminates the need for synchronization between the
@@ -94,7 +93,7 @@ pub mod types;
 
 pub use key::HeadKey;
 pub use qos::{LossPolicy, MissOutcome, StreamQos, Window};
-pub use repr::{BTreeRepr, BatchSoa, CalendarQueue, DualHeap, LinearScan, ScheduleRepr, SortedList, Work};
+pub use repr::{BatchSoa, DualHeap, LinearScan, ScheduleRepr, Work};
 pub use ring::SpscRing;
 pub use scheduler::{DeadlineAnchor, DwcsScheduler, SchedDecision, SchedulerConfig};
 pub use svc::{BatchSummary, Congestion, DispatchRecord, Platform, SchedService};

@@ -330,7 +330,7 @@ impl BatchSoa {
         if self.dirty.len() >= self.cap / ARITY {
             self.rebuild();
             let dirty = core::mem::take(&mut self.dirty);
-            // analysis: allow(ni-cycle-budget) reason="dirty list is DIRTY-bit deduped, at most one entry per slot; batch repr is measured host-side, NI placements use LinearScan"
+            // analysis: allow(ni-cycle-budget) reason="dirty list is DIRTY-bit deduped, so this runs at most cap times per flush and amortizes to O(1) per update; BatchSoa runs in no placement, and a static bound is ROADMAP item 7"
             for &slot in &dirty {
                 // analysis: allow(ni-bounds) reason="dirty entries are in-range by construction: mark_dirty indexes self.tag[slot] before pushing and the table never shrinks"
                 self.tag[slot as usize] &= !DIRTY;
@@ -339,12 +339,12 @@ impl BatchSoa {
         } else {
             let dirty = core::mem::take(&mut self.dirty);
             let mut groups = 0u64;
-            // analysis: allow(ni-cycle-budget) reason="dirty list is DIRTY-bit deduped, at most one entry per slot; batch repr is measured host-side, NI placements use LinearScan"
+            // analysis: allow(ni-cycle-budget) reason="dirty list is DIRTY-bit deduped, so this runs at most cap times per flush and amortizes to O(1) per update; BatchSoa runs in no placement, and a static bound is ROADMAP item 7"
             for &slot in &dirty {
                 // analysis: allow(ni-bounds) reason="dirty entries are in-range by construction: mark_dirty indexes self.tag[slot] before pushing and the table never shrinks"
                 self.tag[slot as usize] &= !DIRTY;
                 let mut g = slot as usize / ARITY;
-                // analysis: allow(ni-cycle-budget) reason="path length is log8(slot range); batch repr is measured host-side, NI placements use LinearScan"
+                // analysis: allow(ni-cycle-budget) reason="one group per pyramid level, so the path is log8(cap) long; BatchSoa runs in no placement, and a static bound is ROADMAP item 7"
                 for lvl in 0..self.levels.len() {
                     groups += 1;
                     let changed = self.refresh(lvl, g);
@@ -399,7 +399,7 @@ impl BatchSoa {
     /// growth (construction starts empty, which the levels already encode).
     fn rebuild(&mut self) {
         let mut groups = 0u64;
-        // analysis: allow(ni-cycle-budget) reason="bulk path: O(cap/7) groups, cheaper than the per-slot walks it replaces; batch repr is measured host-side, NI placements use LinearScan"
+        // analysis: allow(ni-cycle-budget) reason="bulk path: O(cap/7) groups, cheaper than the per-slot walks it replaces; BatchSoa runs in no placement, and a static bound is ROADMAP item 7"
         for lvl in 0..self.levels.len() {
             // analysis: allow(ni-cycle-budget) reason="bulk path: O(cap/7) groups, cheaper than the per-slot walks it replaces"
             for g in 0..self.levels[lvl].size {
@@ -418,7 +418,7 @@ impl ScheduleRepr for BatchSoa {
     }
 
     // analysis: hot
-    // analysis: allow(ni-cycle-budget) reason="admission can trigger growth + rebuild; batch repr is measured host-side, NI placements use LinearScan"
+    // analysis: allow(ni-cycle-budget) reason="only admission of a new stream id triggers growth + rebuild, bounded by stream count; BatchSoa runs in no placement, and a static bound is ROADMAP item 7"
     fn update(&mut self, sid: StreamId, key: HeadKey) {
         let slot = sid.index();
         if slot >= self.cap {
@@ -454,7 +454,7 @@ impl ScheduleRepr for BatchSoa {
         }
     }
 
-    // analysis: allow(ni-cycle-budget) reason="flush cost is dirty-count-dependent, amortized O(log8 n) per decision; batch repr is measured host-side, NI placements use LinearScan"
+    // analysis: allow(ni-cycle-budget) reason="flush cost is dirty-count-dependent, amortized O(log8 n) per decision; BatchSoa runs in no placement, and a static bound is ROADMAP item 7"
     fn peek_min(&mut self) -> Option<(StreamId, HeadKey)> {
         self.flush();
         // `build_levels` always pushes a root level with one group; the

@@ -21,8 +21,8 @@
 //! (`into_vec` → `retain` → `from`), O(physical) per firing and amortized
 //! O(1) per update. Compaction is *work-silent* — it charges no [`Work`] —
 //! so the decision-work accounting the cost models price is identical
-//! whether or not the host compacts (the NI placements use `LinearScan`;
-//! this representation is a host-side comparison structure).
+//! whether or not a run compacts. Every placement runs this structure:
+//! the host engine, the NI (`dvcm::MediaSchedExt`) and each chassis card.
 
 use super::{ScheduleRepr, Work};
 use crate::key::HeadKey;
@@ -145,7 +145,7 @@ impl DualHeap {
         let cap = 2 * self.len + 64;
         if self.deadline_heap.len() > cap {
             let mut v = core::mem::take(&mut self.deadline_heap).into_vec();
-            // analysis: allow(ni-cycle-budget) reason="compaction is O(physical) per firing, amortized O(1) per update; host-side comparison repr, NI placements use LinearScan"
+            // analysis: allow(ni-cycle-budget) reason="compaction fires only at physical > 2·len + 64 and keeps the current entries, so it is amortized O(1) per update; a static bound is ROADMAP item 7"
             v.retain(|Reverse(ByPrecedence(e))| {
                 self.stamps
                     .get(e.sid.index())
@@ -157,7 +157,7 @@ impl DualHeap {
         }
         if self.tolerance_heap.len() > cap {
             let mut v = core::mem::take(&mut self.tolerance_heap).into_vec();
-            // analysis: allow(ni-cycle-budget) reason="compaction is O(physical) per firing, amortized O(1) per update; host-side comparison repr, NI placements use LinearScan"
+            // analysis: allow(ni-cycle-budget) reason="compaction fires only at physical > 2·len + 64 and keeps the current entries, so it is amortized O(1) per update; a static bound is ROADMAP item 7"
             v.retain(|Reverse(ByTolerance(e))| {
                 self.stamps
                     .get(e.sid.index())
@@ -217,7 +217,7 @@ impl ScheduleRepr for DualHeap {
         }
     }
 
-    // analysis: allow(ni-cycle-budget) reason="stale-entry skip count is load-dependent; comparison repr measured host-side, NI placements use LinearScan"
+    // analysis: allow(ni-cycle-budget) reason="each stale entry is skipped once, and compaction at physical > 2·len + 64 caps their number, so the skips are amortized O(1) per update; a static bound is ROADMAP item 7"
     fn peek_min(&mut self) -> Option<(StreamId, HeadKey)> {
         while let Some(Reverse(ByPrecedence(e))) = self.deadline_heap.peek().copied() {
             self.work.touches += 1;

@@ -7,7 +7,7 @@
 //!
 //! A representation indexes **head-of-line packets only** — one entry per
 //! stream (paper Figure 4) — and must answer "which stream's head packet is
-//! minimal under the DWCS precedence order" ([`HeadKey`]). All six
+//! minimal under the DWCS precedence order" ([`HeadKey`]). All three
 //! implementations are observationally identical; they differ in asymptotics
 //! and constant factors. `ablation_report`'s Ablation 4 prices each one's
 //! decision on the i960RD, and `perfbench` times `DualHeap` and
@@ -16,33 +16,28 @@
 //! | repr | insert | pop_min | notes |
 //! |---|---|---|---|
 //! | [`LinearScan`] | O(1) | O(n) | what the i960 firmware does ("loops through the frame descriptors") |
-//! | [`SortedList`] | O(n) | O(1) | §3.1.1's "sorted lists" |
 //! | [`DualHeap`]   | O(log n) | O(log n) | paper Figure 4: deadline heap + loss-tolerance heap, lazy invalidation |
-//! | [`BTreeRepr`]  | O(log n) | O(log n) | modern baseline |
-//! | [`CalendarQueue`] | O(1) amortised | O(1) amortised | §3.1.1's "calendar queues" |
 //! | [`BatchSoa`] | O(1) + deferred | O(log n) amortised | struct-of-arrays winner tree, dirty-tracked incremental refresh |
+//!
+//! The quote's sorted lists and calendar queues are not provided: at the
+//! tens of streams one NI holds, the decision's fixed work dominates and
+//! the structure moves its price by under 5 %.
 //!
 //! Every operation accrues a [`Work`] tally (comparisons + memory touches;
 //! defined in `fixedpt::ops` so `hwsim` prices this very type) which the
 //! i960 cost model converts into simulated cycles — that is how
 //! the *same algorithm execution* yields different decision times for
 //! different data structures and cache settings (Tables 1–3 run
-//! [`DualHeap`]; Ablation 4 runs all six).
+//! [`DualHeap`]; Ablation 4 runs all three).
 
 mod batch;
-mod btree;
-mod calendar;
 mod dual_heap;
 mod linear;
-mod sorted;
 
 pub use batch::BatchSoa;
-pub use btree::BTreeRepr;
-pub use calendar::CalendarQueue;
 pub use dual_heap::DualHeap;
 pub use fixedpt::ops::Work;
 pub use linear::LinearScan;
-pub use sorted::SortedList;
 
 use crate::key::HeadKey;
 use crate::types::StreamId;
@@ -101,10 +96,7 @@ mod cross_check {
     fn exercise(ops: &[(u32, HeadKey)]) {
         let mut reprs: Vec<Box<dyn ScheduleRepr>> = vec![
             Box::new(LinearScan::new(64)),
-            Box::new(SortedList::new()),
             Box::new(DualHeap::new(64)),
-            Box::new(BTreeRepr::new()),
-            Box::new(CalendarQueue::new(1_000_000, 8)),
             Box::new(BatchSoa::new(64)),
         ];
         for r in &mut reprs {
@@ -144,10 +136,7 @@ mod cross_check {
     fn identical_pop_order_with_updates() {
         let mut reprs: Vec<Box<dyn ScheduleRepr>> = vec![
             Box::new(LinearScan::new(16)),
-            Box::new(SortedList::new()),
             Box::new(DualHeap::new(16)),
-            Box::new(BTreeRepr::new()),
-            Box::new(CalendarQueue::new(500_000, 4)),
             Box::new(BatchSoa::new(16)),
         ];
         for r in &mut reprs {
@@ -170,10 +159,7 @@ mod cross_check {
     fn peek_matches_pop() {
         let mut reprs: Vec<Box<dyn ScheduleRepr>> = vec![
             Box::new(LinearScan::new(16)),
-            Box::new(SortedList::new()),
             Box::new(DualHeap::new(16)),
-            Box::new(BTreeRepr::new()),
-            Box::new(CalendarQueue::new(500_000, 4)),
             Box::new(BatchSoa::new(16)),
         ];
         for r in &mut reprs {

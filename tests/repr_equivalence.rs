@@ -1,16 +1,16 @@
-//! Property: all six schedule representations implement the same
-//! observable order — random head-update/remove/pop sequences must pop in
-//! exactly the order LinearScan (the firmware-faithful reference) does.
+//! Property: all three schedule representations implement the same
+//! observable order — random head-update/remove/peek/pop sequences must
+//! peek and pop exactly what LinearScan (the firmware-faithful reference)
+//! does.
 
-use nistream::dwcs::{
-    BTreeRepr, BatchSoa, CalendarQueue, DualHeap, HeadKey, LinearScan, ScheduleRepr, SortedList, StreamId,
-};
+use nistream::dwcs::{BatchSoa, DualHeap, HeadKey, LinearScan, ScheduleRepr, StreamId};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {
     Update { sid: u8, deadline: u64, x: u8, y: u8 },
     Remove { sid: u8 },
+    Peek,
     Pop,
 }
 
@@ -23,6 +23,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             y,
         }),
         1 => (0u8..24).prop_map(|sid| Op::Remove { sid }),
+        1 => Just(Op::Peek),
         3 => Just(Op::Pop),
     ]
 }
@@ -45,6 +46,7 @@ fn apply(repr: &mut dyn ScheduleRepr, ops: &[Op]) -> Vec<Option<u32>> {
                 );
             }
             Op::Remove { sid } => repr.remove(StreamId(u32::from(sid))),
+            Op::Peek => log.push(repr.peek_min().map(|(sid, _)| sid.0)),
             Op::Pop => log.push(repr.pop_min().map(|(sid, _)| sid.0)),
         }
     }
@@ -65,10 +67,7 @@ proptest! {
         let expected = apply(&mut reference, &ops);
 
         let mut others: Vec<Box<dyn ScheduleRepr>> = vec![
-            Box::new(SortedList::new()),
             Box::new(DualHeap::new(24)),
-            Box::new(BTreeRepr::new()),
-            Box::new(CalendarQueue::new(10_000, 8)),
             Box::new(BatchSoa::new(24)),
         ];
         for r in &mut others {
@@ -81,10 +80,7 @@ proptest! {
     fn len_is_consistent_across_reprs(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let mut reprs: Vec<Box<dyn ScheduleRepr>> = vec![
             Box::new(LinearScan::new(24)),
-            Box::new(SortedList::new()),
             Box::new(DualHeap::new(24)),
-            Box::new(BTreeRepr::new()),
-            Box::new(CalendarQueue::new(10_000, 8)),
             Box::new(BatchSoa::new(24)),
         ];
         let mut arrivals = 0u64;
@@ -100,6 +96,9 @@ proptest! {
                         });
                     }
                     Op::Remove { sid } => r.remove(StreamId(u32::from(sid))),
+                    Op::Peek => {
+                        r.peek_min();
+                    }
                     Op::Pop => {
                         r.pop_min();
                     }
@@ -154,13 +153,6 @@ fn tie_heavy_replay_agrees_with_linear_scan() {
         order
     }
     let reference = winners(LinearScan::new(64));
-    assert_eq!(reference, winners(SortedList::new()), "sorted-list diverged");
     assert_eq!(reference, winners(DualHeap::new(64)), "dual-heap diverged");
-    assert_eq!(reference, winners(BTreeRepr::new()), "btree diverged");
-    assert_eq!(
-        reference,
-        winners(CalendarQueue::new(1_000_000, 32)),
-        "calendar-queue diverged"
-    );
     assert_eq!(reference, winners(BatchSoa::new(64)), "batch-soa diverged");
 }
