@@ -6,8 +6,9 @@
 //! * `soak --check` — recompute the quick suite and gate it against the
 //!   checked-in baseline: exit 1 on any absolute-objective breach or any
 //!   SLO regression past tolerance. This is the CI gate.
-//! * `soak` — the soak proper: hours of virtual time, written to
-//!   `BENCH_slo_full.json` (not checked in).
+//! * `soak` — the soak proper: hours of virtual time, written to the
+//!   checked-in `BENCH_slo_full.json`; CI fails if the rewritten bytes
+//!   differ from the committed ones.
 
 use nistream_bench::benchout::{check_flag, quick_flag, repo_root, write_doc};
 use nistream_bench::soak::{self, SoakMode, SoakRow};

@@ -38,7 +38,7 @@ use workload::vbr::{self, mean_frame_bytes, VbrSpec, VbrTraceGen};
 pub const SCHEMA: &str = "nistream-bench/slo/v1";
 /// Quick-mode document (checked in as the regression baseline).
 pub const FILE: &str = "BENCH_slo.json";
-/// Full-mode document (regenerated locally, not checked in).
+/// Full-mode document (checked in; CI pins its bytes).
 pub const FULL_FILE: &str = "BENCH_slo_full.json";
 /// Keys `benchout::validate_doc` requires in the emitted document.
 pub const REQUIRED_KEYS: &[&str] = &[

@@ -30,10 +30,10 @@
 //!   representation" so that FCFS circular buffers, sorted lists, heaps or
 //!   calendar queues can be compared): [`repr::LinearScan`] (what the i960
 //!   firmware actually did — loop over descriptors), [`repr::DualHeap`]
-//!   (the paper's Figure 4: a deadline heap plus a loss-tolerance heap;
-//!   every placement runs it) and [`repr::BatchSoa`] (a struct-of-arrays
-//!   table under an 8-ary winner pyramid, sized for 100k+ streams
-//!   host-side). All representations are observationally identical;
+//!   (the paper's Figure 4 heap pair, priced as two heaps but built as
+//!   the one deadline heap decisions read; every placement runs it) and
+//!   [`repr::BatchSoa`] (a struct-of-arrays table under an 8-ary winner
+//!   pyramid, sized for 100k+ streams host-side). All representations are observationally identical;
 //!   property tests cross-check them against `LinearScan`.
 //! * [`ring::SpscRing`] — the synchronization-free single-producer /
 //!   single-consumer circular buffer of Figure 4(b) ("using a circular queue

@@ -1,23 +1,24 @@
-//! The paper's Figure 4 structure: two heaps over head-of-line packets.
+//! The paper's Figure 4 structure, built as one heap over head-of-line
+//! packets.
 //!
 //! *"This implementation of DWCS uses two heaps: one for deadlines and
-//! another for loss-tolerances."* Head packets of every stream are indexed
-//! twice: the **deadline heap** orders by the full precedence relation
-//! (deadline-major, so its top *is* the DWCS winner), and the
-//! **loss-tolerance heap** orders by current window-constraint, giving O(1)
-//! access to the most-constrained stream (used by overload introspection,
-//! [`DualHeap::most_constrained`]).
+//! another for loss-tolerances."* The **deadline heap** orders head
+//! packets by the full precedence relation (deadline-major, with the
+//! window-constraint and FCFS tie-breaks folded in), so its top *is* the
+//! DWCS winner. That makes Figure 4's **loss-tolerance heap** redundant
+//! for scheduling: nothing in a decision reads it, so it is not built.
+//! It is still *priced*: `update` charges [`Work`] for two sift-ups, the
+//! i960 cost of keeping the paper's heap pair, which Tables 1–3, Ablation
+//! 4 and the golden traces are calibrated against.
 //!
 //! Updates use **lazy invalidation**: each stream carries a version stamp;
 //! stale heap entries are discarded when they surface. This keeps `update`
 //! at O(log n) push without requiring decrease-key.
 //!
-//! Lazy invalidation leaves **tombstones**: the deadline heap accumulates
-//! them on `remove` (stale entries only clear when they surface at the
-//! top), and the tolerance heap — which `pop_min` never physically pops —
-//! would otherwise grow by one entry per update without bound. Whenever a
-//! heap's physical length exceeds `2·len + 64` it is compacted: rebuilt in
-//! place retaining only current entries, reusing the existing buffer
+//! Lazy invalidation leaves **tombstones**: superseded and removed
+//! entries stay in the heap until they surface at the top. Whenever the
+//! heap's physical length exceeds `2·len + 64` it is compacted: rebuilt
+//! in place retaining only current entries, reusing the existing buffer
 //! (`into_vec` → `retain` → `from`), O(physical) per firing and amortized
 //! O(1) per update. Compaction is *work-silent* — it charges no [`Work`] —
 //! so the decision-work accounting the cost models price is identical
@@ -58,38 +59,9 @@ impl Ord for ByPrecedence {
     }
 }
 
-/// Wrapper ordering entries by window-constraint (loss-tolerance heap):
-/// lowest `W'` first, zero-constraint ties by highest `y'`.
-#[derive(Clone, Copy)]
-struct ByTolerance(Entry);
-
-impl ByTolerance {
-    fn rank(&self) -> (fixedpt::Frac, Reverse<u32>, u64) {
-        (self.0.key.constraint(), Reverse(self.0.key.y), self.0.key.arrival)
-    }
-}
-
-impl PartialEq for ByTolerance {
-    fn eq(&self, o: &Self) -> bool {
-        self.cmp(o).is_eq()
-    }
-}
-impl Eq for ByTolerance {}
-impl PartialOrd for ByTolerance {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for ByTolerance {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.rank().cmp(&o.rank())
-    }
-}
-
-/// Deadline heap + loss-tolerance heap with lazy invalidation.
+/// Deadline heap with lazy invalidation, priced as Figure 4's heap pair.
 pub struct DualHeap {
     deadline_heap: BinaryHeap<Reverse<ByPrecedence>>,
-    tolerance_heap: BinaryHeap<Reverse<ByTolerance>>,
     /// Per-stream current stamp; `None` = not present.
     stamps: Vec<Option<u64>>,
     next_stamp: u64,
@@ -98,11 +70,10 @@ pub struct DualHeap {
 }
 
 impl DualHeap {
-    /// Heap pair sized for stream ids `0..capacity` (grows on demand).
+    /// Heap sized for stream ids `0..capacity` (grows on demand).
     pub fn new(capacity: usize) -> DualHeap {
         DualHeap {
             deadline_heap: BinaryHeap::with_capacity(capacity),
-            tolerance_heap: BinaryHeap::with_capacity(capacity),
             stamps: vec![None; capacity],
             next_stamp: 0,
             len: 0,
@@ -129,21 +100,20 @@ impl DualHeap {
         (self.deadline_heap.len().max(2) as u64).ilog2() as u64
     }
 
-    /// Physical entries held by the two heaps (live + tombstones) — the
+    /// Physical entries held by the heap (live + tombstones) — the
     /// quantity the compaction threshold bounds; exposed for regression
     /// tests and memory accounting.
-    pub fn physical_len(&self) -> (usize, usize) {
-        (self.deadline_heap.len(), self.tolerance_heap.len())
+    pub fn physical_len(&self) -> usize {
+        self.deadline_heap.len()
     }
 
-    /// Compact any heap whose tombstone count has outgrown the live set:
-    /// physical > `2·len + 64`. The slack keeps tiny configurations (the
-    /// repro experiments run handfuls of streams) from ever compacting, so
-    /// their measured work is untouched; long bench and churn runs stay
-    /// bounded at ~2× the live set.
+    /// Compact the heap once its tombstone count has outgrown the live
+    /// set: physical > `2·len + 64`. The slack keeps tiny configurations
+    /// (the repro experiments run handfuls of streams) from ever
+    /// compacting, so their measured work is untouched; long bench and
+    /// churn runs stay bounded at ~2× the live set.
     fn maybe_compact(&mut self) {
-        let cap = 2 * self.len + 64;
-        if self.deadline_heap.len() > cap {
+        if self.deadline_heap.len() > 2 * self.len + 64 {
             let mut v = core::mem::take(&mut self.deadline_heap).into_vec();
             // analysis: allow(ni-cycle-budget) reason="compaction fires only at physical > 2·len + 64 and keeps the current entries, so it is amortized O(1) per update; a static bound is ROADMAP item 7"
             v.retain(|Reverse(ByPrecedence(e))| {
@@ -155,33 +125,6 @@ impl DualHeap {
             });
             self.deadline_heap = BinaryHeap::from(v);
         }
-        if self.tolerance_heap.len() > cap {
-            let mut v = core::mem::take(&mut self.tolerance_heap).into_vec();
-            // analysis: allow(ni-cycle-budget) reason="compaction fires only at physical > 2·len + 64 and keeps the current entries, so it is amortized O(1) per update; a static bound is ROADMAP item 7"
-            v.retain(|Reverse(ByTolerance(e))| {
-                self.stamps
-                    .get(e.sid.index())
-                    .copied()
-                    .flatten()
-                    .is_some_and(|s| s == e.stamp)
-            });
-            self.tolerance_heap = BinaryHeap::from(v);
-        }
-    }
-
-    /// The stream with the lowest current window-constraint — the
-    /// loss-tolerance heap's reason to exist: in overload the scheduler (or
-    /// an operator probe) can see which stream is closest to violation
-    /// without a scan.
-    pub fn most_constrained(&mut self) -> Option<(StreamId, HeadKey)> {
-        while let Some(Reverse(ByTolerance(e))) = self.tolerance_heap.peek().copied() {
-            self.work.touches += 1;
-            if self.is_current(&e) {
-                return Some((e.sid, e.key));
-            }
-            self.tolerance_heap.pop();
-        }
-        None
     }
 }
 
@@ -199,16 +142,14 @@ impl ScheduleRepr for DualHeap {
         }
         self.stamps[sid.index()] = Some(stamp);
         let e = Entry { key, sid, stamp };
-        // Two sift-ups: ~log n compares and touches each.
+        // Two sift-ups — Figure 4's deadline and loss-tolerance heaps —
+        // ~log n compares and touches each. Only the first is built.
         self.work.compares += 2 * self.log_len();
         self.work.touches += 2 * (self.log_len() + 1);
         // analysis: allow(ni-no-alloc) reason="heap capacity reserved at construction; lazy invalidation is the cost model this representation measures"
         self.deadline_heap.push(Reverse(ByPrecedence(e)));
-        // analysis: allow(ni-no-alloc) reason="heap capacity reserved at construction; lazy invalidation is the cost model this representation measures"
-        self.tolerance_heap.push(Reverse(ByTolerance(e)));
         self.maybe_compact();
     }
-
     fn remove(&mut self, sid: StreamId) {
         if sid.index() < self.stamps.len() && self.stamps[sid.index()].take().is_some() {
             self.len -= 1;
@@ -299,26 +240,68 @@ mod tests {
         assert!(r.pop_min().is_none());
     }
 
+    /// The `Work` each call charges is the i960 price of Figure 4's heap
+    /// pair, and Tables 1–3, Ablation 4 and the golden traces are
+    /// calibrated against it: `update` is two sift-ups although one heap
+    /// is built. A change to the host layout must not move these counts.
     #[test]
-    fn tolerance_heap_finds_most_constrained() {
-        let mut r = DualHeap::new(8);
-        r.update(StreamId(0), key(10, 3, 4, 0)); // W' = 3/4
-        r.update(StreamId(1), key(5, 1, 8, 1)); // W' = 1/8 — most constrained
-        r.update(StreamId(2), key(1, 2, 4, 2)); // W' = 1/2
-        let (sid, _) = r.most_constrained().unwrap();
-        assert_eq!(sid, StreamId(1));
-        // Deadline order is independent: pop gives stream 2 (deadline 1).
-        assert_eq!(r.pop_min().unwrap().0, StreamId(2));
-        // After popping, most_constrained tracks remaining current entries.
-        let (sid, _) = r.most_constrained().unwrap();
-        assert_eq!(sid, StreamId(1));
+    fn work_per_call_is_the_heap_pair_price() {
+        let mut r = DualHeap::new(4);
+        let mut charged = Vec::new();
+        let mut step = |r: &mut DualHeap, what: &'static str| {
+            let w = r.take_work();
+            charged.push((what, w.compares, w.touches));
+        };
+        r.update(StreamId(0), key(100, 1, 2, 0));
+        step(&mut r, "update s0");
+        r.update(StreamId(1), key(50, 1, 4, 1));
+        step(&mut r, "update s1");
+        r.update(StreamId(2), key(70, 0, 2, 2));
+        step(&mut r, "update s2");
+        r.update(StreamId(3), key(200, 2, 8, 3));
+        step(&mut r, "update s3");
+        r.update(StreamId(0), key(300, 1, 2, 4));
+        step(&mut r, "supersede s0");
+        assert_eq!(r.peek_min().map(|(sid, _)| sid), Some(StreamId(1)));
+        step(&mut r, "peek s1");
+        assert_eq!(r.pop_min().map(|(sid, _)| sid), Some(StreamId(1)));
+        step(&mut r, "pop s1");
+        r.remove(StreamId(2));
+        step(&mut r, "remove s2");
+        // Skips the removed s2 and the superseded s0 before finding s3.
+        assert_eq!(r.peek_min().map(|(sid, _)| sid), Some(StreamId(3)));
+        step(&mut r, "peek past two stale");
+        assert_eq!(r.pop_min().map(|(sid, _)| sid), Some(StreamId(3)));
+        step(&mut r, "pop s3");
+        assert_eq!(r.pop_min().map(|(sid, k)| (sid, k.deadline)), Some((StreamId(0), 300)));
+        step(&mut r, "pop s0");
+        assert!(r.pop_min().is_none());
+        step(&mut r, "pop empty");
+        r.remove(StreamId(2));
+        step(&mut r, "remove absent");
+        assert_eq!(
+            charged,
+            [
+                ("update s0", 2, 4),
+                ("update s1", 2, 4),
+                ("update s2", 2, 4),
+                ("update s3", 2, 4),
+                ("supersede s0", 4, 6),
+                ("peek s1", 0, 1),
+                ("pop s1", 2, 4),
+                ("remove s2", 0, 1),
+                ("peek past two stale", 3, 3),
+                ("pop s3", 1, 3),
+                ("pop s0", 1, 3),
+                ("pop empty", 0, 0),
+                ("remove absent", 0, 0),
+            ]
+        );
     }
 
-    /// Sustained churn must not grow the heaps without bound: the
-    /// tolerance heap gains an entry on *every* update (`pop_min` never
-    /// physically pops it), and superseding updates leave stale deadline
-    /// entries buried mid-heap. Before compaction this test's tolerance
-    /// heap would end ~13,000 entries deep over 64 live streams.
+    /// Sustained churn must not grow the heap without bound: superseding
+    /// updates leave stale entries buried mid-heap, which only surface
+    /// when compaction sweeps them.
     #[test]
     fn churn_keeps_physical_size_bounded() {
         let n = 64u32;
@@ -333,7 +316,7 @@ mod tests {
             r.update(sid, key(k.deadline + 1_000, k.x, k.y, arrival));
             if round % 3 == 0 {
                 // Supersede a stream in place: a stale entry stays buried
-                // in the deadline heap until compaction sweeps it.
+                // in the heap until compaction sweeps it.
                 let victim = StreamId((round % u64::from(n)) as u32);
                 arrival += 1;
                 r.update(victim, key(k.deadline + 2_000, 2, 8, arrival));
@@ -341,24 +324,13 @@ mod tests {
         }
         assert_eq!(r.len(), n as usize);
         let bound = 2 * r.len() + 64;
-        let (d, t) = r.physical_len();
-        assert!(d <= bound, "deadline heap {d} entries > bound {bound}");
-        assert!(t <= bound, "tolerance heap {t} entries > bound {bound}");
+        let d = r.physical_len();
+        assert!(d <= bound, "heap {d} entries > bound {bound}");
         // The schedule is still coherent after many compactions.
         let mut seen = std::collections::BTreeSet::new();
         while let Some((sid, _)) = r.pop_min() {
             assert!(seen.insert(sid), "stream surfaced twice after compaction");
         }
         assert_eq!(seen.len(), n as usize);
-    }
-
-    #[test]
-    fn zero_constraint_outranks_in_tolerance_heap() {
-        let mut r = DualHeap::new(8);
-        r.update(StreamId(0), key(10, 0, 2, 0));
-        r.update(StreamId(1), key(10, 0, 9, 1));
-        r.update(StreamId(2), key(10, 1, 9, 2));
-        let (sid, _) = r.most_constrained().unwrap();
-        assert_eq!(sid, StreamId(1), "zero W' with deepest window first");
     }
 }

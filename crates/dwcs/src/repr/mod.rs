@@ -16,7 +16,7 @@
 //! | repr | insert | pop_min | notes |
 //! |---|---|---|---|
 //! | [`LinearScan`] | O(1) | O(n) | what the i960 firmware does ("loops through the frame descriptors") |
-//! | [`DualHeap`]   | O(log n) | O(log n) | paper Figure 4: deadline heap + loss-tolerance heap, lazy invalidation |
+//! | [`DualHeap`]   | O(log n) | O(log n) | paper Figure 4: priced as deadline + loss-tolerance heaps, built as the deadline heap; lazy invalidation |
 //! | [`BatchSoa`] | O(1) + deferred | O(log n) amortised | struct-of-arrays winner tree, dirty-tracked incremental refresh |
 //!
 //! The quote's sorted lists and calendar queues are not provided: at the

@@ -502,7 +502,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         self.repr.peek_min().map(|(_, k)| k.deadline)
     }
 
-    /// Access the representation (e.g. `DualHeap::most_constrained`).
+    /// Access the representation (e.g. `DualHeap::physical_len`).
     pub fn repr_mut(&mut self) -> &mut R {
         &mut self.repr
     }

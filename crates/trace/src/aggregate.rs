@@ -145,9 +145,18 @@ pub struct Aggregate {
     pub latency: Histogram,
     /// Absolute change in per-stream inter-dispatch gap, ns.
     pub jitter: Histogram,
-    streams: BTreeMap<u32, StreamAgg>,
-    last_at: BTreeMap<u32, u64>,
-    last_gap: BTreeMap<u32, u64>,
+    streams: BTreeMap<u32, StreamState>,
+}
+
+/// One stream's counters and the dispatch history its jitter needs, kept
+/// together so a `Dispatch` folds with one map search.
+#[derive(Clone, Copy, Debug, Default)]
+struct StreamState {
+    agg: StreamAgg,
+    /// Time of the stream's last dispatch.
+    last_at: Option<u64>,
+    /// Gap between the stream's last two dispatches.
+    last_gap: Option<u64>,
 }
 
 impl Aggregate {
@@ -192,25 +201,25 @@ impl Aggregate {
                 ..
             } => {
                 let s = self.streams.entry(stream).or_default();
-                s.dispatches += 1;
+                s.agg.dispatches += 1;
                 if on_time {
-                    s.on_time += 1;
+                    s.agg.on_time += 1;
                 } else {
-                    s.late += 1;
+                    s.agg.late += 1;
                 }
-                s.bytes += u64::from(len);
+                s.agg.bytes += u64::from(len);
                 self.latency.record(at.saturating_sub(deadline));
-                if let Some(&prev) = self.last_at.get(&stream) {
+                if let Some(prev) = s.last_at {
                     let gap = at.saturating_sub(prev);
-                    if let Some(&pg) = self.last_gap.get(&stream) {
+                    if let Some(pg) = s.last_gap {
                         self.jitter.record(gap.abs_diff(pg));
                     }
-                    self.last_gap.insert(stream, gap);
+                    s.last_gap = Some(gap);
                 }
-                self.last_at.insert(stream, at);
+                s.last_at = Some(at);
             }
             TraceEvent::Drop { stream, .. } => {
-                self.streams.entry(stream).or_default().drops += 1;
+                self.streams.entry(stream).or_default().agg.drops += 1;
             }
             TraceEvent::QueueDepth { depth, .. } => {
                 self.max_backlog = self.max_backlog.max(depth);
@@ -220,32 +229,32 @@ impl Aggregate {
 
     /// Per-stream counters, ascending by stream id.
     pub fn streams(&self) -> impl Iterator<Item = (u32, &StreamAgg)> {
-        self.streams.iter().map(|(&sid, agg)| (sid, agg))
+        self.streams.iter().map(|(&sid, s)| (sid, &s.agg))
     }
 
     /// Counters for one stream, if it appeared in the trace.
     pub fn stream(&self, sid: u32) -> Option<&StreamAgg> {
-        self.streams.get(&sid)
+        self.streams.get(&sid).map(|s| &s.agg)
     }
 
     /// Total frames dispatched across streams.
     pub fn total_dispatches(&self) -> u64 {
-        self.streams.values().map(|s| s.dispatches).sum()
+        self.streams.values().map(|s| s.agg.dispatches).sum()
     }
 
     /// Total frames dropped across streams.
     pub fn total_drops(&self) -> u64 {
-        self.streams.values().map(|s| s.drops).sum()
+        self.streams.values().map(|s| s.agg.drops).sum()
     }
 
     /// Total dispatches past their deadline across streams.
     pub fn total_late(&self) -> u64 {
-        self.streams.values().map(|s| s.late).sum()
+        self.streams.values().map(|s| s.agg.late).sum()
     }
 
     /// Total dispatches that made their deadline across streams.
     pub fn total_on_time(&self) -> u64 {
-        self.streams.values().map(|s| s.on_time).sum()
+        self.streams.values().map(|s| s.agg.on_time).sum()
     }
 }
 

@@ -74,9 +74,12 @@ impl TraceRing {
     }
 
     /// Remove and return all retained events, oldest first.
-    // analysis: allow(ni-no-alloc) reason="host-side drain; the name-keyed call graph reaches it through the service pass's unrelated `drops.drain(..)`"
     pub fn drain(&mut self) -> Vec<TraceEvent> {
-        let out: Vec<TraceEvent> = self.buf.drain(..).collect();
+        let (front, back) = self.buf.as_slices();
+        let mut out = Vec::with_capacity(front.len() + back.len());
+        out.extend_from_slice(front);
+        out.extend_from_slice(back);
+        self.buf.clear();
         self.drained += out.len() as u64;
         out
     }

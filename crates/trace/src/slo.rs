@@ -42,9 +42,9 @@ pub struct Slo {
 impl Slo {
     /// Fold an aggregate into its SLO summary.
     pub fn from_aggregate(a: &Aggregate) -> Slo {
-        let dispatches = a.total_dispatches();
-        let drops = a.total_drops();
-        let late = a.total_late();
+        let (dispatches, drops, late) = a.streams().fold((0, 0, 0), |(d, x, l), (_, s)| {
+            (d + s.dispatches, x + s.drops, l + s.late)
+        });
         let attempted = dispatches + drops;
         let ratio_ppm = |n: u64| {
             if attempted == 0 {

@@ -9,6 +9,7 @@
 use nistream_trace::{TraceEvent, TraceRing};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Compact encodable op: Some(tag) = push an event derived from `tag`,
 /// None = drain.
@@ -58,13 +59,24 @@ proptest! {
         ops in vec(0u64..2000, 0..200),
     ) {
         let mut ring = TraceRing::with_capacity(cap);
+        // Drop-oldest model: each drain must hand out exactly its events,
+        // including after the ring's deque has wrapped.
+        let mut model = VecDeque::new();
         let mut drained_total = 0u64;
         for &op in &ops {
             if op % 11 == 0 {
-                drained_total += ring.drain().len() as u64;
+                let out = ring.drain();
+                prop_assert_eq!(&out, &model.drain(..).collect::<Vec<_>>(), "drain hands out the model's events");
+                drained_total += out.len() as u64;
                 prop_assert_eq!(ring.len(), 0, "drain empties the ring");
             } else {
                 ring.push(decode_event(op));
+                if cap > 0 {
+                    if model.len() == cap {
+                        model.pop_front();
+                    }
+                    model.push_back(decode_event(op));
+                }
             }
             prop_assert!(ring.len() <= ring.capacity(), "capacity never exceeded");
             prop_assert_eq!(
