@@ -110,6 +110,7 @@ impl StreamStats {
         self.bytes_sent += u64::from(bytes);
         self.queue_delay_sum += u128::from(delay);
         self.queue_delay_max = self.queue_delay_max.max(delay);
+        debug_assert!(self.backlog > 0, "frame sent from an empty backlog (double dispatch)");
         self.backlog = self.backlog.saturating_sub(1);
     }
 
@@ -131,6 +132,7 @@ impl StreamStats {
 
     pub(crate) fn note_dropped(&mut self) {
         self.dropped += 1;
+        debug_assert!(self.backlog > 0, "frame dropped from an empty backlog (double drop)");
         self.backlog = self.backlog.saturating_sub(1);
     }
 
@@ -184,6 +186,28 @@ mod tests {
         assert_eq!(s.mean_jitter(), 0);
         s.note_departure_at(7);
         assert_eq!(s.mean_jitter(), 0, "one gap, no variation yet");
+    }
+
+    /// Frame conservation: a second departure of the one queued frame is a
+    /// double dispatch, and debug builds refuse to absorb it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "double dispatch")]
+    fn sending_from_an_empty_backlog_panics() {
+        let mut s = StreamStats::default();
+        s.note_enqueue();
+        s.note_sent(1000, 0, true);
+        s.note_sent(1000, 0, true);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "double drop")]
+    fn dropping_from_an_empty_backlog_panics() {
+        let mut s = StreamStats::default();
+        s.note_enqueue();
+        s.note_dropped();
+        s.note_dropped();
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! instances — each owning its own `dwcs::svc::SchedService` core (with
 //! that core's `nistream-trace` ring, drained per card into a
 //! `TaggedCapture`) and i960 + Ethernet cost models — behind one host,
-//! all sharing a single arbitrated PCI bus
-//! (`simkit::Resource` for FIFO grants, `hwsim::PciBus` for cycle pricing)
-//! so cross-card Path-B DMA transfers genuinely contend.
+//! all sharing a single arbitrated PCI bus (a FIFO of typed transfers
+//! here, `hwsim::PciBus` for cycle pricing) so cross-card Path-B DMA
+//! transfers genuinely contend.
 //!
 //! Three layers sit on top of the per-card stacks:
 //!
@@ -25,7 +25,7 @@
 //!   descriptor across the shared bus to the owning scheduler card as an
 //!   I2O `PeerFrameWrite` (PIO message post + payload DMA + completion
 //!   read, priced once by `path_b_frame_hold` and serialized by the bus
-//!   resource).
+//!   FIFO).
 //! * **Rebalancer** — a deterministic card-death event
 //!   ([`CardFailure`]) drains every stream the dead card owned, re-admits
 //!   each on a surviving card, and transfers its state as an I2O
@@ -51,7 +51,7 @@ use i2o::message::HEADER_WORDS;
 use i2o::{I2oFunction, MessageFrame, PeerFrameXfer, PeerMigrate, Tid};
 use mpeg1::Cadence;
 use nistream_trace::chassis::TaggedCapture;
-use simkit::{Engine, EventId, Resource, SimDuration, SimTime, Trace};
+use simkit::{Engine, EventId, SimDuration, SimTime, Summary, Trace};
 use std::collections::VecDeque;
 use workload::mpegclient::{ClientPlan, MpegClient};
 use workload::vbr::{self, VbrTraceGen};
@@ -224,11 +224,15 @@ pub struct ChassisStream {
     pub series: StreamSeries,
     /// Frames the producer generated.
     pub produced: u64,
-    /// Frames that reached a scheduler card's queue.
+    /// Frames that reached a scheduler card's queue. The run drains the
+    /// bus after the run end, so an alive stream's `arrived` equals
+    /// `produced`.
     pub arrived: u64,
     /// Frames still queued on the owning card at run end.
     pub backlog_at_end: u64,
-    /// Frames still crossing the bus at run end.
+    /// Frames still crossing the bus when the engine stops. Always 0: the
+    /// bus queue drains after the run end, so this is not the queue at
+    /// the run end.
     pub in_flight_at_end: u64,
     /// Frames still parked in the migration holding area at run end.
     pub held_at_end: u64,
@@ -253,10 +257,11 @@ pub struct CardReport {
     pub trace: TaggedCapture,
 }
 
-/// Shared-bus outcome.
+/// Shared-bus outcome. The bus queue drains after the run end, so every
+/// figure here covers that drain too.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BusReport {
-    /// Fraction of the run the bus was held.
+    /// Fraction of the time until the bus drained that it was held.
     pub utilization: f64,
     /// Mean FIFO wait for a bus grant (ms).
     pub mean_wait_ms: f64,
@@ -286,6 +291,9 @@ pub struct ChassisResult {
     pub lost_frames: u64,
     /// Mean decision time across every card (µs).
     pub mean_decision_us: f64,
+    /// Engine events fired: one per frame produced, per bus transfer and
+    /// per service pass (plus the card-death event of a failure run).
+    pub events: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -372,10 +380,106 @@ struct StreamState {
     prior_bw: Vec<Trace>,
 }
 
+/// What one bus transfer carries to the handler that runs when it
+/// completes.
+enum Transfer {
+    /// A Path-B frame of chassis-global stream `g`, as [`produce`] made
+    /// it. Narrower than a `FrameDesc`: at 16 cards some 21 k frames wait
+    /// for the bus at once.
+    Frame {
+        g: u32,
+        seq: u64,
+        len: u32,
+        kind: FrameKind,
+        addr: u64,
+    },
+    /// A stream's state transfer off a dead card.
+    Migrate(Box<Migration>),
+}
+
+/// A migration's state while it crosses the bus.
+struct Migration {
+    g: usize,
+    from: usize,
+    target: usize,
+    backlog: Vec<FrameDesc>,
+    frames_moved: u64,
+    bytes_moved: u64,
+}
+
+/// The shared PCI bus: one transfer holds it while the rest wait in FIFO
+/// order. The bus knows nothing of the engine: [`Bus::request`] and
+/// [`Bus::complete`] return the hold whose completion the caller must
+/// schedule, so only the holder ever has a pending event.
+struct Bus<T> {
+    /// The transfer holding the bus, with its hold.
+    current: Option<(SimDuration, T)>,
+    /// Waiting transfers: (requested at, hold, transfer).
+    waiting: VecDeque<(SimTime, SimDuration, T)>,
+    total_busy: SimDuration,
+    grants: u64,
+    /// Wait from request to grant (ms), one sample per grant.
+    wait: Summary,
+    max_queue: usize,
+}
+
+impl<T> Bus<T> {
+    fn new() -> Bus<T> {
+        Bus {
+            current: None,
+            waiting: VecDeque::new(),
+            total_busy: SimDuration::ZERO,
+            grants: 0,
+            wait: Summary::new(),
+            max_queue: 0,
+        }
+    }
+
+    /// Ask for the bus at `now`. A free bus is granted at once, and the
+    /// hold returned is when its completion is due; a busy one queues the
+    /// transfer and returns `None`.
+    fn request(&mut self, now: SimTime, hold: SimDuration, t: T) -> Option<SimDuration> {
+        if self.current.is_some() {
+            self.waiting.push_back((now, hold, t));
+            self.max_queue = self.max_queue.max(self.waiting.len());
+            return None;
+        }
+        self.grants += 1;
+        self.wait.add(0.0);
+        self.current = Some((hold, t));
+        Some(hold)
+    }
+
+    /// The holder's hold ended at `now`: the next waiter, if any, becomes
+    /// the holder before the finished transfer is returned, so a request
+    /// made while handling it queues behind every earlier waiter. Returns
+    /// the finished transfer and the new holder's hold, whose completion
+    /// the caller schedules.
+    fn complete(&mut self, now: SimTime) -> (T, Option<SimDuration>) {
+        let (hold, done) = self.current.take().expect("bus completion with no holder");
+        self.total_busy += hold;
+        let next = self.waiting.pop_front().map(|(at, hold, t)| {
+            self.grants += 1;
+            self.wait.add(now.since(at).as_millis_f64());
+            self.current = Some((hold, t));
+            hold
+        });
+        (done, next)
+    }
+
+    /// Fraction of `[0, now]` the bus was held, through the last completion.
+    fn utilization(&self, now: SimTime) -> f64 {
+        if now == SimTime::ZERO {
+            return 0.0;
+        }
+        self.total_busy.as_nanos() as f64 / now.as_nanos() as f64
+    }
+}
+
 struct World {
     cards: Vec<Card>,
     streams: Vec<StreamState>,
-    bus: Resource<World>,
+    bus: Bus<Transfer>,
     bus_model: PciBus,
     end: SimTime,
     run_end_ns: u64,
@@ -386,8 +490,32 @@ struct World {
     lost_frames: u64,
 }
 
-fn bus_of(w: &mut World) -> &mut Resource<World> {
-    &mut w.bus
+/// Put `t` on the bus for `hold`. A free bus grants it at once, so its
+/// completion is scheduled now; otherwise it waits its turn.
+fn request_bus(w: &mut World, eng: &mut Engine<World>, hold: SimDuration, t: Transfer) {
+    if let Some(hold) = w.bus.request(eng.now(), hold, t) {
+        eng.schedule_in(hold, bus_done);
+    }
+}
+
+/// The bus holder's hold ended: hand the bus on, run the finished
+/// transfer's handler, then schedule the new holder's completion. The
+/// event captures nothing, so scheduling it allocates nothing.
+fn bus_done(w: &mut World, eng: &mut Engine<World>) {
+    let (done, next) = w.bus.complete(eng.now());
+    match done {
+        Transfer::Frame {
+            g,
+            seq,
+            len,
+            kind,
+            addr,
+        } => deliver(w, eng, g, seq, len, kind, addr),
+        Transfer::Migrate(m) => finish_migration(w, eng, *m),
+    }
+    if let Some(hold) = next {
+        eng.schedule_in(hold, bus_done);
+    }
 }
 
 /// I2O device id we give card `c`'s message unit on the chassis bus.
@@ -487,56 +615,52 @@ fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
         (seq, len, kind, addr, s.qos.period)
     };
     let hold = path_b_frame_hold(&mut w.bus_model, u64::from(len));
-    Resource::acquire_held(w, eng, bus_of, hold, move |w, eng| {
-        deliver(w, eng, g, seq, len, kind, addr)
-    });
+    request_bus(
+        w,
+        eng,
+        hold,
+        Transfer::Frame {
+            g: g as u32,
+            seq,
+            len,
+            kind,
+            addr,
+        },
+    );
     if now_ns + period < run_end && seq + 1 < cap {
         eng.schedule_at(SimTime::from_nanos(now_ns + period), move |w, eng| produce(w, eng, g));
     }
 }
 
-enum Delivery {
-    Lost,
-    Hold,
-    To(usize, StreamId),
-}
-
-/// A Path-B frame finished crossing the bus: hand it to the owning card's
-/// scheduler (or park it if the stream is mid-migration). The frame's
-/// `(len, kind, addr)` travel with it from [`produce`] — delivery never
-/// re-derives them, so VBR frames arrive exactly as generated.
-fn deliver(w: &mut World, eng: &mut Engine<World>, g: usize, seq: u64, len: u32, kind: FrameKind, addr: u64) {
+/// A Path-B frame of chassis-global stream `g` finished crossing the bus:
+/// hand it to the owning card's scheduler (or park it if the stream is
+/// mid-migration). The frame's `(len, kind, addr)` travel with it from
+/// [`produce`] — delivery never re-derives them, so VBR frames arrive
+/// exactly as generated.
+fn deliver(w: &mut World, eng: &mut Engine<World>, g: u32, seq: u64, len: u32, kind: FrameKind, addr: u64) {
     let now_ns = eng.now().as_nanos();
-    let outcome = {
-        let s = &mut w.streams[g];
-        s.in_flight -= 1;
-        if !s.alive {
-            Delivery::Lost
-        } else if s.migrating {
-            Delivery::Hold
-        } else {
-            s.arrived += 1;
-            Delivery::To(s.owner, s.local)
-        }
-    };
-    let desc = |stream: StreamId| FrameDesc {
-        stream,
+    let d = FrameDesc {
+        stream: StreamId(g),
         seq,
         len,
         kind,
         enqueued_at: now_ns,
         addr,
     };
-    match outcome {
-        Delivery::Lost => w.lost_frames += 1,
-        Delivery::Hold => {
-            let d = desc(StreamId(g as u32));
-            w.streams[g].held.push_back(d);
-        }
-        Delivery::To(owner, local) => {
-            w.cards[owner].ext.scheduler_mut().enqueue(local, desc(local), now_ns);
-            schedule_pass(w, eng, owner);
-        }
+    let s = &mut w.streams[g as usize];
+    s.in_flight -= 1;
+    if !s.alive {
+        w.lost_frames += 1;
+    } else if s.migrating {
+        s.held.push_back(d);
+    } else {
+        s.arrived += 1;
+        let (owner, local) = (s.owner, s.local);
+        w.cards[owner]
+            .ext
+            .scheduler_mut()
+            .enqueue(local, FrameDesc { stream: local, ..d }, now_ns);
+        schedule_pass(w, eng, owner);
     }
 }
 
@@ -650,27 +774,24 @@ fn start_migration(w: &mut World, eng: &mut Engine<World>, c: usize, g: usize) {
             let hold = w.bus_model.pio_write_time(msg.words() as u64)
                 + w.bus_model.dma_time(64 + bytes_moved)
                 + w.bus_model.pio_read_time(6);
-            Resource::acquire_held(w, eng, bus_of, hold, move |w, eng| {
-                finish_migration(w, eng, g, c, target, backlog, frames_moved, bytes_moved);
-            });
+            let m = Migration {
+                g,
+                from: c,
+                target,
+                backlog,
+                frames_moved,
+                bytes_moved,
+            };
+            request_bus(w, eng, hold, Transfer::Migrate(Box::new(m)));
         }
     }
 }
 
-/// The state transfer for stream `g` reached card `target`: re-open the
-/// stream there, re-enqueue the drained backlog, flush any frames parked
-/// during the migration window, and resume service.
-#[allow(clippy::too_many_arguments)]
-fn finish_migration(
-    w: &mut World,
-    eng: &mut Engine<World>,
-    g: usize,
-    from: usize,
-    target: usize,
-    backlog: Vec<FrameDesc>,
-    frames_moved: u64,
-    bytes_moved: u64,
-) {
+/// The state transfer for stream `m.g` reached card `m.target`: re-open
+/// the stream there, re-enqueue the drained backlog, flush any frames
+/// parked during the migration window, and resume service.
+fn finish_migration(w: &mut World, eng: &mut Engine<World>, m: Migration) {
+    let (g, target) = (m.g, m.target);
     let done_ns = eng.now().as_nanos();
     let qos = w.streams[g].qos;
     let new_local = {
@@ -693,7 +814,7 @@ fn finish_migration(
         } else {
             card.locals[new_local.index()] = g;
         }
-        for d in backlog {
+        for d in m.backlog {
             card.ext
                 .scheduler_mut()
                 .enqueue(new_local, FrameDesc { stream: new_local, ..d }, t_open);
@@ -716,10 +837,10 @@ fn finish_migration(
     }
     w.migrations.push(MigrationRecord {
         stream: g,
-        from,
+        from: m.from,
         to: Some(target),
-        frames_moved,
-        bytes_moved,
+        frames_moved: m.frames_moved,
+        bytes_moved: m.bytes_moved,
         completed_at_ns: done_ns,
     });
     schedule_pass(w, eng, target);
@@ -871,7 +992,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
     let mut w = World {
         cards,
         streams,
-        bus: Resource::new("chassis-pci"),
+        bus: Bus::new(),
         bus_model: PciBus::new(),
         end,
         run_end_ns: end.as_nanos(),
@@ -989,9 +1110,9 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
 
     let bus = BusReport {
         utilization: w.bus.utilization(eng.now()),
-        mean_wait_ms: w.bus.wait_stats().mean(),
-        max_queue: w.bus.max_queue(),
-        grants: w.bus.grants(),
+        mean_wait_ms: w.bus.wait.mean(),
+        max_queue: w.bus.max_queue,
+        grants: w.bus.grants,
         dma_bytes: w.bus_model.dma_bytes,
         transactions: w.bus_model.transactions,
     };
@@ -1007,6 +1128,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
         } else {
             total_decision.as_micros_f64() / total_decisions as f64
         },
+        events: eng.events_fired(),
     }
 }
 
@@ -1104,6 +1226,124 @@ pub fn sweep_cards(card_counts: &[usize], per_card: usize, run_for: SimDuration)
 mod tests {
     use super::*;
 
+    /// A world whose bus carries labels: each completion logs the label
+    /// and its completion time, and the first one may request one more
+    /// transfer from inside its handler.
+    struct BusWorld {
+        bus: Bus<&'static str>,
+        done: Vec<(&'static str, u64)>,
+        follow_up: Option<&'static str>,
+    }
+
+    fn bus_world() -> BusWorld {
+        BusWorld {
+            bus: Bus::new(),
+            done: Vec::new(),
+            follow_up: None,
+        }
+    }
+
+    fn ask(w: &mut BusWorld, eng: &mut Engine<BusWorld>, hold_ms: u64, t: &'static str) {
+        if let Some(hold) = w.bus.request(eng.now(), SimDuration::from_millis(hold_ms), t) {
+            eng.schedule_in(hold, finished);
+        }
+    }
+
+    /// `bus_done`'s order: hand over, run the handler, then schedule.
+    fn finished(w: &mut BusWorld, eng: &mut Engine<BusWorld>) {
+        let (t, next) = w.bus.complete(eng.now());
+        w.done.push((t, eng.now().as_nanos() / 1_000_000));
+        if let Some(f) = w.follow_up.take() {
+            ask(w, eng, 1, f);
+        }
+        if let Some(hold) = next {
+            eng.schedule_in(hold, finished);
+        }
+    }
+
+    #[test]
+    fn bus_grants_in_fifo_order() {
+        let mut eng = Engine::new();
+        let mut w = bus_world();
+        for t in ["a", "b", "c"] {
+            ask(&mut w, &mut eng, 1, t);
+        }
+        // Only the holder has an event; the waiters have none.
+        assert_eq!(eng.pending(), 1);
+        eng.run(&mut w);
+        assert_eq!(w.done, vec![("a", 1), ("b", 2), ("c", 3)]);
+        assert_eq!(w.bus.grants, 3);
+        assert_eq!(eng.events_fired(), 3);
+    }
+
+    #[test]
+    fn free_bus_grants_with_zero_wait() {
+        let mut eng = Engine::new();
+        let mut w = bus_world();
+        ask(&mut w, &mut eng, 1, "a");
+        assert!(w.bus.current.is_some());
+        eng.run(&mut w);
+        assert!(w.bus.current.is_none());
+        // Idle since 1 ms: a request at 5 ms is granted at once too.
+        eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
+        ask(&mut w, &mut eng, 1, "b");
+        eng.run(&mut w);
+        assert_eq!(w.done, vec![("a", 1), ("b", 6)]);
+        assert_eq!((w.bus.wait.count(), w.bus.wait.max()), (2, 0.0));
+    }
+
+    #[test]
+    fn bus_busy_time_counts_every_hold() {
+        let mut eng = Engine::new();
+        let mut w = bus_world();
+        ask(&mut w, &mut eng, 1, "a");
+        ask(&mut w, &mut eng, 3, "b");
+        eng.run(&mut w);
+        assert_eq!(w.bus.total_busy, SimDuration::from_millis(4));
+        assert_eq!(w.bus.utilization(SimTime::from_nanos(8_000_000)), 0.5);
+        assert_eq!(w.bus.utilization(SimTime::ZERO), 0.0);
+    }
+
+    #[test]
+    fn bus_wait_is_request_to_grant() {
+        let mut eng = Engine::new();
+        let mut w = bus_world();
+        // Holds of 1, 2 and 3 ms requested at 0: waits 0, 1 and 3 ms.
+        for (hold, t) in [(1, "a"), (2, "b"), (3, "c")] {
+            ask(&mut w, &mut eng, hold, t);
+        }
+        eng.run(&mut w);
+        assert_eq!(w.bus.wait.count(), 3);
+        assert!((w.bus.wait.mean() - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!((w.bus.wait.min(), w.bus.wait.max()), (0.0, 3.0));
+    }
+
+    #[test]
+    fn bus_queue_depth_is_tracked() {
+        let mut eng = Engine::new();
+        let mut w = bus_world();
+        for _ in 0..6 {
+            ask(&mut w, &mut eng, 1, "x");
+        }
+        assert_eq!((w.bus.waiting.len(), w.bus.max_queue), (5, 5));
+        eng.run(&mut w);
+        assert_eq!((w.bus.waiting.len(), w.bus.max_queue), (0, 5));
+    }
+
+    /// A transfer requested while a completion is handled queues behind
+    /// every transfer that was already waiting.
+    #[test]
+    fn request_from_a_completion_handler_queues_behind_waiters() {
+        let mut eng = Engine::new();
+        let mut w = bus_world();
+        w.follow_up = Some("c");
+        ask(&mut w, &mut eng, 1, "a");
+        ask(&mut w, &mut eng, 1, "b");
+        eng.run(&mut w);
+        assert_eq!(w.done, vec![("a", 1), ("b", 2), ("c", 3)]);
+        assert_eq!(w.bus.max_queue, 1);
+    }
+
     #[test]
     fn placement_spreads_identical_streams_round_robin() {
         let plan = uniform_plan(8, SimDuration::from_secs(1));
@@ -1135,7 +1375,8 @@ mod tests {
         for s in &r.streams {
             assert!(s.admitted);
             assert_eq!(s.held_at_end, 0);
-            assert_eq!(s.produced, s.arrived + s.in_flight_at_end);
+            // The bus drains after the run end.
+            assert_eq!((s.produced, s.in_flight_at_end), (s.arrived, 0));
             assert!(s.series.sent > 0, "{} dispatched nothing", s.name);
         }
         assert!(r.bus.utilization > 0.0 && r.bus.utilization < 0.1);
@@ -1207,5 +1448,36 @@ mod tests {
         // Everything full or dead: no placement.
         sat[0].admitted = vec![qos; 100];
         assert_eq!(place(&sat, qos, service), None);
+    }
+
+    /// A small saturated Path-B chassis: 12 cards × 40 uniform streams
+    /// offer 1.04 times the bus for 0.25 s. Its `BusReport` is pinned bit
+    /// for bit, and so is the engine's event count: one per frame
+    /// produced, one per bus transfer and one per service pass. At two
+    /// events per transfer (a grant event, then the hold) it was 13,793.
+    #[test]
+    fn saturated_bus_report_and_event_count_are_pinned() {
+        let run_for = SimDuration::from_millis(250);
+        let r = run(ChassisConfig {
+            cards: 12,
+            plan: uniform_plan(480, run_for),
+            frames_per_stream: 10,
+            run: run_for,
+            sourcing: Sourcing::PathB,
+            ..ChassisConfig::default()
+        });
+        assert_eq!((r.bus.grants, r.bus.max_queue), (3_601, 150));
+        assert_eq!(r.bus.utilization.to_bits(), 1f64.to_bits());
+        assert_eq!(
+            r.bus.mean_wait_ms.to_bits(),
+            0x4015_96f0_7bcf_fa10,
+            "{}",
+            r.bus.mean_wait_ms
+        );
+        let produced: u64 = r.streams.iter().map(|s| s.produced).sum();
+        let passes: u64 = r.cards.iter().map(|c| c.decisions).sum();
+        assert_eq!((produced, passes), (3_601, 2_990));
+        assert_eq!(r.events, 10_192);
+        assert_eq!(r.events, produced + r.bus.grants + passes);
     }
 }

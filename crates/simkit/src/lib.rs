@@ -16,8 +16,6 @@
 //!   Rust structs with no `Rc<RefCell<…>>` plumbing. The original
 //!   binary-heap executive survives as [`reference::HeapEngine`], the
 //!   differential oracle for the wheel.
-//! * [`Resource`] — a FIFO-granted exclusive resource (PCI bus arbitration,
-//!   disk head, CPU) with built-in busy-time and queue-length accounting.
 //! * [`rng`] — a self-contained PCG32 RNG plus the distributions the
 //!   workload models need (uniform, exponential, bounded Pareto, normal).
 //!   Determinism across runs and platforms is a requirement: every
@@ -35,7 +33,6 @@
 
 pub mod engine;
 pub mod reference;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -43,7 +40,6 @@ mod wheel;
 
 pub use engine::{Engine, EventFn, EventId};
 pub use reference::{HeapEngine, HeapEventFn, HeapEventId};
-pub use resource::Resource;
 pub use rng::Pcg32;
 pub use stats::{Summary, Trace, UtilizationSampler};
 pub use time::{SimDuration, SimTime};
