@@ -51,7 +51,7 @@ use i2o::message::HEADER_WORDS;
 use i2o::{I2oFunction, MessageFrame, PeerFrameXfer, PeerMigrate, Tid};
 use mpeg1::Cadence;
 use nistream_trace::chassis::TaggedCapture;
-use simkit::{Engine, EventId, SimDuration, SimTime, Summary, Trace};
+use simkit::{Engine, Event, EventId, SimDuration, SimTime, Summary, Trace};
 use std::collections::VecDeque;
 use workload::mpegclient::{ClientPlan, MpegClient};
 use workload::vbr::{self, VbrTraceGen};
@@ -230,12 +230,6 @@ pub struct ChassisStream {
     pub arrived: u64,
     /// Frames still queued on the owning card at run end.
     pub backlog_at_end: u64,
-    /// Frames still crossing the bus when the engine stops. Always 0: the
-    /// bus queue drains after the run end, so this is not the queue at
-    /// the run end.
-    pub in_flight_at_end: u64,
-    /// Frames still parked in the migration holding area at run end.
-    pub held_at_end: u64,
 }
 
 /// Per-card chassis outcome.
@@ -367,7 +361,6 @@ struct StreamState {
     migrating: bool,
     produced: u64,
     arrived: u64,
-    in_flight: u64,
     /// Frames delivered while the stream was mid-migration, flushed to the
     /// new owner when the state transfer completes.
     held: VecDeque<FrameDesc>,
@@ -490,18 +483,45 @@ struct World {
     lost_frames: u64,
 }
 
+/// A chassis event. The engine holds it inline, so posting one allocates
+/// nothing.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Stream `g` produces its next Path-B frame ([`produce`]).
+    Produce(usize),
+    /// The bus holder's hold ended ([`bus_done`]).
+    BusDone,
+    /// Card `c`'s service pass, armed for `at_ns` in card epoch `epoch`
+    /// ([`run_pass`]).
+    Pass { c: usize, epoch: u64, at_ns: u64 },
+    /// Card `c` dies ([`fail_card`]).
+    FailCard(usize),
+}
+
+impl Event<World> for Ev {
+    fn fire(self, w: &mut World, eng: &mut Eng) {
+        match self {
+            Ev::Produce(g) => produce(w, eng, g),
+            Ev::BusDone => bus_done(w, eng),
+            Ev::Pass { c, epoch, at_ns } => run_pass(w, eng, c, epoch, at_ns),
+            Ev::FailCard(c) => fail_card(w, eng, c),
+        }
+    }
+}
+
+type Eng = Engine<World, Ev>;
+
 /// Put `t` on the bus for `hold`. A free bus grants it at once, so its
 /// completion is scheduled now; otherwise it waits its turn.
-fn request_bus(w: &mut World, eng: &mut Engine<World>, hold: SimDuration, t: Transfer) {
+fn request_bus(w: &mut World, eng: &mut Eng, hold: SimDuration, t: Transfer) {
     if let Some(hold) = w.bus.request(eng.now(), hold, t) {
-        eng.schedule_in(hold, bus_done);
+        eng.post_in(hold, Ev::BusDone);
     }
 }
 
 /// The bus holder's hold ended: hand the bus on, run the finished
-/// transfer's handler, then schedule the new holder's completion. The
-/// event captures nothing, so scheduling it allocates nothing.
-fn bus_done(w: &mut World, eng: &mut Engine<World>) {
+/// transfer's handler, then post the new holder's completion.
+fn bus_done(w: &mut World, eng: &mut Eng) {
     let (done, next) = w.bus.complete(eng.now());
     match done {
         Transfer::Frame {
@@ -514,7 +534,7 @@ fn bus_done(w: &mut World, eng: &mut Engine<World>) {
         Transfer::Migrate(m) => finish_migration(w, eng, *m),
     }
     if let Some(hold) = next {
-        eng.schedule_in(hold, bus_done);
+        eng.post_in(hold, Ev::BusDone);
     }
 }
 
@@ -526,7 +546,7 @@ fn card_tid(c: usize) -> Tid {
 /// Schedule (or tighten) card `c`'s next service pass: the pass fires at
 /// `max(card clock, next eligible deadline)`, and none is armed once either
 /// passes the run end.
-fn schedule_pass(w: &mut World, eng: &mut Engine<World>, c: usize) {
+fn schedule_pass(w: &mut World, eng: &mut Eng, c: usize) {
     let run_end = w.run_end_ns;
     let (at_ns, epoch) = {
         let card = &mut w.cards[c];
@@ -553,7 +573,7 @@ fn schedule_pass(w: &mut World, eng: &mut Engine<World>, c: usize) {
     // The card clock can run ahead of engine time (decision/dispatch costs
     // advance it inside a pass); clamp so the event is never in the past.
     let at = SimTime::from_nanos(at_ns).max(eng.now());
-    let ev = eng.schedule_at(at, move |w, eng| run_pass(w, eng, c, epoch, at_ns));
+    let ev = eng.post_at(at, Ev::Pass { c, epoch, at_ns });
     w.cards[c].pass_ev = Some((at_ns, ev));
 }
 
@@ -563,7 +583,7 @@ fn schedule_pass(w: &mut World, eng: &mut Engine<World>, c: usize) {
 /// does *not* re-probe `next_eligible` — the probe happens once per event,
 /// when it is armed (the probe is work-metered, so an extra one would
 /// perturb decision pricing).
-fn run_pass(w: &mut World, eng: &mut Engine<World>, c: usize, epoch: u64, at_ns: u64) {
+fn run_pass(w: &mut World, eng: &mut Eng, c: usize, epoch: u64, at_ns: u64) {
     let run_end = w.run_end_ns;
     let budget = w.batch_budget;
     {
@@ -588,7 +608,7 @@ fn run_pass(w: &mut World, eng: &mut Engine<World>, c: usize, epoch: u64, at_ns:
 /// congestion delays *delivery*, not generation, so a saturated bus shows
 /// up as arrival lag, exactly like a real producer card filling its
 /// outbound queue.
-fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
+fn produce(w: &mut World, eng: &mut Eng, g: usize) {
     let run_end = w.run_end_ns;
     let cap = w.frames_per_stream;
     let now_ns = eng.now().as_nanos();
@@ -602,7 +622,6 @@ fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
         }
         let seq = s.produced;
         s.produced += 1;
-        s.in_flight += 1;
         let (len, kind) = match s.gen.as_mut() {
             Some(gen) => {
                 let f = gen.frame(seq);
@@ -628,7 +647,7 @@ fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
         },
     );
     if now_ns + period < run_end && seq + 1 < cap {
-        eng.schedule_at(SimTime::from_nanos(now_ns + period), move |w, eng| produce(w, eng, g));
+        eng.post_at(SimTime::from_nanos(now_ns + period), Ev::Produce(g));
     }
 }
 
@@ -637,7 +656,7 @@ fn produce(w: &mut World, eng: &mut Engine<World>, g: usize) {
 /// mid-migration). The frame's `(len, kind, addr)` travel with it from
 /// [`produce`] — delivery never re-derives them, so VBR frames arrive
 /// exactly as generated.
-fn deliver(w: &mut World, eng: &mut Engine<World>, g: u32, seq: u64, len: u32, kind: FrameKind, addr: u64) {
+fn deliver(w: &mut World, eng: &mut Eng, g: u32, seq: u64, len: u32, kind: FrameKind, addr: u64) {
     let now_ns = eng.now().as_nanos();
     let d = FrameDesc {
         stream: StreamId(g),
@@ -648,7 +667,6 @@ fn deliver(w: &mut World, eng: &mut Engine<World>, g: u32, seq: u64, len: u32, k
         addr,
     };
     let s = &mut w.streams[g as usize];
-    s.in_flight -= 1;
     if !s.alive {
         w.lost_frames += 1;
     } else if s.migrating {
@@ -667,7 +685,7 @@ fn deliver(w: &mut World, eng: &mut Engine<World>, g: u32, seq: u64, len: u32, k
 /// Deterministic card death: mark the card dead, cancel its pass, and
 /// migrate every stream it owned (ascending global order) to surviving
 /// cards via Path-B state transfers.
-fn fail_card(w: &mut World, eng: &mut Engine<World>, c: usize) {
+fn fail_card(w: &mut World, eng: &mut Eng, c: usize) {
     {
         let card = &mut w.cards[c];
         if card.dead {
@@ -694,7 +712,7 @@ fn fail_card(w: &mut World, eng: &mut Engine<World>, c: usize) {
 /// Drain stream `g` off dead card `c`, snapshot its accounting, and either
 /// start a bus-priced state transfer to a surviving card or tear the
 /// stream down if nowhere can admit it.
-fn start_migration(w: &mut World, eng: &mut Engine<World>, c: usize, g: usize) {
+fn start_migration(w: &mut World, eng: &mut Eng, c: usize, g: usize) {
     let end = w.end;
     let (local, qos, len) = {
         let s = &mut w.streams[g];
@@ -790,7 +808,7 @@ fn start_migration(w: &mut World, eng: &mut Engine<World>, c: usize, g: usize) {
 /// The state transfer for stream `m.g` reached card `m.target`: re-open
 /// the stream there, re-enqueue the drained backlog, flush any frames
 /// parked during the migration window, and resume service.
-fn finish_migration(w: &mut World, eng: &mut Engine<World>, m: Migration) {
+fn finish_migration(w: &mut World, eng: &mut Eng, m: Migration) {
     let (g, target) = (m.g, m.target);
     let done_ns = eng.now().as_nanos();
     let qos = w.streams[g].qos;
@@ -941,7 +959,6 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
             migrating: false,
             produced: 0,
             arrived: 0,
-            in_flight: 0,
             held: VecDeque::new(),
             prior_sent: 0,
             prior_dropped: 0,
@@ -988,7 +1005,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
 
     // --- Event-driven chassis run. ---
     let end = SimTime::ZERO + cfg.run;
-    let mut eng: Engine<World> = Engine::new();
+    let mut eng = Eng::new();
     let mut w = World {
         cards,
         streams,
@@ -1008,12 +1025,11 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
                 continue;
             }
             let t = SimTime::from_nanos(w.streams[g].connect_ns);
-            eng.schedule_at(t, move |w, eng| produce(w, eng, g));
+            eng.post_at(t, Ev::Produce(g));
         }
     }
     if let Some(f) = cfg.failure {
-        let card = f.card;
-        eng.schedule_at(SimTime::ZERO + f.at, move |w, eng| fail_card(w, eng, card));
+        eng.post_at(SimTime::ZERO + f.at, Ev::FailCard(f.card));
     }
     for c in 0..ncards {
         schedule_pass(&mut w, &mut eng, c);
@@ -1075,8 +1091,6 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
             produced: s.produced,
             arrived: s.arrived,
             backlog_at_end: s.arrived - sent - dropped,
-            in_flight_at_end: s.in_flight,
-            held_at_end: s.held.len() as u64,
         });
     }
 
@@ -1374,9 +1388,8 @@ mod tests {
         assert_eq!(r.lost_frames, 0);
         for s in &r.streams {
             assert!(s.admitted);
-            assert_eq!(s.held_at_end, 0);
             // The bus drains after the run end.
-            assert_eq!((s.produced, s.in_flight_at_end), (s.arrived, 0));
+            assert_eq!(s.produced, s.arrived);
             assert!(s.series.sent > 0, "{} dispatched nothing", s.name);
         }
         assert!(r.bus.utilization > 0.0 && r.bus.utilization < 0.1);

@@ -25,7 +25,7 @@ use dwcs::{DualHeap, FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos}
 use hwsim::HostCpu;
 use mpeg1::GopPattern;
 use nistream_trace::TraceCapture;
-use simkit::{Engine, Pcg32, SimDuration, SimTime, Trace, UtilizationSampler};
+use simkit::{Engine, Event, Pcg32, SimDuration, SimTime, Trace, UtilizationSampler};
 use std::collections::VecDeque;
 use workload::apache::ApachePool;
 use workload::mpegclient::ClientPlan;
@@ -135,11 +135,15 @@ struct Proc {
     kind: Kind,
     runnable: bool,
     alive: bool,
+    /// Which spawn this is: a dead process's slot is reused by a later
+    /// spawn, so the pid alone does not name a process.
+    spawn: u64,
 }
 
 struct Cpu {
     running: Option<usize>,
-    last_proc: Option<usize>,
+    /// The [`Proc::spawn`] of the last process this CPU ran.
+    last_proc: Option<u64>,
     sampler: UtilizationSampler,
     model: HostCpu,
 }
@@ -202,6 +206,10 @@ impl Platform for HostSendPlatform {
 struct World {
     cfg: HostLoadConfig,
     procs: Vec<Proc>,
+    /// Pids of dead processes, whose slots [`spawn`] reuses.
+    dead: Vec<usize>,
+    /// Processes spawned so far.
+    spawned: u64,
     run_q: VecDeque<usize>,
     /// Low-priority queue: the DWCS process. Solaris TS demotes it below
     /// the frequently-sleeping web workers and daemons (it is the
@@ -227,7 +235,72 @@ struct World {
     max_dwcs_wait: SimDuration,
 }
 
-type Eng = Engine<World>;
+/// How a slice ends for the process that ran it.
+#[derive(Clone, Copy)]
+enum After {
+    Requeue,
+    Block,
+    Die,
+}
+
+/// A host-load event. The engine holds it inline, so posting one
+/// allocates nothing.
+#[derive(Clone, Copy)]
+enum HostEv {
+    /// Process `pid` wakes ([`make_runnable`]).
+    MakeRunnable(usize),
+    /// Idle CPUs take the next runnable processes ([`try_dispatch`]).
+    TryDispatch,
+    /// Process `pid`'s slice on CPU `ci` ends ([`end_slice`]).
+    EndSlice { ci: usize, pid: usize, after: After },
+    /// Daemon `pid`'s periodic wake ([`daemon_tick`]).
+    DaemonTick(usize),
+    /// Re-check the web load after a quiet phase ([`schedule_web_arrivals`]).
+    WebCheck,
+    /// A web request arrives ([`web_arrival`]).
+    WebArrival,
+}
+
+impl Event<World> for HostEv {
+    fn fire(self, w: &mut World, eng: &mut Eng) {
+        match self {
+            HostEv::MakeRunnable(pid) => make_runnable(w, eng, pid),
+            HostEv::TryDispatch => try_dispatch(w, eng),
+            HostEv::EndSlice { ci, pid, after } => end_slice(w, eng, ci, pid, after),
+            HostEv::DaemonTick(pid) => daemon_tick(w, eng, pid),
+            HostEv::WebCheck => schedule_web_arrivals(w, eng),
+            HostEv::WebArrival => web_arrival(w, eng),
+        }
+    }
+}
+
+type Eng = Engine<World, HostEv>;
+
+/// Start a process of `kind`, not yet runnable, in a dead process's slot
+/// if there is one. Returns its pid.
+fn spawn(w: &mut World, kind: Kind) -> usize {
+    w.spawned += 1;
+    let p = Proc {
+        kind,
+        runnable: false,
+        alive: true,
+        spawn: w.spawned,
+    };
+    match w.dead.pop() {
+        Some(pid) => {
+            debug_assert!(
+                !w.procs[pid].alive && !w.procs[pid].runnable,
+                "pid {pid} reused while live"
+            );
+            w.procs[pid] = p;
+            pid
+        }
+        None => {
+            w.procs.push(p);
+            w.procs.len() - 1
+        }
+    }
+}
 
 fn make_runnable(w: &mut World, eng: &mut Eng, pid: usize) {
     let p = &mut w.procs[pid];
@@ -239,7 +312,7 @@ fn make_runnable(w: &mut World, eng: &mut Eng, pid: usize) {
         } else {
             w.run_q.push_back(pid);
         }
-        eng.schedule_now(try_dispatch);
+        eng.post_at(eng.now(), HostEv::TryDispatch);
     }
 }
 
@@ -267,18 +340,14 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
 
     // Context switch cost when the CPU changes processes.
     let mut used = SimDuration::ZERO;
-    if w.cpus[ci].last_proc != Some(pid) {
+    let spawn = w.procs[pid].spawn;
+    if w.cpus[ci].last_proc != Some(spawn) {
         used += w.cpus[ci].model.context_switch();
-        w.cpus[ci].last_proc = Some(pid);
+        w.cpus[ci].last_proc = Some(spawn);
     }
 
     // Simulate the proc's activity for this slice; effects carry their
     // own sub-slice timestamps.
-    enum After {
-        Requeue,
-        Block,
-        Die,
-    }
     let after;
     match &mut w.procs[pid].kind {
         Kind::Daemon { work, .. } => {
@@ -357,8 +426,7 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
             after = if done { After::Die } else { After::Requeue };
             if produced_any {
                 // Wake the scheduler for the new work.
-                let wake_pid = w.dwcs_pid;
-                eng.schedule_in(used, move |w: &mut World, eng| make_runnable(w, eng, wake_pid));
+                eng.post_in(used, HostEv::MakeRunnable(w.dwcs_pid));
             }
         }
         Kind::Dwcs => {
@@ -395,11 +463,8 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
                 Some(d) if d <= t_end => after = After::Requeue,
                 Some(d) => {
                     after = After::Block;
-                    let wake_pid = w.dwcs_pid;
                     let at = SimTime::from_nanos(d);
-                    eng.schedule_at(at.max(now + used), move |w: &mut World, eng| {
-                        make_runnable(w, eng, wake_pid);
-                    });
+                    eng.post_at(at.max(now + used), HostEv::MakeRunnable(w.dwcs_pid));
                 }
                 None => after = After::Block,
             }
@@ -407,50 +472,52 @@ fn start_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize) {
     }
 
     // Daemons consumed `work`; everyone else computed `used` above.
-    let end_handling = move |w: &mut World, eng: &mut Eng, ci: usize, pid: usize, after: After| {
-        let t = eng.now();
-        w.cpus[ci].sampler.idle(t);
-        w.cpus[ci].running = None;
-        match after {
-            After::Requeue => {
-                if pid == w.dwcs_pid {
-                    w.lo_q.push_back(pid);
-                } else {
-                    w.run_q.push_back(pid);
-                }
-            }
-            After::Block => {
-                w.procs[pid].runnable = false;
-            }
-            After::Die => {
-                w.procs[pid].runnable = false;
-                w.procs[pid].alive = false;
+    eng.post_in(
+        used.max(SimDuration::from_nanos(1)),
+        HostEv::EndSlice { ci, pid, after },
+    );
+}
+
+/// Process `pid`'s slice on CPU `ci` ended: free the CPU, settle the
+/// process as `after` says, and dispatch the next one.
+fn end_slice(w: &mut World, eng: &mut Eng, ci: usize, pid: usize, after: After) {
+    let t = eng.now();
+    w.cpus[ci].sampler.idle(t);
+    w.cpus[ci].running = None;
+    match after {
+        After::Requeue => {
+            if pid == w.dwcs_pid {
+                w.lo_q.push_back(pid);
+            } else {
+                w.run_q.push_back(pid);
             }
         }
-        try_dispatch(w, eng);
-    };
-    eng.schedule_in(used.max(SimDuration::from_nanos(1)), move |w: &mut World, eng| {
-        end_handling(w, eng, ci, pid, after);
-    });
+        After::Block => {
+            w.procs[pid].runnable = false;
+        }
+        After::Die => {
+            w.procs[pid].runnable = false;
+            w.procs[pid].alive = false;
+            w.dead.push(pid);
+        }
+    }
+    try_dispatch(w, eng);
 }
 
 fn spawn_daemons(w: &mut World, eng: &mut Eng) {
     // Four Solaris-ish daemons: cron/perfmeter/nscd/inetd-style periodic
     // work. ~12 % of two 200 MHz CPUs in aggregate, which together with
     // streaming overhead reproduces Figure 6's ~15 % no-load average.
-    for i in 0..4usize {
-        let pid = w.procs.len();
-        w.procs.push(Proc {
-            kind: Kind::Daemon {
+    for i in 0..4u64 {
+        let pid = spawn(
+            w,
+            Kind::Daemon {
                 work: SimDuration::from_micros(2_400),
                 period: SimDuration::from_millis(40),
             },
-            runnable: false,
-            alive: true,
-        });
+        );
         // Stagger their periods.
-        let offset = SimDuration::from_millis(10 * i as u64);
-        eng.schedule_in(offset, move |w: &mut World, eng| daemon_tick(w, eng, pid));
+        eng.post_in(SimDuration::from_millis(10 * i), HostEv::DaemonTick(pid));
     }
 }
 
@@ -462,7 +529,7 @@ fn daemon_tick(w: &mut World, eng: &mut Eng, pid: usize) {
         return;
     };
     make_runnable(w, eng, pid);
-    eng.schedule_in(period, move |w: &mut World, eng| daemon_tick(w, eng, pid));
+    eng.post_in(period, HostEv::DaemonTick(pid));
 }
 
 fn schedule_web_arrivals(w: &mut World, eng: &mut Eng) {
@@ -480,43 +547,80 @@ fn schedule_web_arrivals(w: &mut World, eng: &mut Eng) {
             .find(|&s| s > now)
             .unwrap_or(now + SimDuration::from_secs(1));
         if next_check <= now + w.cfg.run {
-            eng.schedule_at(
-                next_check.max(now + SimDuration::from_millis(100)),
-                schedule_web_arrivals,
-            );
+            eng.post_at(next_check.max(now + SimDuration::from_millis(100)), HostEv::WebCheck);
         }
         return;
     }
     let gap = SimDuration::from_secs_f64(w.rng.exp(1.0 / rate));
-    eng.schedule_in(gap, move |w: &mut World, eng| {
-        // One request arrives.
-        let bytes = w.rng.bounded_pareto(1.2, 1_024.0, 512_000.0).round() as u64;
-        let req = workload::httperf::WebRequest {
-            id: w.pool.accepted,
-            response_bytes: bytes,
-            connection: 0,
-        };
-        let mut demand = w.pool.work_of(&req);
-        demand.cpu_cycles += bytes * (WEB_CYCLES_PER_BYTE - 1);
-        if let Some(started) = w.pool.arrive(req) {
-            let _ = started;
-            let pid = w.procs.len();
-            w.procs.push(Proc {
-                kind: Kind::Web {
-                    remaining_cycles: demand.cpu_cycles,
-                },
-                runnable: false,
-                alive: true,
-            });
-            make_runnable(w, eng, pid);
-        }
-        schedule_web_arrivals(w, eng);
-    });
+    eng.post_in(gap, HostEv::WebArrival);
+}
+
+/// One web request arrives: a worker that picks it up at once starts as a
+/// new process (queued requests are chained by a busy worker); then the
+/// next arrival is drawn.
+fn web_arrival(w: &mut World, eng: &mut Eng) {
+    let bytes = w.rng.bounded_pareto(1.2, 1_024.0, 512_000.0).round() as u64;
+    let req = workload::httperf::WebRequest {
+        id: w.pool.accepted,
+        response_bytes: bytes,
+        connection: 0,
+    };
+    let mut demand = w.pool.work_of(&req);
+    demand.cpu_cycles += bytes * (WEB_CYCLES_PER_BYTE - 1);
+    if w.pool.arrive(req).is_some() {
+        let pid = spawn(
+            w,
+            Kind::Web {
+                remaining_cycles: demand.cpu_cycles,
+            },
+        );
+        make_runnable(w, eng, pid);
+    }
+    schedule_web_arrivals(w, eng);
 }
 
 /// Run the experiment.
 pub fn run(cfg: HostLoadConfig) -> HostLoadResult {
-    let mut eng: Eng = <Eng>::new();
+    let mut w = simulate(cfg);
+    let run_t = SimTime::ZERO + w.cfg.run;
+
+    // Collect results.
+    let util_traces: Vec<Trace> = w.cpus.drain(..).map(|c| c.sampler.finish(run_t)).collect();
+    let cpu_util = average_traces(&util_traces);
+    let avg_util = cpu_util.mean_between(SimTime::ZERO, run_t).unwrap_or(0.0);
+    let peak_util = cpu_util.min_max().map(|(_, hi)| hi).unwrap_or(0.0);
+
+    let platform = w.svc.platform_mut();
+    let series = std::mem::take(&mut platform.bw)
+        .into_iter()
+        .zip(std::mem::take(&mut platform.qdelay));
+    let mut streams = Vec::new();
+    for ((i, c), (bw, qdelay)) in w.cfg.plan.clients.iter().enumerate().zip(series) {
+        let stats = w.svc.scheduler().stats(w.sids[i]);
+        streams.push(StreamSeries {
+            name: c.name.clone(),
+            bandwidth: bw.finish(run_t),
+            qdelay,
+            sent: stats.sent(),
+            dropped: stats.dropped,
+            violations: stats.violations,
+            mean_jitter_ms: stats.mean_jitter() as f64 / 1e6,
+        });
+    }
+    HostLoadResult {
+        cpu_util,
+        avg_util,
+        peak_util,
+        streams,
+        web_completed: w.pool.completed,
+        max_dwcs_wait_ms: w.max_dwcs_wait.as_millis_f64(),
+        trace: w.svc.drain_trace(),
+    }
+}
+
+/// Build the world and run it to the configured run end.
+fn simulate(cfg: HostLoadConfig) -> World {
+    let mut eng = Eng::new();
     let nstreams = cfg.plan.clients.len();
 
     // Scheduler: deadline-paced, one-period grace (see module docs).
@@ -556,6 +660,8 @@ pub fn run(cfg: HostLoadConfig) -> HostLoadResult {
             })
             .collect(),
         procs: Vec::new(),
+        dead: Vec::new(),
+        spawned: 0,
         run_q: VecDeque::new(),
         lo_q: VecDeque::new(),
         pool: ApachePool::new(),
@@ -572,66 +678,26 @@ pub fn run(cfg: HostLoadConfig) -> HostLoadResult {
     };
 
     // The DWCS process.
-    w.dwcs_pid = w.procs.len();
-    w.procs.push(Proc {
-        kind: Kind::Dwcs,
-        runnable: false,
-        alive: true,
-    });
+    w.dwcs_pid = spawn(&mut w, Kind::Dwcs);
 
     // Producers: burst the segmented file in at connect time.
     for (i, c) in w.cfg.plan.clients.clone().iter().enumerate() {
-        let pid = w.procs.len();
-        w.procs.push(Proc {
-            kind: Kind::Producer {
+        let pid = spawn(
+            &mut w,
+            Kind::Producer {
                 stream_idx: i,
                 next_frame: 0,
                 per_frame_cycles: 10_000, // 50 µs segment+inject per frame
             },
-            runnable: false,
-            alive: true,
-        });
-        let at = c.connect_at;
-        eng.schedule_at(at, move |w: &mut World, eng| make_runnable(w, eng, pid));
+        );
+        eng.post_at(c.connect_at, HostEv::MakeRunnable(pid));
     }
 
     spawn_daemons(&mut w, &mut eng);
     schedule_web_arrivals(&mut w, &mut eng);
 
     eng.run_until(&mut w, run_t);
-
-    // Collect results.
-    let util_traces: Vec<Trace> = w.cpus.drain(..).map(|c| c.sampler.finish(run_t)).collect();
-    let cpu_util = average_traces(&util_traces);
-    let avg_util = cpu_util.mean_between(SimTime::ZERO, run_t).unwrap_or(0.0);
-    let peak_util = cpu_util.min_max().map(|(_, hi)| hi).unwrap_or(0.0);
-
-    let platform = w.svc.platform_mut();
-    let series = std::mem::take(&mut platform.bw)
-        .into_iter()
-        .zip(std::mem::take(&mut platform.qdelay));
-    let mut streams = Vec::new();
-    for ((i, c), (bw, qdelay)) in w.cfg.plan.clients.iter().enumerate().zip(series) {
-        let stats = w.svc.scheduler().stats(w.sids[i]);
-        streams.push(StreamSeries {
-            name: c.name.clone(),
-            bandwidth: bw.finish(run_t),
-            qdelay,
-            sent: stats.sent(),
-            dropped: stats.dropped,
-            violations: stats.violations,
-            mean_jitter_ms: stats.mean_jitter() as f64 / 1e6,
-        });
-    }
-    HostLoadResult {
-        cpu_util,
-        avg_util,
-        peak_util,
-        streams,
-        web_completed: w.pool.completed,
-        max_dwcs_wait_ms: w.max_dwcs_wait.as_millis_f64(),
-        trace: w.svc.drain_trace(),
-    }
+    w
 }
 
 /// Web request rate whose *sustained phase* produces roughly
@@ -719,6 +785,26 @@ mod tests {
         let drops: u64 = loaded.streams.iter().map(|s| s.dropped).sum();
         assert!(drops > 0, "60 % load must shed frames");
         assert!(loaded.avg_util > unloaded.avg_util + 20.0);
+    }
+
+    /// A finished web worker's slot is reused by the next one, so the
+    /// process table of a loaded run stays at the pool's size however many
+    /// requests it serves: the DWCS process, two producers and four
+    /// daemons, at most `max_servers` busy workers, and one worker per CPU
+    /// whose last slice is still ending.
+    #[test]
+    fn loaded_run_reuses_finished_worker_slots() {
+        let mut cfg = quick_cfg();
+        cfg.web = LoadProfile::experiment(5, 2, 30, web_rate_for(0.85, &cfg));
+        let w = simulate(cfg);
+        let max_servers = workload::apache::ApacheConfig::default().max_servers as usize;
+        assert!(w.spawned > 1_000, "only {} processes spawned", w.spawned);
+        assert!(
+            w.procs.len() <= 7 + max_servers + w.cpus.len(),
+            "{} process slots for {} spawns",
+            w.procs.len(),
+            w.spawned
+        );
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! The event-scheduling executive.
 //!
 //! A hierarchical timing wheel of `(time, sequence)` entries (see the
-//! private `wheel` module for the layout) over a slab arena that owns the event
-//! closures. The sequence number makes simultaneous events fire in
+//! private `wheel` module for the layout) over a slab arena that holds the
+//! events themselves. The sequence number makes simultaneous events fire in
 //! scheduling order (FIFO-stable), which the hardware models rely on for
 //! determinism (e.g. two DMA completions in the same nanosecond); the
 //! wheel preserves that order *exactly*, bit-for-bit against the original
 //! binary-heap executive (kept as [`crate::reference::HeapEngine`] and
 //! pinned by a differential property test).
 //!
-//! Events are boxed `FnOnce(&mut W, &mut Engine<W>)` closures: the *world*
-//! `W` is whatever struct the caller composes out of hardware models, and
-//! the engine hands it back mutably to each event together with itself so
-//! the event can schedule follow-ups. Keeping the world outside the engine
-//! avoids interior mutability entirely.
+//! An event is any value of a type `E: Event<W>`, stored inline in its
+//! arena slot and consumed by [`Event::fire`], which gets the *world* `W`
+//! and the engine mutably so it can post follow-ups. The world is
+//! whatever struct the caller composes out of hardware models; keeping it
+//! outside the engine avoids interior mutability entirely. A model that
+//! names its events as a plain `Copy` enum posts them with
+//! [`Engine::post_at`] / [`Engine::post_in`], and an event then costs no
+//! heap allocation and no indirect call. The default event type is
+//! [`Thunk`], a boxed `FnOnce(&mut W, &mut Engine<W>)` closure, which is
+//! what the closure methods ([`Engine::schedule_at`] and friends) post:
+//! one queue, one arena and one step loop serve both.
 //!
 //! # Why a wheel
 //!
@@ -26,11 +32,31 @@
 //! or doubly-cancelled id is a true no-op and [`Engine::pending`] stays
 //! exact (the old executive leaked a tombstone per stale cancel).
 
+use std::marker::PhantomData;
+
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimerEntry, TimerWheel};
 
-/// A scheduled event: a one-shot closure over the world and the engine.
+/// A value the engine can hold as a pending event: fired once, at its
+/// time, with the world and the engine (so it can post follow-ups).
+pub trait Event<W>: Sized {
+    /// Run the event.
+    fn fire(self, w: &mut W, eng: &mut Engine<W, Self>);
+}
+
+/// A scheduled closure: one-shot over the world and the engine.
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+
+/// The closure event, and the engine's default event type: a boxed
+/// [`EventFn`], posted by [`Engine::schedule_at`] and friends.
+pub struct Thunk<W>(EventFn<W>);
+
+impl<W> Event<W> for Thunk<W> {
+    #[inline]
+    fn fire(self, w: &mut W, eng: &mut Engine<W>) {
+        (self.0)(w, eng)
+    }
+}
 
 /// Identifier of a scheduled event, usable with [`Engine::cancel`].
 ///
@@ -57,39 +83,42 @@ impl EventId {
 /// Arena slot payload states. `Free` slots sit on the free list;
 /// `Cancelled` slots wait for their wheel entry to surface and be
 /// discarded (lazy cancellation keeps the wheel remove-free).
-enum SlotState<W> {
+enum SlotState<E> {
     Free,
-    Pending(EventFn<W>),
+    Pending(E),
     Cancelled,
 }
 
-struct ArenaSlot<W> {
+struct ArenaSlot<E> {
     generation: u32,
-    state: SlotState<W>,
+    state: SlotState<E>,
 }
 
-/// The discrete-event engine for worlds of type `W`.
-pub struct Engine<W> {
+/// The discrete-event engine for worlds of type `W` and events of type
+/// `E` (boxed closures unless the model names its own).
+pub struct Engine<W, E = Thunk<W>> {
     now: SimTime,
     wheel: TimerWheel,
-    /// Event storage; slots recycle through `free` so steady-state
-    /// scheduling reuses both the slot and its box-free `SlotState` move.
-    arena: Vec<ArenaSlot<W>>,
+    /// Event storage, by value; slots recycle through `free`, so once the
+    /// arena has grown to the peak number of pending events, posting an
+    /// event allocates nothing.
+    arena: Vec<ArenaSlot<E>>,
     free: Vec<u32>,
     seq: u64,
     fired: u64,
     pending: usize,
+    world: PhantomData<fn(&mut W)>,
 }
 
-impl<W> Default for Engine<W> {
+impl<W, E: Event<W>> Default for Engine<W, E> {
     fn default() -> Self {
         Engine::new()
     }
 }
 
-impl<W> Engine<W> {
+impl<W, E: Event<W>> Engine<W, E> {
     /// A fresh engine at t = 0 with an empty calendar.
-    pub fn new() -> Engine<W> {
+    pub fn new() -> Engine<W, E> {
         Engine {
             now: SimTime::ZERO,
             wheel: TimerWheel::new(),
@@ -98,6 +127,7 @@ impl<W> Engine<W> {
             seq: 0,
             fired: 0,
             pending: 0,
+            world: PhantomData,
         }
     }
 
@@ -118,24 +148,23 @@ impl<W> Engine<W> {
         self.pending
     }
 
-    /// Schedule `f` at absolute time `at`. Scheduling in the past is a logic
-    /// error in a model; it fires immediately at `now` instead (clamped) and
-    /// is flagged in debug builds.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> EventId {
+    /// Post `ev` at absolute time `at`. Posting in the past is a logic
+    /// error in a model; it fires immediately at `now` instead (clamped)
+    /// and is flagged in debug builds.
+    pub fn post_at(&mut self, at: SimTime, ev: E) -> EventId {
         debug_assert!(at >= self.now, "event scheduled in the past: {at:?} < {:?}", self.now);
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let f: EventFn<W> = Box::new(f);
         let idx = match self.free.pop() {
             Some(i) => {
-                self.arena[i as usize].state = SlotState::Pending(f);
+                self.arena[i as usize].state = SlotState::Pending(ev);
                 i
             }
             None => {
                 self.arena.push(ArenaSlot {
                     generation: 0,
-                    state: SlotState::Pending(f),
+                    state: SlotState::Pending(ev),
                 });
                 (self.arena.len() - 1) as u32
             }
@@ -151,15 +180,9 @@ impl<W> Engine<W> {
         EventId::new(self.arena[idx as usize].generation, idx)
     }
 
-    /// Schedule `f` after a delay from now.
-    pub fn schedule_in(&mut self, dt: SimDuration, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> EventId {
-        self.schedule_at(self.now + dt, f)
-    }
-
-    /// Schedule `f` at the current instant, after all already-queued events
-    /// for this instant (FIFO ordering by sequence).
-    pub fn schedule_now(&mut self, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> EventId {
-        self.schedule_at(self.now, f)
+    /// Post `ev` after a delay from now.
+    pub fn post_in(&mut self, dt: SimDuration, ev: E) -> EventId {
+        self.post_at(self.now + dt, ev)
     }
 
     /// Cancel a pending event. Cancelling an already-fired, unknown or
@@ -177,7 +200,7 @@ impl<W> Engine<W> {
 
     /// Retire an arena slot whose wheel entry has surfaced: bump the
     /// generation (invalidating outstanding ids) and recycle the index.
-    fn release(&mut self, idx: u32) -> SlotState<W> {
+    fn release(&mut self, idx: u32) -> SlotState<E> {
         let slot = &mut self.arena[idx as usize];
         let state = std::mem::replace(&mut slot.state, SlotState::Free);
         slot.generation = slot.generation.wrapping_add(1);
@@ -190,13 +213,13 @@ impl<W> Engine<W> {
     pub fn step(&mut self, world: &mut W) -> bool {
         while let Some(entry) = self.wheel.pop_next() {
             match self.release(entry.idx) {
-                SlotState::Pending(f) => {
+                SlotState::Pending(ev) => {
                     let at = SimTime::from_nanos(entry.at);
                     debug_assert!(at >= self.now);
                     self.now = at;
                     self.fired += 1;
                     self.pending -= 1;
-                    f(world, self);
+                    ev.fire(world, self);
                     return true;
                 }
                 // Cancelled (already uncounted) or stale: keep draining.
@@ -246,6 +269,25 @@ impl<W> Engine<W> {
             let _ = self.wheel.pop_next();
             let _ = self.release(entry.idx);
         }
+    }
+}
+
+/// The closure API: each method boxes `f` as a [`Thunk`] and posts it.
+impl<W> Engine<W> {
+    /// Schedule `f` at absolute time `at` (see [`Engine::post_at`]).
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> EventId {
+        self.post_at(at, Thunk(Box::new(f)))
+    }
+
+    /// Schedule `f` after a delay from now.
+    pub fn schedule_in(&mut self, dt: SimDuration, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> EventId {
+        self.schedule_at(self.now + dt, f)
+    }
+
+    /// Schedule `f` at the current instant, after all already-queued events
+    /// for this instant (FIFO ordering by sequence).
+    pub fn schedule_now(&mut self, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> EventId {
+        self.schedule_at(self.now, f)
     }
 }
 
@@ -453,5 +495,42 @@ mod tests {
         eng.run_steps(&mut w, 10_000);
         assert_eq!(eng.pending(), 4);
         assert!(eng.arena.len() <= 8, "arena grew to {} slots", eng.arena.len());
+    }
+
+    /// A typed event: logs its name, and `Chain` posts a `Log` 9 ns later.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Log(&'static str),
+        Chain,
+    }
+
+    impl Event<World> for Ev {
+        fn fire(self, w: &mut World, e: &mut Engine<World, Ev>) {
+            match self {
+                Ev::Log(name) => w.log.push((e.now().as_nanos(), name)),
+                Ev::Chain => {
+                    e.post_in(SimDuration::from_nanos(9), Ev::Log("chained"));
+                }
+            }
+        }
+    }
+
+    /// Typed events keep the closure engine's contract: time order, FIFO
+    /// among simultaneous events, nested posts, exact cancellation.
+    #[test]
+    fn typed_events_fire_in_time_then_post_order() {
+        let mut eng: Engine<World, Ev> = Engine::new();
+        let mut w = World::default();
+        eng.post_at(at(5), Ev::Log("second"));
+        eng.post_at(at(1), Ev::Chain);
+        let id = eng.post_at(at(3), Ev::Log("cancelled"));
+        eng.post_at(at(5), Ev::Log("third"));
+        eng.post_at(at(2), Ev::Log("first"));
+        eng.cancel(id);
+        eng.cancel(id);
+        assert_eq!(eng.pending(), 4);
+        eng.run(&mut w);
+        assert_eq!(w.log, vec![(2, "first"), (5, "second"), (5, "third"), (10, "chained")]);
+        assert_eq!((eng.events_fired(), eng.pending()), (5, 0));
     }
 }

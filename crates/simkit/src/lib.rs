@@ -13,7 +13,10 @@
 //!   storage, FIFO-stable among simultaneous events, with O(1) cancellable
 //!   timers and an overflow heap for far-future events. The engine is
 //!   generic over the *world* type so hardware models compose as plain
-//!   Rust structs with no `Rc<RefCell<…>>` plumbing. The original
+//!   Rust structs with no `Rc<RefCell<…>>` plumbing, and over the *event*
+//!   type: a model that names its events as a `Copy` enum implementing
+//!   [`Event`] has them held inline in the arena, so posting one allocates
+//!   nothing; the default event, [`Thunk`], is a boxed closure. The original
 //!   binary-heap executive survives as [`reference::HeapEngine`], the
 //!   differential oracle for the wheel.
 //! * [`rng`] — a self-contained PCG32 RNG plus the distributions the
@@ -38,7 +41,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use engine::{Engine, EventFn, EventId};
+pub use engine::{Engine, Event, EventFn, EventId, Thunk};
 pub use reference::{HeapEngine, HeapEventFn, HeapEventId};
 pub use rng::Pcg32;
 pub use stats::{Summary, Trace, UtilizationSampler};

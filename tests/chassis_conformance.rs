@@ -40,8 +40,7 @@ fn one_card_preloaded_chassis_accounts_every_frame() {
         assert_eq!(c.card, Some(0));
         assert_eq!(c.arrived, 900);
         assert_eq!(c.backlog_at_end, c.arrived - c.series.sent - c.series.dropped);
-        assert_eq!(c.in_flight_at_end, 0);
-        assert_eq!(c.held_at_end, 0);
+        assert_eq!(c.produced, c.arrived);
     }
     assert_eq!(ch.cards.len(), 1);
     assert_eq!(ch.cards[0].trace.card, 0);

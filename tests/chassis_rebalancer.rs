@@ -143,14 +143,9 @@ fn card_death_loses_no_frames_and_preserves_accounting() {
 
     for s in &r.streams {
         assert!(s.admitted && s.alive, "{}", s.name);
-        assert_eq!(s.held_at_end, 0, "{}: migration holding area drained", s.name);
-        // Conservation: everything produced is accounted for.
-        assert_eq!(
-            s.produced,
-            s.arrived + s.in_flight_at_end,
-            "{}: produced = arrived + in flight",
-            s.name
-        );
+        // Conservation: the bus and the migration holding area drain
+        // before the run returns, so everything produced arrived.
+        assert_eq!(s.produced, s.arrived, "{}: produced = arrived", s.name);
         assert_eq!(
             s.arrived,
             s.series.sent + s.series.dropped + s.backlog_at_end,

@@ -18,6 +18,8 @@ use nistream::dwcs::repr::{BatchSoa, LinearScan, ScheduleRepr};
 use nistream::dwcs::scheduler::{DwcsScheduler, SchedulerConfig};
 use nistream::dwcs::svc::{DispatchRecord, Platform, SchedService};
 use nistream::dwcs::types::{FrameDesc, FrameKind, StreamId, Time, MILLISECOND};
+use nistream::serversim::chassis::{self, ChassisConfig, Sourcing};
+use nistream::simkit::{Engine, Event, SimDuration, SimTime};
 
 thread_local! {
     static GATE: Cell<bool> = const { Cell::new(false) };
@@ -290,5 +292,85 @@ fn schedule_next_retains_no_dropped_frames() {
     assert_eq!(
         allocs, 0,
         "schedule_next allocated {allocs} time(s) over {dropped} drops — dropped descriptors are being retained"
+    );
+}
+
+/// A typed event that re-posts itself `DELAYS_NS[k]` later.
+#[derive(Clone, Copy)]
+struct Tick(usize);
+
+/// Re-post delays that spread the wheel's entries over all three levels.
+const DELAYS_NS: [u64; 4] = [3_000_000, 7_000_000, 11_000_000, 50_000_000];
+
+impl Event<u64> for Tick {
+    fn fire(self, fired: &mut u64, eng: &mut Engine<u64, Tick>) {
+        *fired += 1;
+        eng.post_in(SimDuration::from_nanos(DELAYS_NS[self.0]), self);
+    }
+}
+
+/// The engine holds a typed event inline, so once the arena and the
+/// wheel's slot vectors have reached their high-water marks, firing an
+/// event and posting its successor allocate nothing. (Each closure event
+/// is a box: the same loop of `schedule_in` calls allocates once per
+/// step.)
+#[test]
+fn typed_engine_steady_state_allocates_nothing() {
+    let mut eng: Engine<u64, Tick> = Engine::new();
+    let mut fired = 0;
+    for k in 0..DELAYS_NS.len() {
+        eng.post_at(SimTime::ZERO, Tick(k));
+    }
+    // Warm-up: ~85 simulated seconds, past the wheel's 68.7 s horizon, so
+    // every slot of every level has been used once.
+    eng.run_steps(&mut fired, 50_000);
+    assert!(
+        eng.now() > SimTime::from_nanos(1 << 36),
+        "warm-up ended at {:?}",
+        eng.now()
+    );
+
+    gate_on();
+    let steps = eng.run_steps(&mut fired, 10_000);
+    let allocs = gate_off();
+
+    assert_eq!((steps, fired, eng.pending()), (10_000, 60_000, 4));
+    assert_eq!(
+        allocs, 0,
+        "10k steady-state typed events allocated {allocs} time(s) — events must be held inline"
+    );
+}
+
+/// Allocations and engine events of one 12-card Path-B chassis run of
+/// `ms` simulated milliseconds, 40 uniform streams per card.
+fn chassis_allocs(ms: u64) -> (u64, u64) {
+    let run = SimDuration::from_millis(ms);
+    let cfg = ChassisConfig {
+        cards: 12,
+        plan: chassis::uniform_plan(480, run),
+        frames_per_stream: (ms * 30 / 1_000) as usize + 2,
+        run,
+        sourcing: Sourcing::PathB,
+        ..ChassisConfig::default()
+    };
+    gate_on();
+    let r = chassis::run(cfg);
+    let allocs = gate_off();
+    (allocs, r.events)
+}
+
+/// Set-up (placement, per-card stacks, result series) allocates, but an
+/// engine event — a frame produced, a bus transfer, a service pass —
+/// must not: the allocations a longer run adds, per event it adds, stay
+/// near zero. (A boxed closure per produce and per pass would read 0.7.)
+#[test]
+fn chassis_engine_events_allocate_almost_nothing() {
+    let (a_short, e_short) = chassis_allocs(250);
+    let (a_long, e_long) = chassis_allocs(500);
+    assert!(e_long > e_short + 5_000, "events {e_short} -> {e_long}");
+    let per_event = a_long.saturating_sub(a_short) as f64 / (e_long - e_short) as f64;
+    assert!(
+        per_event < 0.1,
+        "{per_event:.3} allocations per extra engine event ({a_short} -> {a_long} allocations, {e_short} -> {e_long} events)"
     );
 }
