@@ -66,5 +66,4 @@ pub use mpeg1;
 pub use pool::FramePool;
 pub use serversim;
 pub use simkit;
-pub use vxkit;
 pub use workload;

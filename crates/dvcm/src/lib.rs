@@ -16,7 +16,7 @@
 //!    I2O boards via PCI interfaces").
 //! 2. **Low-level NI runtime** ([`runtime::NiRuntime`]) — drains the
 //!    inbound FIFO, routes instructions to extension modules, posts
-//!    replies; runs as a task on the `vxkit` kernel.
+//!    replies; the NI's bounded service handler.
 //! 3. **Extensions** ([`extension`]) — run-time-registered modules. The
 //!    flagship is [`media_sched::MediaSchedExt`]: the DWCS frame scheduler
 //!    as a DVCM extension, the paper's §3 contribution.

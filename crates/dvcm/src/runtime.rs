@@ -1,9 +1,9 @@
 //! The NI-resident DVCM runtime.
 //!
-//! Runs as the NI's service loop (a `vxkit` task in the full simulation):
-//! drain the inbound I2O FIFO, decode DVCM instructions, dispatch to the
-//! extension registry, post replies outbound, and poll extensions for
-//! their periodic work (the scheduler's dispatch loop).
+//! Runs as the NI's service loop: drain the inbound I2O FIFO, decode DVCM
+//! instructions, dispatch to the extension registry, post replies
+//! outbound, and poll extensions for their periodic work (the scheduler's
+//! dispatch loop).
 
 use crate::extension::{ExtReply, ExtensionRegistry};
 use crate::instr::VcmInstruction;

@@ -21,8 +21,10 @@
 //!   frame-pool payload resolution, pluggable frame sinks;
 //! * the DVCM media-scheduler extension (`dvcm::media_sched`) — NI time,
 //!   an outbox the embedding drains onto the wire;
-//! * the simulation worlds (`serversim::{hostload,chassis,ninode}`) —
-//!   simulated time, cost-model pricing per decision and per dispatch.
+//! * the simulation worlds (`serversim::hostload` on the host CPU,
+//!   `serversim::chassis` on each NI card, which `serversim::niload` runs
+//!   as one card) — simulated time, cost-model pricing per decision and
+//!   per dispatch.
 //!
 //! Like the rest of this crate the core is NI-resident code: no floating
 //! point, no panicking constructs, and fully deterministic given its

@@ -1,8 +1,8 @@
 //! # serversim — whole-server experiments
 //!
-//! Composes the substrates (`hwsim` cost models, `vxkit` kernel, `i2o`
-//! messaging, `dvcm` extensions, `dwcs` scheduling, `workload` generators)
-//! into the paper's experiments. One module per experiment family:
+//! Composes the substrates (`hwsim` cost models, `i2o` messaging, `dvcm`
+//! extensions, `dwcs` scheduling, `workload` generators) into the paper's
+//! experiments. One module per experiment family:
 //!
 //! * [`micro`] — the scheduler microbenchmarks of **Tables 1–3**: a
 //!   pre-loaded MPEG sequence scheduled on the modelled i960, sweeping
@@ -17,9 +17,6 @@
 //!   utilization, per-stream bandwidth and queuing-delay traces.
 //! * [`niload`] — the NI-based scheduler (**Figures 9–10**): the same
 //!   streams served by the i960 model, structurally immune to host load.
-//! * [`ninode`] — the integrated embedded NI: the DVCM service loop as a
-//!   *wind* task on the `vxkit` kernel, watchdog-paced, with interference
-//!   tasks quantifying the "few system tasks" argument.
 //! * [`cluster`] — the multi-node topology of the paper's Figure 1, for
 //!   capacity exploration beyond the single-node evaluation.
 //! * [`chassis`] — the multi-NI chassis and the only shared-bus model:
@@ -40,6 +37,5 @@ pub mod cluster;
 pub mod hostload;
 pub mod micro;
 pub mod niload;
-pub mod ninode;
 pub mod paths;
 pub mod report;

@@ -1,9 +1,7 @@
 //! Virtual time: nanosecond-resolution instants and durations.
 //!
 //! A `u64` nanosecond clock runs for ~584 simulated years, far beyond any
-//! experiment here; the paper's own i960 timestamp counter rolls over in
-//! minutes and `vxkit::tickstamp` models that rollover *on top of* this
-//! non-wrapping kernel clock.
+//! experiment here, so the clock never wraps.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};

@@ -20,5 +20,4 @@ pub use nistream_core::pool;
 pub use nistream_trace as trace;
 pub use serversim;
 pub use simkit;
-pub use vxkit;
 pub use workload;

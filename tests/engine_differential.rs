@@ -11,6 +11,10 @@
 //! sequences and agree on `pending()` after every operation. The
 //! `(time, seq)` FIFO-stable firing order is the contract every saved
 //! repro baseline rests on.
+//!
+//! Two properties then assert that order on the wheel outright: events fire
+//! in nondecreasing time, FIFO among equal times, for arbitrary schedules
+//! and for events scheduled from inside events.
 
 use nistream::simkit::{Engine, Event, HeapEngine, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -231,5 +235,50 @@ proptest! {
         prop_assert_eq!(wheel.pending(), 0);
         prop_assert_eq!(typed.pending(), 0);
         prop_assert_eq!(heap.pending(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    #[test]
+    fn engine_fires_in_time_then_fifo_order(times in proptest::collection::vec(0u64..10_000, 1..80)) {
+        let mut eng: Engine<Log> = Engine::new();
+        let mut log = Log::new();
+        for (i, &t) in times.iter().enumerate() {
+            let tag = i as u32;
+            eng.schedule_at(SimTime::from_nanos(t), move |w: &mut Log, e| {
+                w.push((e.now().as_nanos(), tag));
+            });
+        }
+        eng.run(&mut log);
+        prop_assert_eq!(log.len(), times.len());
+        // Nondecreasing times; equal times in scheduling (tag) order.
+        for pair in log.windows(2) {
+            prop_assert!(pair[0].0 <= pair[1].0, "time order");
+            if pair[0].0 == pair[1].0 {
+                prop_assert!(pair[0].1 < pair[1].1, "FIFO among equals");
+            }
+        }
+    }
+
+    #[test]
+    fn engine_nested_scheduling_preserves_order(seed_times in proptest::collection::vec(1u64..1_000, 1..30)) {
+        let mut eng: Engine<Log> = Engine::new();
+        let mut log = Log::new();
+        for (i, &t) in seed_times.iter().enumerate() {
+            let tag = i as u32;
+            eng.schedule_at(SimTime::from_nanos(t), move |_w: &mut Log, e| {
+                // Each event schedules a follow-up half its delay later.
+                e.schedule_in(SimDuration::from_nanos(t / 2 + 1), move |w: &mut Log, e| {
+                    w.push((e.now().as_nanos(), tag));
+                });
+            });
+        }
+        eng.run(&mut log);
+        prop_assert_eq!(log.len(), seed_times.len());
+        for pair in log.windows(2) {
+            prop_assert!(pair[0].0 <= pair[1].0);
+        }
     }
 }
