@@ -30,7 +30,7 @@ use serversim::hostload;
 use simkit::SimDuration;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use workload::abr::{AbrController, AbrLadder, AbrPolicy};
+use workload::abr::{AbrController, AbrLadder, AbrPolicy, Congestion};
 use workload::churn::{ChurnConfig, ChurnGen};
 use workload::vbr::{self, mean_frame_bytes, VbrSpec, VbrTraceGen};
 
@@ -71,8 +71,8 @@ pub const SCENARIOS: [&str; 8] = [
 ];
 
 const NS_PER_SEC: u64 = 1_000_000_000;
-/// Host-side probe cadence: drain the trace ring and poll congestion
-/// once per simulated second.
+/// Host-side probe cadence: drain and fold the trace ring, and derive
+/// congestion from the fold, once per simulated second.
 const PROBE_NS: u64 = NS_PER_SEC;
 /// NI soak trace ring: must hold one probe interval of events (a 48-stream
 /// overload emits ≈10 k events/s; 32 Ki leaves 3× headroom).
@@ -274,6 +274,19 @@ pub(crate) struct PickerStats {
     pub(crate) max_pending: usize,
 }
 
+/// The ABR probe: `agg`'s drop and late totals minus `seen` (the totals
+/// at the previous probe, advanced here), plus the live `backlog`.
+fn congestion_since(seen: &mut (u64, u64), agg: &Aggregate, backlog: u64) -> Congestion {
+    let now = (agg.total_drops(), agg.total_late());
+    let c = Congestion {
+        backlog,
+        drops: now.0 - seen.0,
+        late: now.1 - seen.1,
+    };
+    *seen = now;
+    c
+}
+
 /// Drive one NI scenario to `run_secs` of virtual time, folding the trace
 /// at every probe tick, and summarize.
 ///
@@ -325,6 +338,8 @@ fn run_ni(sc: NiScenario) -> (SoakRow, PickerStats) {
     let mut clock = 0u64;
     let mut next_probe = PROBE_NS;
     let mut agg = Aggregate::new();
+    // The fold's (drops, late) totals at the previous probe.
+    let mut seen = (0u64, 0u64);
     let mut switches = 0u64;
 
     loop {
@@ -421,7 +436,7 @@ fn run_ni(sc: NiScenario) -> (SoakRow, PickerStats) {
                 assert_eq!(cap.overflow, 0, "{}: soak ring overflowed", sc.name);
                 agg.fold_all(&cap.events);
                 if let Some(ctrl) = abr.as_mut() {
-                    let c = ext.probe_congestion();
+                    let c = congestion_since(&mut seen, &agg, ext.scheduler().total_backlog());
                     if let Some(rate) = ctrl.on_probe(&c) {
                         switches += 1;
                         for slot in slots.iter_mut().filter(|s| s.open) {
@@ -933,5 +948,71 @@ mod tests {
         let longest = a.iter().map(|s| s.depart_ns - s.connect_ns).max().unwrap();
         let shortest = a.iter().map(|s| s.depart_ns - s.connect_ns).min().unwrap();
         assert!(longest >= 4 * shortest, "heavy tail: {shortest}..{longest}");
+    }
+
+    /// The ABR probe is the difference of two fold snapshots: each probe
+    /// reports the drops and late sends since the previous one, both kinds
+    /// driven here, and the scheduler's live backlog.
+    #[test]
+    fn congestion_is_the_fold_difference_between_probes() {
+        const MS: u64 = 1_000_000;
+        let mut ext = MediaSchedExt::with_config(4, SchedulerConfig::default());
+        ext.enable_trace(256);
+        let mut open = |droppable: bool, loss_num: u32| {
+            let spec = StreamSpec {
+                period: MS,
+                loss_num,
+                loss_den: 2,
+                droppable,
+            };
+            StreamId(ext.on_instruction(VcmInstruction::OpenStream(spec), 0).payload[0])
+        };
+        // Loss 1/2, droppable: a stale head drops. Loss 0, send-late: a
+        // stale head goes out late.
+        let (lossy, strict) = (open(true, 1), open(false, 0));
+        for sid in [lossy, strict, lossy, strict, lossy] {
+            let frame = VcmInstruction::EnqueueFrame {
+                stream: sid,
+                addr: 0,
+                len: 100,
+                kind: FrameKind::P,
+            };
+            assert_eq!(ext.on_instruction(frame, 0).status, 0);
+        }
+        let (mut agg, mut seen) = (Aggregate::new(), (0, 0));
+        let mut probe = |ext: &mut MediaSchedExt| {
+            agg.fold_all(&ext.drain_trace().events);
+            congestion_since(&mut seen, &agg, ext.scheduler().total_backlog())
+        };
+        // The scheduler's own (drops, late) totals over both streams.
+        let totals = |ext: &MediaSchedExt| {
+            let s = ext.scheduler();
+            let (a, b) = (s.stats(lossy), s.stats(strict));
+            (a.dropped + b.dropped, a.sent_late + b.sent_late)
+        };
+
+        // Far past every deadline: two passes drop and send late.
+        ext.poll_decision(100 * MS);
+        ext.poll_decision(100 * MS);
+        let first = probe(&mut ext);
+        assert!(first.drops > 0 && first.late > 0, "{first:?}");
+        assert_eq!(first.backlog, ext.scheduler().total_backlog());
+        let before = totals(&ext);
+        assert_eq!((first.drops, first.late), before);
+
+        // Nothing happened since: the next probe is clean, backlog kept.
+        let second = probe(&mut ext);
+        assert_eq!((second.drops, second.late, second.backlog), (0, 0, first.backlog));
+
+        // Drain the rest: the third probe counts only what came after the
+        // second.
+        while ext.has_pending() {
+            ext.poll_decision(200 * MS);
+        }
+        let third = probe(&mut ext);
+        let after = totals(&ext);
+        assert_eq!((third.drops, third.late), (after.0 - before.0, after.1 - before.1));
+        assert!(third.drops + third.late > 0, "{third:?}");
+        assert_eq!(third.backlog, 0);
     }
 }

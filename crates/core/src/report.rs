@@ -8,50 +8,18 @@
 //! want live *here*, on the host side, where an FPU exists.
 
 use dwcs::admission;
-use dwcs::metrics::StreamStats;
 use dwcs::{StreamQos, Time};
-use nistream_trace::Aggregate;
 
 // The trace exporters are integer-only by construction (they run on the
 // NI-drained event stream); they are re-exported here because this module
 // is the host-side gateway every display path already imports.
 pub use nistream_trace::{to_csv as trace_to_csv, to_json as trace_to_json};
 
-/// Mean dispatch lateness of a folded trace in milliseconds, as a plain
-/// `f64`. The aggregator keeps the latency histogram in exact integer
-/// nanoseconds; the division happens at the very end, here on the host.
-pub fn mean_lateness_ms_f64(agg: &Aggregate) -> f64 {
-    if agg.latency.count() == 0 {
-        0.0
-    } else {
-        agg.latency.sum() as f64 / agg.latency.count() as f64 / 1e6
-    }
-}
-
-/// Fraction of traced dispatches that met their deadline, as a plain
-/// `f64`. An empty trace reports 1.0 (nothing was late).
-pub fn trace_on_time_fraction_f64(agg: &Aggregate) -> f64 {
-    let dispatches = agg.total_dispatches();
-    if dispatches == 0 {
-        1.0
-    } else {
-        let on_time: u64 = agg.streams().map(|(_, s)| s.on_time).sum();
-        on_time as f64 / dispatches as f64
-    }
-}
-
 /// Total mandatory utilization of a stream set as a plain `f64`, for
 /// printing and plotting. Delegates to [`dwcs::admission::utilization`]
 /// (exact rational arithmetic) and converts at the very end.
 pub fn utilization_f64(streams: &[StreamQos], service: Time) -> f64 {
     admission::utilization(streams, service).to_f64()
-}
-
-/// Fraction of a stream's departed frames that met their deadline, as a
-/// plain `f64`. Delegates to [`StreamStats::on_time_fraction`] (Q16.16)
-/// and converts at the very end.
-pub fn on_time_fraction_f64(stats: &StreamStats) -> f64 {
-    stats.on_time_fraction().to_f64()
 }
 
 #[cfg(test)]
@@ -65,40 +33,5 @@ mod tests {
         // and f64.
         let q = StreamQos::new(4 * MILLISECOND, 0, 1);
         assert_eq!(utilization_f64(&[q], MILLISECOND), 0.25);
-    }
-
-    #[test]
-    fn on_time_fraction_of_idle_stream_is_one() {
-        let s = StreamStats::default();
-        assert_eq!(on_time_fraction_f64(&s), 1.0);
-    }
-
-    #[test]
-    fn trace_bridges_convert_at_the_edge() {
-        use nistream_trace::TraceEvent;
-        let mut agg = Aggregate::new();
-        assert_eq!(mean_lateness_ms_f64(&agg), 0.0);
-        assert_eq!(trace_on_time_fraction_f64(&agg), 1.0);
-        agg.fold_all(&[
-            TraceEvent::Dispatch {
-                at: 3_000_000,
-                stream: 0,
-                seq: 0,
-                len: 100,
-                deadline: 1_000_000,
-                on_time: false,
-            },
-            TraceEvent::Dispatch {
-                at: 4_000_000,
-                stream: 0,
-                seq: 1,
-                len: 100,
-                deadline: 4_000_000,
-                on_time: true,
-            },
-        ]);
-        // One dispatch 2 ms late, one on time.
-        assert_eq!(mean_lateness_ms_f64(&agg), 1.0);
-        assert_eq!(trace_on_time_fraction_f64(&agg), 0.5);
     }
 }

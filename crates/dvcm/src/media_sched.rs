@@ -145,13 +145,6 @@ impl<P: Platform> MediaSchedExt<P> {
         self.svc.has_pending()
     }
 
-    /// Snapshot-and-reset the service core's congestion counters (see
-    /// [`dwcs::svc::SchedService::probe_congestion`]) — ABR controllers
-    /// poll this between service passes.
-    pub fn probe_congestion(&mut self) -> dwcs::svc::Congestion {
-        self.svc.probe_congestion()
-    }
-
     /// Direct scheduler access (experiments read stats, windows).
     pub fn scheduler(&self) -> &DwcsScheduler<DualHeap> {
         self.svc.scheduler()

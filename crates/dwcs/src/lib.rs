@@ -41,7 +41,9 @@
 //!   scheduler … and the server that queues packets").
 //! * [`admission`] — the DWCS feasibility test used for admission control.
 //! * [`metrics::StreamStats`] — per-stream service accounting (on-time /
-//!   late / dropped / violations / bytes, queuing-delay moments).
+//!   late / dropped / violations / bytes, queuing-delay and jitter
+//!   moments): `nistream_trace::StreamAccount`, the type the trace fold
+//!   keeps per stream too.
 //!
 //! ## Time
 //!
@@ -96,5 +98,5 @@ pub use qos::{LossPolicy, MissOutcome, StreamQos, Window};
 pub use repr::{BatchSoa, DualHeap, LinearScan, ScheduleRepr, Work};
 pub use ring::SpscRing;
 pub use scheduler::{DeadlineAnchor, DwcsScheduler, SchedDecision, SchedulerConfig};
-pub use svc::{BatchSummary, Congestion, DispatchRecord, Platform, SchedService};
+pub use svc::{BatchSummary, DispatchRecord, Platform, SchedService};
 pub use types::{FrameDesc, FrameKind, StreamId, Time};

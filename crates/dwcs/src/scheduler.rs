@@ -28,10 +28,10 @@
 //! callback ([`DwcsScheduler::schedule_next_with`]) and keeps none of them.
 
 use crate::key::HeadKey;
-use crate::metrics::StreamStats;
 use crate::qos::{LossPolicy, MissOutcome, StreamQos, Window};
 use crate::repr::{ScheduleRepr, Work};
 use crate::types::{FrameDesc, StreamId, Time};
+use nistream_trace::StreamAccount;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -156,7 +156,9 @@ struct StreamSlot {
     /// sustained contention, Figure 7) instead of accumulating an
     /// ever-later backlog against a fixed grid.
     chain: Time,
-    stats: StreamStats,
+    /// Named by its type, not the `StreamStats` alias, so that
+    /// `nistream-analysis` prices the account's methods.
+    stats: StreamAccount,
     active: bool,
 }
 
@@ -207,7 +209,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             queue: VecDeque::new(),
             head_deadline: 0,
             chain: 0,
-            stats: StreamStats::default(),
+            stats: StreamAccount::default(),
             active: true,
         };
         if let Some(Reverse(i)) = self.free_slots.pop() {
@@ -292,6 +294,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             grid_deadline,
         });
         slot.stats.note_enqueue();
+        debug_assert!(conserved(slot), "stream {sid}: queue and account disagree");
         self.queued_frames += 1;
         if was_empty {
             if let Some(key) = head_key(slot) {
@@ -401,6 +404,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
                 let drop_it = slot.qos.policy == LossPolicy::Droppable && outcome == MissOutcome::Tolerated;
                 if drop_it {
                     slot.stats.note_dropped();
+                    debug_assert!(conserved(slot), "stream {sid}: queue and account disagree");
                     on_drop(qf.desc);
                     dropped += 1;
                     // Re-index this stream's new head and retry unless
@@ -443,12 +447,12 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     fn account_dispatch(&mut self, f: DispatchedFrame, now: Time) {
         let slot = &mut self.streams[f.desc.stream.index()];
         let delay = now.saturating_sub(f.desc.enqueued_at);
-        slot.stats.note_sent(f.desc.len, delay, f.on_time);
-        slot.stats.note_departure_at(now);
+        slot.stats.note_sent(now, f.desc.len, delay, f.on_time);
+        debug_assert!(conserved(slot), "stream {}: queue and account disagree", f.desc.stream);
     }
 
     /// Per-stream statistics.
-    pub fn stats(&self, sid: StreamId) -> &StreamStats {
+    pub fn stats(&self, sid: StreamId) -> &StreamAccount {
         &self.streams[sid.index()].stats
     }
 
@@ -524,6 +528,12 @@ fn head_key(slot: &StreamSlot) -> Option<HeadKey> {
         y: slot.window.y(),
         arrival: qf.arrival,
     })
+}
+
+/// Per-stream frame conservation (checked after every queue mutation in
+/// debug builds): the queue holds exactly what the account has queued.
+fn conserved(slot: &StreamSlot) -> bool {
+    slot.queue.len() as u64 == slot.stats.queued()
 }
 
 #[cfg(test)]

@@ -63,23 +63,6 @@ pub struct BatchSummary {
     pub work: Work,
 }
 
-/// A congestion snapshot of the service core since the previous probe —
-/// the signal an adaptive-bitrate controller (`workload::abr`) feeds on.
-///
-/// Counters accumulate across service passes and reset when
-/// [`SchedService::probe_congestion`] is called; `backlog` is sampled
-/// live at probe time. All integer, fixed-size, allocation-free: the
-/// probe is NI-resident like the rest of the service core.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Congestion {
-    /// Frames still queued across active streams at probe time.
-    pub backlog: u64,
-    /// Frames dropped (late, within loss budget) since the last probe.
-    pub drops: u32,
-    /// Frames dispatched after their deadline since the last probe.
-    pub late: u32,
-}
-
 /// The environment a scheduler placement supplies to the service core.
 ///
 /// Each placement provides exactly the pieces its environment owns:
@@ -153,9 +136,6 @@ pub struct SchedService<R, P> {
     platform: P,
     /// The NI-resident trace ring events are pushed into, if any.
     trace: Option<TraceRing>,
-    /// Congestion counters accumulated since the last probe (fixed-size,
-    /// saturating — nothing here allocates or panics on overflow).
-    congestion: Congestion,
 }
 
 impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
@@ -166,7 +146,6 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
             sched: DwcsScheduler::with_config(repr, cfg),
             platform,
             trace: None,
-            congestion: Congestion::default(),
         }
     }
 
@@ -241,10 +220,14 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     ///    dispatch (see the type-level docs);
     /// 3. trace the `Decision`, then report it to
     ///    [`Platform::on_decision`];
-    /// 4. update the congestion counters;
-    /// 5. trace the decision's frame, if any, as a `Dispatch`, then deliver
+    /// 4. trace the decision's frame, if any, as a `Dispatch`, then deliver
     ///    it through [`Platform::dispatch`];
-    /// 6. trace the remaining `QueueDepth`.
+    /// 5. trace the remaining `QueueDepth`.
+    ///
+    /// The scheduler has already accounted the pass's drops and dispatch
+    /// in the streams' accounts (`DwcsScheduler::stats`) at the same
+    /// clock; the trace narrates the same updates, so a host fold of the
+    /// ring rebuilds those accounts (`nistream_trace::Aggregate`).
     ///
     /// Every event is stamped with the clock read in step 1.
     // analysis: hot
@@ -273,11 +256,7 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
             });
         }
         self.platform.on_decision(&decision, backlog);
-        self.congestion.drops = self.congestion.drops.saturating_add(decision.dropped);
         if let Some(frame) = decision.frame {
-            if !frame.on_time {
-                self.congestion.late = self.congestion.late.saturating_add(1);
-            }
             if let Some(ring) = self.trace.as_mut() {
                 ring.push(TraceEvent::Dispatch {
                     at: now,
@@ -319,17 +298,6 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
             }
         }
         summary
-    }
-
-    /// Snapshot congestion since the previous probe and reset the
-    /// counters. `backlog` is sampled live; `drops`/`late` accumulate
-    /// between probes, so a periodic caller sees per-interval rates.
-    /// Probing never perturbs scheduling state.
-    pub fn probe_congestion(&mut self) -> Congestion {
-        let mut c = self.congestion;
-        c.backlog = self.sched.total_backlog();
-        self.congestion = Congestion::default();
-        c
     }
 
     /// When the next queued frame becomes eligible (deadline-paced
@@ -609,45 +577,9 @@ mod tests {
         assert_eq!(traced_events, plain_events, "tracing must not perturb scheduling");
     }
 
-    #[test]
-    fn congestion_probe_accumulates_and_resets() {
-        let mut s = svc(SchedulerConfig::default());
-        let sid = s.open(StreamQos::new(MILLISECOND, 1, 2));
-        for seq in 0..4 {
-            s.ingest_at(sid, frame(sid, seq), 0);
-        }
-        // Far past every deadline: drops and late dispatches accumulate.
-        s.platform_mut().now = 100 * MILLISECOND;
-        let _ = s.service_once();
-        s.platform_mut().now = 102 * MILLISECOND;
-        let _ = s.service_once();
-        let c = s.probe_congestion();
-        assert!(c.drops > 0, "late frames dropped: {c:?}");
-        assert_eq!(c.backlog, s.scheduler().total_backlog());
-        // The probe resets the interval counters but not the backlog view.
-        let c2 = s.probe_congestion();
-        assert_eq!(c2.drops, 0);
-        assert_eq!(c2.late, 0);
-        assert_eq!(c2.backlog, c.backlog);
-    }
-
-    #[test]
-    fn congestion_counts_late_dispatches() {
-        // Loss tolerance 0: nothing drops, so a stale head dispatches
-        // late instead.
-        let mut s = svc(SchedulerConfig::default());
-        let sid = s.open(StreamQos::new(MILLISECOND, 0, 8));
-        s.ingest_at(sid, frame(sid, 0), 0);
-        s.platform_mut().now = 100 * MILLISECOND;
-        assert!(s.service_once().frame.is_some());
-        let c = s.probe_congestion();
-        assert_eq!(c.drops, 0);
-        assert_eq!(c.late, 1, "{c:?}");
-    }
-
     /// `service_batch(n)` must be observationally identical to calling
     /// `service_once` until the first idle pass: same platform-call
-    /// sequence, same trace events, same congestion counters. Exercised
+    /// sequence, same trace events, same stream accounts. Exercised
     /// with a drop-heavy workload so drops, late sends, and on-time sends
     /// all appear.
     #[test]
@@ -690,8 +622,9 @@ mod tests {
             single.drain_trace(),
             "trace streams must be byte-identical"
         );
-        let (cb, cs) = (batch.probe_congestion(), single.probe_congestion());
-        assert_eq!(cb, cs, "congestion counters must match");
+        for sid in batch.scheduler().stream_ids() {
+            assert_eq!(batch.scheduler().stats(sid), single.scheduler().stats(sid));
+        }
     }
 
     #[test]

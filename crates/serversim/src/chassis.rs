@@ -44,6 +44,7 @@ use crate::report::RateWindow;
 use dvcm::instr::{StreamSpec, VcmInstruction};
 use dvcm::{ExtensionModule, MediaSchedExt};
 use dwcs::admission::DemandFold;
+use dwcs::metrics::StreamStats;
 use dwcs::scheduler::Pacing;
 use dwcs::{FrameDesc, FrameKind, SchedulerConfig, StreamId, StreamQos};
 use hwsim::PciBus;
@@ -365,10 +366,7 @@ struct StreamState {
     /// new owner when the state transfer completes.
     held: VecDeque<FrameDesc>,
     // Accounting snapshotted off cards the stream has left.
-    prior_sent: u64,
-    prior_dropped: u64,
-    prior_violations: u64,
-    prior_jitter_weighted_ns: f64,
+    prior: StreamStats,
     prior_qdelay: Vec<(u64, f64)>,
     prior_bw: Vec<Trace>,
 }
@@ -720,31 +718,22 @@ fn start_migration(w: &mut World, eng: &mut Eng, c: usize, g: usize) {
         (s.local, s.qos, s.len)
     };
     // Snapshot everything the dying card knows about the stream.
-    let (sent, dropped, violations, jitter_ns, bw, qd, backlog) = {
-        let card = &mut w.cards[c];
-        let stats = card.ext.scheduler().stats(local);
-        let (sent, dropped, violations, jitter_ns) =
-            (stats.sent(), stats.dropped, stats.violations, stats.mean_jitter());
+    let backlog = {
+        let (card, s) = (&mut w.cards[c], &mut w.streams[g]);
+        let offset = s.prior.sent();
+        s.prior.absorb(card.ext.scheduler().stats(local));
         let li = local.index();
         let p = card.ext.platform_mut();
         let bw = std::mem::replace(&mut p.bw[li], RateWindow::new(SimDuration::from_secs(1))).finish(end);
-        let qd = std::mem::take(&mut p.qdelay[li]);
+        s.prior_bw.push(bw);
+        s.prior_qdelay
+            .extend(p.qdelay[li].drain(..).map(|(n, d)| (n + offset, d)));
         let mut backlog = Vec::new();
         card.ext.scheduler_mut().remove_stream_with(local, |d| backlog.push(d));
         card.admitted.retain(|&(gg, _)| gg != g);
         card.fold = None;
-        (sent, dropped, violations, jitter_ns, bw, qd, backlog)
+        backlog
     };
-    {
-        let s = &mut w.streams[g];
-        let offset = s.prior_sent;
-        s.prior_qdelay.extend(qd.iter().map(|&(n, d)| (n + offset, d)));
-        s.prior_sent += sent;
-        s.prior_dropped += dropped;
-        s.prior_violations += violations;
-        s.prior_jitter_weighted_ns += jitter_ns as f64 * sent as f64;
-        s.prior_bw.push(bw);
-    }
     // Re-place on the survivors using the same admission test as initial
     // placement.
     let service = service_estimate_ns(len, w.ni_cache);
@@ -960,10 +949,7 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
             produced: 0,
             arrived: 0,
             held: VecDeque::new(),
-            prior_sent: 0,
-            prior_dropped: 0,
-            prior_violations: 0,
-            prior_jitter_weighted_ns: 0.0,
+            prior: StreamStats::default(),
             prior_qdelay: Vec::new(),
             prior_bw: Vec::new(),
         });
@@ -1039,39 +1025,24 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
     // --- Results. ---
     let mut streams_out = Vec::with_capacity(total);
     for (g, c) in cfg.plan.clients.iter().enumerate() {
-        let (admitted, alive, owner) = {
-            let s = &w.streams[g];
-            (s.admitted, s.alive, s.owner)
-        };
-        let (cur_bw, cur_qd, cur_sent, cur_dropped, cur_violations, cur_jitter_ns) = if admitted && alive {
-            let local = w.streams[g].local;
+        let s = &w.streams[g];
+        let (admitted, alive, owner) = (s.admitted, s.alive, s.owner);
+        // Every card's account of the stream: the ones it left, then the
+        // serving card's.
+        let mut acct = s.prior.clone();
+        let (cur_bw, cur_qd) = if admitted && alive {
             let card = &mut w.cards[owner];
-            let stats = card.ext.scheduler().stats(local);
-            let (sent, dropped, violations, jitter) =
-                (stats.sent(), stats.dropped, stats.violations, stats.mean_jitter());
-            let li = local.index();
+            acct.absorb(card.ext.scheduler().stats(s.local));
+            let li = s.local.index();
             let p = card.ext.platform_mut();
             let bw = std::mem::replace(&mut p.bw[li], RateWindow::new(SimDuration::from_secs(1))).finish(end);
-            let qd = std::mem::take(&mut p.qdelay[li]);
-            (bw, qd, sent, dropped, violations, jitter)
+            (bw, std::mem::take(&mut p.qdelay[li]))
         } else {
-            (Trace::new(), Vec::new(), 0, 0, 0, 0)
+            (Trace::new(), Vec::new())
         };
-        let s = &w.streams[g];
-        let sent = s.prior_sent + cur_sent;
-        let dropped = s.prior_dropped + cur_dropped;
-        let violations = s.prior_violations + cur_violations;
-        // The serving card's own mean when the stream never migrated;
-        // weighted mean across cards otherwise.
-        let mean_jitter_ms = if s.prior_sent == 0 {
-            cur_jitter_ns as f64 / 1e6
-        } else if sent == 0 {
-            0.0
-        } else {
-            (s.prior_jitter_weighted_ns + cur_jitter_ns as f64 * cur_sent as f64) / sent as f64 / 1e6
-        };
+        let (sent, dropped) = (acct.sent(), acct.dropped);
         let mut qdelay = s.prior_qdelay.clone();
-        qdelay.extend(cur_qd.iter().map(|&(n, d)| (n + s.prior_sent, d)));
+        qdelay.extend(cur_qd.into_iter().map(|(n, d)| (n + s.prior.sent(), d)));
         let bandwidth = merge_bandwidth(&s.prior_bw, cur_bw);
         streams_out.push(ChassisStream {
             name: c.name.clone(),
@@ -1085,8 +1056,8 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
                 qdelay,
                 sent,
                 dropped,
-                violations,
-                mean_jitter_ms,
+                violations: acct.violations,
+                mean_jitter_ms: acct.mean_jitter() as f64 / 1e6,
             },
             produced: s.produced,
             arrived: s.arrived,

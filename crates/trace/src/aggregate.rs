@@ -1,11 +1,12 @@
-//! Host-side aggregation: fold drained events into counters and
-//! histograms.
+//! Host-side aggregation: fold drained events into per-stream accounts,
+//! counters and histograms.
 //!
-//! Everything here is integer arithmetic so that summaries — like the
-//! raw event streams — serialize byte-deterministically. Convenience
-//! floating-point views (mean latency in ms, ...) live with the rest of
-//! the repo's float bridges in `nistream_core::report`, never here.
+//! Each stream's entry is a [`StreamAccount`], the type the scheduler
+//! keeps per stream, updated by the same `note_dispatch`. Everything
+//! here is integer arithmetic so that summaries — like the raw event
+//! streams — serialize byte-deterministically.
 
+use crate::account::StreamAccount;
 use crate::event::TraceEvent;
 use std::collections::BTreeMap;
 
@@ -47,6 +48,18 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
+    }
+
+    /// Add `other`'s samples: bucket by bucket, count, sum (saturating)
+    /// and max — exactly the histogram that recording both sample sets
+    /// into one would give.
+    pub fn absorb(&mut self, other: &Histogram) {
+        for (b, &o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
     }
 
     /// Recorded sample count.
@@ -109,21 +122,6 @@ impl Histogram {
     }
 }
 
-/// Per-stream event counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamAgg {
-    /// Frames dispatched.
-    pub dispatches: u64,
-    /// Dispatches that made their deadline.
-    pub on_time: u64,
-    /// Dispatches past their deadline (send-late policy).
-    pub late: u64,
-    /// Frames dropped.
-    pub drops: u64,
-    /// Payload bytes dispatched.
-    pub bytes: u64,
-}
-
 /// The folded view of one drained event stream.
 #[derive(Clone, Debug, Default)]
 pub struct Aggregate {
@@ -145,18 +143,7 @@ pub struct Aggregate {
     pub latency: Histogram,
     /// Absolute change in per-stream inter-dispatch gap, ns.
     pub jitter: Histogram,
-    streams: BTreeMap<u32, StreamState>,
-}
-
-/// One stream's counters and the dispatch history its jitter needs, kept
-/// together so a `Dispatch` folds with one map search.
-#[derive(Clone, Copy, Debug, Default)]
-struct StreamState {
-    agg: StreamAgg,
-    /// Time of the stream's last dispatch.
-    last_at: Option<u64>,
-    /// Gap between the stream's last two dispatches.
-    last_gap: Option<u64>,
+    streams: BTreeMap<u32, StreamAccount>,
 }
 
 impl Aggregate {
@@ -175,7 +162,14 @@ impl Aggregate {
     /// Fold one event.
     pub fn fold(&mut self, ev: &TraceEvent) {
         match *ev {
-            TraceEvent::Admit { .. } => self.admits += 1,
+            TraceEvent::Admit { stream, .. } => {
+                self.admits += 1;
+                // A reused stream id starts a new session: its first gap
+                // is not measured from the previous session's last dispatch.
+                if let Some(s) = self.streams.get_mut(&stream) {
+                    s.restart_gaps();
+                }
+            }
             TraceEvent::Reject { .. } => self.rejects += 1,
             TraceEvent::Decision {
                 stream,
@@ -200,26 +194,13 @@ impl Aggregate {
                 on_time,
                 ..
             } => {
-                let s = self.streams.entry(stream).or_default();
-                s.agg.dispatches += 1;
-                if on_time {
-                    s.agg.on_time += 1;
-                } else {
-                    s.agg.late += 1;
-                }
-                s.agg.bytes += u64::from(len);
                 self.latency.record(at.saturating_sub(deadline));
-                if let Some(prev) = s.last_at {
-                    let gap = at.saturating_sub(prev);
-                    if let Some(pg) = s.last_gap {
-                        self.jitter.record(gap.abs_diff(pg));
-                    }
-                    s.last_gap = Some(gap);
+                if let Some(step) = self.streams.entry(stream).or_default().note_dispatch(at, len, on_time) {
+                    self.jitter.record(step);
                 }
-                s.last_at = Some(at);
             }
             TraceEvent::Drop { stream, .. } => {
-                self.streams.entry(stream).or_default().agg.drops += 1;
+                self.streams.entry(stream).or_default().dropped += 1;
             }
             TraceEvent::QueueDepth { depth, .. } => {
                 self.max_backlog = self.max_backlog.max(depth);
@@ -227,34 +208,56 @@ impl Aggregate {
         }
     }
 
-    /// Per-stream counters, ascending by stream id.
-    pub fn streams(&self) -> impl Iterator<Item = (u32, &StreamAgg)> {
-        self.streams.iter().map(|(&sid, s)| (sid, &s.agg))
+    /// Add another aggregate's counts into this one: counters add,
+    /// `max_backlog` takes the larger, histograms merge, and per-stream
+    /// accounts of the same id [absorb](StreamAccount::absorb) each other.
+    /// Used where stream ids are disjoint or their sums are what is wanted
+    /// (a chassis total over per-card aggregates); folding both event
+    /// streams into one aggregate instead would chain one card's gaps onto
+    /// another's.
+    pub fn absorb(&mut self, other: &Aggregate) {
+        self.admits += other.admits;
+        self.rejects += other.rejects;
+        self.decisions += other.decisions;
+        self.idle_decisions += other.idle_decisions;
+        self.compares += other.compares;
+        self.touches += other.touches;
+        self.max_backlog = self.max_backlog.max(other.max_backlog);
+        self.latency.absorb(&other.latency);
+        self.jitter.absorb(&other.jitter);
+        for (&sid, acct) in &other.streams {
+            self.streams.entry(sid).or_default().absorb(acct);
+        }
     }
 
-    /// Counters for one stream, if it appeared in the trace.
-    pub fn stream(&self, sid: u32) -> Option<&StreamAgg> {
-        self.streams.get(&sid).map(|s| &s.agg)
+    /// Per-stream accounts, ascending by stream id.
+    pub fn streams(&self) -> impl Iterator<Item = (u32, &StreamAccount)> {
+        self.streams.iter().map(|(&sid, s)| (sid, s))
+    }
+
+    /// The account of one stream, if it appeared in the trace.
+    pub fn stream(&self, sid: u32) -> Option<&StreamAccount> {
+        self.streams.get(&sid)
     }
 
     /// Total frames dispatched across streams.
     pub fn total_dispatches(&self) -> u64 {
-        self.streams.values().map(|s| s.agg.dispatches).sum()
+        self.streams.values().map(StreamAccount::sent).sum()
     }
 
     /// Total frames dropped across streams.
     pub fn total_drops(&self) -> u64 {
-        self.streams.values().map(|s| s.agg.drops).sum()
+        self.streams.values().map(|s| s.dropped).sum()
     }
 
     /// Total dispatches past their deadline across streams.
     pub fn total_late(&self) -> u64 {
-        self.streams.values().map(|s| s.agg.late).sum()
+        self.streams.values().map(|s| s.sent_late).sum()
     }
 
     /// Total dispatches that made their deadline across streams.
     pub fn total_on_time(&self) -> u64 {
-        self.streams.values().map(|s| s.agg.on_time).sum()
+        self.streams.values().map(|s| s.sent_on_time).sum()
     }
 }
 
@@ -343,8 +346,11 @@ mod tests {
             },
             TraceEvent::QueueDepth { at: 40, depth: 7 },
         ]);
-        let s = a.stream(1).copied().unwrap_or_default();
-        assert_eq!((s.dispatches, s.on_time, s.late, s.drops, s.bytes), (3, 2, 1, 1, 300));
+        let s = a.stream(1).cloned().unwrap_or_default();
+        assert_eq!(
+            (s.sent(), s.sent_on_time, s.sent_late, s.dropped, s.bytes_sent),
+            (3, 2, 1, 1, 300)
+        );
         assert_eq!(a.latency.count(), 3);
         assert_eq!(a.latency.sum(), 5, "only the late dispatch adds lateness");
         // Gaps: 15 then 5 → one jitter sample of 10.
@@ -352,5 +358,43 @@ mod tests {
         assert_eq!(a.jitter.sum(), 10);
         assert_eq!(a.max_backlog, 7);
         assert_eq!(a.admits, 1);
+    }
+
+    /// A reopened stream id starts a new session: the fold restarts its
+    /// gap chain at the `Admit`, as the scheduler resets a reused slot's
+    /// account, and keeps the id's counts.
+    #[test]
+    fn admit_restarts_the_gap_chain_and_keeps_counts() {
+        let admit = TraceEvent::Admit {
+            at: 0,
+            stream: 4,
+            period: 10,
+            loss_num: 1,
+            loss_den: 2,
+        };
+        let dispatch = |at: u64| TraceEvent::Dispatch {
+            at,
+            stream: 4,
+            seq: at,
+            len: 10,
+            deadline: at,
+            on_time: true,
+        };
+        let mut a = Aggregate::new();
+        a.fold_all(&[
+            admit,
+            dispatch(0),
+            dispatch(10),
+            dispatch(20),
+            admit,
+            dispatch(1_005),
+            dispatch(1_010),
+        ]);
+        // First session: gaps 10, 10 → one zero step. Second session: one
+        // gap (5), no step; nothing measured across the reopen.
+        assert_eq!((a.jitter.count(), a.jitter.sum(), a.jitter.max()), (1, 0, 0));
+        let s = a.stream(4).cloned().unwrap_or_default();
+        assert_eq!((s.sent(), s.jitter_samples, s.last_gap), (5, 1, Some(5)));
+        assert_eq!(a.admits, 2);
     }
 }

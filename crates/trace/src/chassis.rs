@@ -71,32 +71,28 @@ pub fn tagged_lines(captures: &[TaggedCapture]) -> String {
 pub struct ChassisAggregate {
     /// One aggregate per card, keyed by card id (ascending iteration).
     pub per_card: BTreeMap<u32, Aggregate>,
-    /// Every card's events folded together.
+    /// The per-card aggregates merged: counters and histograms summed,
+    /// each stream id's accounts absorbed into one.
     pub total: Aggregate,
 }
 
 impl ChassisAggregate {
-    /// A fresh, empty chassis aggregate.
-    pub fn new() -> ChassisAggregate {
-        ChassisAggregate::default()
-    }
-
-    /// Fold one card's capture into both tiers.
-    pub fn fold_capture(&mut self, cap: &TaggedCapture) {
-        let agg = self.per_card.entry(cap.card).or_default();
-        for ev in &cap.capture.events {
-            agg.fold(ev);
-            self.total.fold(ev);
-        }
-    }
-
-    /// Build from a set of per-card captures.
+    /// Build from a set of per-card captures: each card's events fold
+    /// into that card's aggregate (a card listed twice continues its own
+    /// fold), and the total merges the per-card aggregates
+    /// ([`Aggregate::absorb`]). Stream ids are card-local, so folding
+    /// every card's events into one aggregate would chain one card's
+    /// dispatch gaps onto another's stream of the same id.
     pub fn from_captures(captures: &[TaggedCapture]) -> ChassisAggregate {
-        let mut out = ChassisAggregate::new();
+        let mut per_card: BTreeMap<u32, Aggregate> = BTreeMap::new();
         for cap in captures {
-            out.fold_capture(cap);
+            per_card.entry(cap.card).or_default().fold_all(&cap.capture.events);
         }
-        out
+        let mut total = Aggregate::new();
+        for agg in per_card.values() {
+            total.absorb(agg);
+        }
+        ChassisAggregate { per_card, total }
     }
 }
 
@@ -167,6 +163,24 @@ mod tests {
         assert_eq!(agg.per_card[&2].total_dispatches(), 1);
         assert_eq!(agg.total.total_dispatches(), 3);
         assert!(agg.per_card.keys().copied().eq([0, 2]), "ascending card order");
+    }
+
+    /// Stream ids are card-local: card 1's stream 0 is not a continuation
+    /// of card 0's, so the total holds exactly the per-card jitter samples
+    /// and each card's own dispatches.
+    #[test]
+    fn total_merges_per_card_aggregates_without_chaining_cards() {
+        let caps = vec![
+            capture(0, vec![dispatch(0, 0), dispatch(10, 0), dispatch(20, 0)]),
+            capture(1, vec![dispatch(0, 0), dispatch(10, 0), dispatch(20, 0)]),
+        ];
+        let agg = ChassisAggregate::from_captures(&caps);
+        let per_card_jitter: u64 = agg.per_card.values().map(|a| a.jitter.count()).sum();
+        assert_eq!(per_card_jitter, 2);
+        assert_eq!(agg.total.jitter.count(), per_card_jitter);
+        assert_eq!(agg.total.stream(0).map(|s| s.sent()), Some(6));
+        assert_eq!(agg.total.stream(0).map(|s| s.jitter_samples), Some(2));
+        assert_eq!(agg.total.latency.count(), 6);
     }
 
     #[test]

@@ -165,8 +165,12 @@ fn summary_json(agg: &Aggregate) -> String {
         }
         let _ = write!(
             s,
-            r#"{{"stream":{},"dispatches":{},"on_time":{},"late":{},"drops":{},"bytes":{}}}"#,
-            sid, st.dispatches, st.on_time, st.late, st.drops, st.bytes
+            r#"{{"stream":{sid},"dispatches":{},"on_time":{},"late":{},"drops":{},"bytes":{}}}"#,
+            st.sent(),
+            st.sent_on_time,
+            st.sent_late,
+            st.dropped,
+            st.bytes_sent
         );
     }
     s.push_str("]}");
@@ -211,17 +215,21 @@ pub fn to_csv(runs: &[(&str, &TraceCapture)]) -> String {
             out,
             "{label},all,{},{},{},{},{},{}",
             agg.total_dispatches(),
-            agg.streams().map(|(_, s)| s.on_time).sum::<u64>(),
-            agg.streams().map(|(_, s)| s.late).sum::<u64>(),
+            agg.total_on_time(),
+            agg.total_late(),
             agg.total_drops(),
-            agg.streams().map(|(_, s)| s.bytes).sum::<u64>(),
+            agg.streams().map(|(_, s)| s.bytes_sent).sum::<u64>(),
             cap.overflow,
         );
         for (sid, st) in agg.streams() {
             let _ = writeln!(
                 out,
                 "{label},{sid},{},{},{},{},{},",
-                st.dispatches, st.on_time, st.late, st.drops, st.bytes
+                st.sent(),
+                st.sent_on_time,
+                st.sent_late,
+                st.dropped,
+                st.bytes_sent
             );
         }
     }

@@ -14,10 +14,13 @@
 //!   scheduler itself apply here.
 //! * **Host tier** ([`aggregate`], [`export`], [`chassis`]) — the host drains the
 //!   ring over the (simulated) PCI bus and folds events into per-stream
-//!   counters and log₂ latency/jitter histograms, then renders canonical
+//!   accounts and log₂ latency/jitter histograms, then renders canonical
 //!   text lines, JSON, or CSV. Serialization is byte-deterministic: the
 //!   golden-trace and determinism test suites compare serialized traces
 //!   with `assert_eq!` on the raw bytes.
+//!
+//! [`StreamAccount`] ([`account`]) spans both tiers: the scheduler keeps
+//! it per stream on the NI and the host fold rebuilds it from the trace.
 //!
 //! The event stream is emitted centrally by `dwcs::svc::SchedService`
 //! into the one ring it owns, so every placement — host engine, DVCM
@@ -26,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod account;
 pub mod aggregate;
 pub mod chassis;
 pub mod event;
@@ -33,7 +37,8 @@ pub mod export;
 pub mod ring;
 pub mod slo;
 
-pub use aggregate::{Aggregate, Histogram, StreamAgg};
+pub use account::StreamAccount;
+pub use aggregate::{Aggregate, Histogram};
 pub use chassis::{tagged_event_line, tagged_lines, ChassisAggregate, TaggedCapture, TaggedEvent};
 pub use event::TraceEvent;
 pub use export::{event_json, event_line, is_schema_valid, to_csv, to_json, to_lines, TraceCapture};

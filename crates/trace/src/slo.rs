@@ -43,7 +43,7 @@ impl Slo {
     /// Fold an aggregate into its SLO summary.
     pub fn from_aggregate(a: &Aggregate) -> Slo {
         let (dispatches, drops, late) = a.streams().fold((0, 0, 0), |(d, x, l), (_, s)| {
-            (d + s.dispatches, x + s.drops, l + s.late)
+            (d + s.sent(), x + s.dropped, l + s.sent_late)
         });
         let attempted = dispatches + drops;
         let ratio_ppm = |n: u64| {

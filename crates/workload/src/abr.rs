@@ -1,14 +1,24 @@
 //! Adaptive-bitrate ladder control driven by scheduler congestion.
 //!
-//! Models the server-side half of an ABR loop: the NI scheduler exports a
-//! periodic [`dwcs::svc::Congestion`] probe (backlog, drops, late
-//! dispatches since the last probe) and [`AbrController`] maps it onto a
-//! ladder of bitrate rungs — stepping down immediately under congestion,
-//! stepping back up only after a configurable run of clean probes.
-//! Integer-only (`ni-no-float` family): this logic is priced to run on
-//! the NI itself.
+//! Models the server-side half of an ABR loop: a periodic [`Congestion`]
+//! probe feeds [`AbrController`], which maps it onto a ladder of bitrate
+//! rungs — stepping down immediately under congestion, stepping back up
+//! only after a configurable run of clean probes. Integer-only
+//! (`ni-no-float` family): this logic is priced to run on the NI itself.
 
-use dwcs::svc::Congestion;
+/// One congestion probe. The scheduler keeps no counters for it: the
+/// host folds the drained trace (`nistream_trace::Aggregate`) and takes
+/// `drops` and `late` as the change in the fold's totals since the
+/// previous probe, as `nistream-bench`'s soak loop does.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Congestion {
+    /// Frames still queued across active streams at probe time.
+    pub backlog: u64,
+    /// Frames dropped since the last probe.
+    pub drops: u64,
+    /// Frames dispatched after their deadline since the last probe.
+    pub late: u64,
+}
 
 /// An ascending ladder of bitrate rungs (bits per second).
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -23,8 +23,9 @@
 //!   connect times, stream QoS, and play durations.
 //! * [`vbr`] — deterministic seeded GOP-structured VBR frame sizes
 //!   (integer-only; conserves bytes per GOP exactly), [`abr`] — a
-//!   bitrate-ladder controller driven by scheduler congestion probes,
-//!   and [`churn`] — heavy-tailed session arrival/departure schedules.
+//!   bitrate-ladder controller driven by congestion probes taken from
+//!   the trace fold, and [`churn`] — heavy-tailed session
+//!   arrival/departure schedules.
 //!   These drive the long-run soak harness in `nistream-bench`.
 
 #![forbid(unsafe_code)]

@@ -140,9 +140,9 @@ fn analyzer_mirror_constants_match_hwsim_calibration() {
 fn hot_root_static_budgets_do_not_grow() {
     let (roots, _) = budget_report();
     let ceilings = [
-        ("SchedService::service_once", 835_843),
-        ("SchedService::service_batch", 836_499),
-        ("DwcsScheduler::enqueue", 7_786),
+        ("SchedService::service_once", 834_067),
+        ("SchedService::service_batch", 834_723),
+        ("DwcsScheduler::enqueue", 7_760),
         ("TraceRing::push", 4_532),
         ("BatchSoa::flush", 12_053),
         ("BatchSoa::pop_min", 4_671),

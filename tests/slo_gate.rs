@@ -4,8 +4,9 @@
 //! golden — byte-stable dispatch count, zero drops, zero lateness — so
 //! any scheduler change that perturbs the clean path is caught at the
 //! value level, not just the margin level; (2) the ABR ladder, reacting
-//! only to `probe_congestion` signals, never posts a worse deadline-miss
-//! ratio than the same population pinned to the top rung; (3) the gate
+//! only to `Congestion` probes (backlog, plus the drops and late sends
+//! the trace fold gained since the previous probe), never posts a worse
+//! deadline-miss ratio than the same population pinned to the top rung; (3) the gate
 //! demonstrably fails on a deliberate regression and on an absolute
 //! objective breach, and passes a self-comparison.
 

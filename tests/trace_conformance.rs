@@ -7,7 +7,10 @@
 //! `NiWirePlatform`) run the shared frame script with a trace ring
 //! attached, and the serialized traces must be byte-identical — same
 //! events, same order, same timestamps, regardless of where the
-//! scheduler runs or which cost model prices its decisions.
+//! scheduler runs or which cost model prices its decisions. Each
+//! placement's scheduler accounts also equal the fold of its own trace,
+//! stream by stream: the scheduler and the host fold keep one
+//! `StreamAccount` type, updated by the same code at the same instants.
 
 mod common;
 
@@ -20,7 +23,7 @@ use nistream::engine::{host_sched_core, CollectSink, EngineClock};
 use nistream::pool::FramePool;
 use nistream::serversim::hostload::HostSendPlatform;
 use nistream::serversim::niload::NiWirePlatform;
-use nistream::trace::{to_lines, TraceCapture, TraceEvent};
+use nistream::trace::{to_lines, Aggregate, StreamAccount, TraceCapture, TraceEvent};
 use std::cell::RefCell;
 
 const CAP: usize = 4096;
@@ -32,9 +35,13 @@ fn canon(cap: &TraceCapture) -> String {
     format!("overflow={}\n{}", cap.overflow, to_lines(&cap.events))
 }
 
+/// One placement's run: the drained capture, and every stream's account
+/// as its scheduler kept it.
+type Traced = (TraceCapture, Vec<(u32, StreamAccount)>);
+
 /// Drive the shared script through a raw, traced `SchedService` bound to
-/// any platform; returns the drained capture.
-fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P) -> TraceCapture {
+/// any platform.
+fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P) -> Traced {
     let mut svc = SchedService::new(DualHeap::new(16), cfg, platform);
     svc.set_trace(CAP);
     let streams = script();
@@ -75,11 +82,15 @@ fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P) -> TraceCapture {
             || svc.borrow().has_pending(),
         );
     }
-    svc.drain_trace()
+    let accounts = sids
+        .iter()
+        .map(|&sid| (sid.0, svc.scheduler().stats(sid).clone()))
+        .collect();
+    (svc.drain_trace(), accounts)
 }
 
 /// The host engine's service core (virtual clock, real frame pool).
-fn trace_host_engine(cfg: SchedulerConfig) -> TraceCapture {
+fn trace_host_engine(cfg: SchedulerConfig) -> Traced {
     let pool = FramePool::new(64, 1024);
     let clock = EngineClock::virtual_clock();
     let (sink, _records, _drops) = CollectSink::shared(clock.clone());
@@ -124,11 +135,15 @@ fn trace_host_engine(cfg: SchedulerConfig) -> TraceCapture {
             || svc.borrow().has_pending(),
         );
     }
-    svc.drain_trace()
+    let accounts = sids
+        .iter()
+        .map(|&sid| (sid.0, svc.scheduler().stats(sid).clone()))
+        .collect();
+    (svc.drain_trace(), accounts)
 }
 
 /// The DVCM media-scheduler extension (VCM instruction path, NI outbox).
-fn trace_ni_extension(cfg: SchedulerConfig) -> TraceCapture {
+fn trace_ni_extension(cfg: SchedulerConfig) -> Traced {
     let mut ext = MediaSchedExt::with_config(8, cfg);
     ext.enable_trace(CAP);
 
@@ -176,7 +191,11 @@ fn trace_ni_extension(cfg: SchedulerConfig) -> TraceCapture {
             || ext.borrow().has_pending(),
         );
     }
-    ext.drain_trace()
+    let accounts = sids
+        .iter()
+        .map(|&sid| (sid.0, ext.scheduler().stats(sid).clone()))
+        .collect();
+    (ext.drain_trace(), accounts)
 }
 
 /// The trace must exercise every event class the script can produce, or
@@ -199,12 +218,25 @@ fn assert_trace_nontrivial(cap: &TraceCapture) {
     assert!(has(|e| matches!(e, TraceEvent::QueueDepth { .. })), "queue depths");
 }
 
+/// The four placements, each run on the shared script.
+fn all_four() -> [(&'static str, Traced); 4] {
+    [
+        ("engine", trace_host_engine(base_config())),
+        ("DVCM extension", trace_ni_extension(base_config())),
+        (
+            "host-send simulation platform",
+            run_svc(base_config(), HostSendPlatform::new(3)),
+        ),
+        (
+            "NI-wire simulation platform",
+            run_svc(base_config(), NiWirePlatform::new(3, true)),
+        ),
+    ]
+}
+
 #[test]
 fn all_four_placements_emit_byte_identical_traces() {
-    let engine = trace_host_engine(base_config());
-    let ext = trace_ni_extension(base_config());
-    let hostsend = run_svc(base_config(), HostSendPlatform::new(3));
-    let niwire = run_svc(base_config(), NiWirePlatform::new(3, true));
+    let [(_, (engine, _)), (_, (ext, _)), (_, (hostsend, _)), (_, (niwire, _))] = all_four();
 
     assert_trace_nontrivial(&engine);
     let golden = canon(&engine);
@@ -220,7 +252,29 @@ fn cost_models_do_not_leak_into_the_trace() {
     // different amounts mid-pass — yet every event is stamped with the
     // pass-start time, so the narration is identical. The cache flag
     // changes i960 pricing only; flipping it must change nothing either.
-    let cached = run_svc(base_config(), NiWirePlatform::new(3, true));
-    let uncached = run_svc(base_config(), NiWirePlatform::new(3, false));
+    let (cached, _) = run_svc(base_config(), NiWirePlatform::new(3, true));
+    let (uncached, _) = run_svc(base_config(), NiWirePlatform::new(3, false));
     assert_eq!(canon(&cached), canon(&uncached));
+}
+
+#[test]
+fn scheduler_accounts_equal_the_trace_fold() {
+    for (name, (cap, accounts)) in all_four() {
+        assert_trace_nontrivial(&cap);
+        let mut agg = Aggregate::new();
+        agg.fold_all(&cap.events);
+        assert_eq!(agg.streams().count(), accounts.len(), "{name}: every stream traced");
+        for (sid, mut acct) in accounts {
+            assert!(
+                acct.enqueued > 0 && acct.queue_delay_sum > 0,
+                "{name}: stream {sid} was served"
+            );
+            // The trace carries no enqueues, violations or queuing delays.
+            acct.enqueued = 0;
+            acct.violations = 0;
+            acct.queue_delay_sum = 0;
+            acct.queue_delay_max = 0;
+            assert_eq!(agg.stream(sid), Some(&acct), "{name}: stream {sid}");
+        }
+    }
 }
