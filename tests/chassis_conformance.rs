@@ -7,6 +7,12 @@
 //! the backlog identity holds, the bus is never touched — plus the
 //! chassis trace-tagging invariant: a 1-card tagged export is the card's
 //! untagged export with a constant `card=0 ` prefix.
+//!
+//! The `bus_order_*` tests pin three Path-B runs bit for bit: the bus
+//! report, the lost frames, every migration and every stream's counts.
+//! Their plans put a card death and productions of several streams on one
+//! instant, ties that no repro golden reaches, so they gate the order in
+//! which the shared bus serves requests made at the same time.
 
 use nistream::serversim::chassis::{self, ChassisConfig, Sourcing};
 use nistream::serversim::cluster::{node_capacity, NodeConfig};
@@ -125,4 +131,161 @@ fn measured_capacity_cross_checks_analytic_cluster_model() {
             row.sustained_streams
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Bus-order oracle: pinned Path-B runs whose same-instant ties (first
+// productions, a card death, run-time productions, two period classes)
+// the repro goldens and `BENCH_cluster.json` never exercise.
+// ---------------------------------------------------------------------------
+
+use nistream::serversim::chassis::{CardFailure, ChassisResult};
+use nistream::workload::mpegclient::MpegClient;
+use simkit::SimTime;
+
+const NTSC_NS: u64 = 33_333_333;
+const CADENCE_40MS_NS: u64 = 40_000_000;
+
+/// `n` clients at 260 kb/s; client `i` has period `period(i)` and connects
+/// at `i × spread_ns / n`.
+fn spread_plan(n: usize, spread_ns: u64, period: impl Fn(usize) -> u64) -> ClientPlan {
+    let clients = (0..n)
+        .map(|i| MpegClient {
+            name: format!("s{i}"),
+            connect_at: SimTime::from_nanos(spread_ns * i as u64 / n as u64),
+            period: period(i),
+            loss_num: 2,
+            loss_den: 8,
+            bitrate: 260_000,
+            vbr: None,
+        })
+        .collect();
+    ClientPlan { clients }
+}
+
+fn path_b(cards: usize, plan: ClientPlan, run_ms: u64, failure: Option<CardFailure>) -> ChassisConfig {
+    let run = SimDuration::from_millis(run_ms);
+    ChassisConfig {
+        cards,
+        plan,
+        frames_per_stream: (run.as_nanos() / NTSC_NS) as usize + 2,
+        run,
+        ni_cache: true,
+        trace_capacity: 0,
+        sourcing: Sourcing::PathB,
+        failure,
+        batch_budget: 1,
+    }
+}
+
+/// FNV-1a over `s`: pins a long listing in one number.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What a bus-order change could move: the bus report, the lost frames,
+/// the migrations in order, and every stream's counts. Returns the bus
+/// line and digests of the migration and stream listings.
+fn bus_record(r: &ChassisResult) -> (String, u64, u64) {
+    let bus = format!(
+        "grants={} max_queue={} util={:#018x} wait={:#018x} lost={} migrations={}",
+        r.bus.grants,
+        r.bus.max_queue,
+        r.bus.utilization.to_bits(),
+        r.bus.mean_wait_ms.to_bits(),
+        r.lost_frames,
+        r.migrations.len()
+    );
+    let migrations: String = r
+        .migrations
+        .iter()
+        .map(|m| {
+            format!(
+                "{} {}->{:?} frames={} bytes={} at={}\n",
+                m.stream, m.from, m.to, m.frames_moved, m.bytes_moved, m.completed_at_ns
+            )
+        })
+        .collect();
+    let streams: String = r
+        .streams
+        .iter()
+        .map(|s| {
+            format!(
+                "{} {} {} {} {}\n",
+                s.global, s.produced, s.arrived, s.series.sent, s.series.dropped
+            )
+        })
+        .collect();
+    (bus, fnv1a(&migrations), fnv1a(&streams))
+}
+
+/// (a) A saturated bus under two period classes: 16 cards, 640 clients
+/// alternating NTSC and a 40 ms cadence, connecting over three NTSC
+/// periods, so first productions interleave with run-time ones of both
+/// classes.
+#[test]
+fn bus_order_with_two_period_classes_is_pinned() {
+    let plan = spread_plan(640, 3 * NTSC_NS, |i| if i % 2 == 0 { NTSC_NS } else { CADENCE_40MS_NS });
+    let r = chassis::run(path_b(16, plan, 250, None));
+    assert!(r.bus.max_queue > 100, "the bus must saturate");
+    let bus = "grants=3842 max_queue=743 util=0x3fedcf01fb357f1a wait=0x4036e4657a2c8b8a lost=0 migrations=0";
+    assert_eq!(
+        bus_record(&r),
+        (bus.to_string(), 0xcbf2_9ce4_8422_2325, 12_865_627_466_720_474_864)
+    );
+}
+
+/// (b) Card 1 dies at exactly the first production instant of stream 13,
+/// which it owns: that frame was produced before the death, crosses the
+/// bus first and reaches the stream's new card, and the eight state
+/// transfers queue behind it.
+#[test]
+fn bus_order_with_a_death_at_a_first_production_is_pinned() {
+    let plan = spread_plan(24, 2 * NTSC_NS, |_| NTSC_NS);
+    let at = plan.clients[13].connect_at.as_nanos();
+    assert!(at > NTSC_NS, "stream 13 connects after other streams' second frames");
+    let failure = CardFailure {
+        card: 1,
+        at: SimDuration::from_nanos(at),
+    };
+    let r = chassis::run(path_b(3, plan, 250, Some(failure)));
+    assert_eq!(r.streams[13].card, Some(0));
+    assert!(r.migrations.iter().all(|m| m.to.is_some()));
+    let bus = "grants=178 max_queue=9 util=0x3faa607c05c97643 wait=0x3fa9e6eca42bae1b lost=0 migrations=8";
+    assert_eq!(
+        bus_record(&r),
+        (bus.to_string(), 264_405_515_420_744_465, 8_893_834_355_052_171_985)
+    );
+}
+
+/// (c) Twelve full cards on a saturated bus; card 1 dies at the fourth
+/// production instant of its last stream. Survivors have room for a few of
+/// its streams, the rest (that one included) are torn down: frames they
+/// produced before the death still cross the bus and count as lost, and
+/// none is produced after it.
+#[test]
+fn bus_order_with_a_death_at_a_later_production_is_pinned() {
+    let plan = spread_plan(744, 2 * NTSC_NS, |_| NTSC_NS);
+    let probe = chassis::run(path_b(12, plan.clone(), 1, None));
+    let last = probe.streams.iter().rposition(|s| s.card == Some(1)).unwrap();
+    let at = plan.clients[last].connect_at.as_nanos() + 3 * NTSC_NS;
+    let failure = CardFailure {
+        card: 1,
+        at: SimDuration::from_nanos(at),
+    };
+    let r = chassis::run(path_b(12, plan, 250, Some(failure)));
+    assert!(r.migrations.iter().any(|m| m.to.is_some()));
+    assert!(r.migrations.iter().any(|m| m.stream == last && m.to.is_none()));
+    assert_eq!(
+        r.streams[last].produced, 3,
+        "the frame due at the death is never produced"
+    );
+    assert!(r.lost_frames > 0 && r.bus.max_queue > 100);
+    let bus = "grants=5096 max_queue=1734 util=0x3fef74c33cf97e35 wait=0x404de24a36dc4801 lost=110 migrations=62";
+    assert_eq!(
+        bus_record(&r),
+        (bus.to_string(), 10_727_868_034_519_582_261, 14_207_613_903_477_085_625)
+    );
 }
