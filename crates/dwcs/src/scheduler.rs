@@ -223,18 +223,34 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
 
     /// Deregister a stream, discarding its backlog.
     pub fn remove_stream(&mut self, sid: StreamId) {
-        self.remove_stream_with(sid, |_| {});
+        self.close_stream_with(sid, |_| {});
     }
 
-    /// Deregister a stream, handing every still-queued descriptor to `f`
-    /// (embeddings that own payload storage reclaim the slots; see
-    /// [`crate::svc::Platform::reclaim`]).
-    pub fn remove_stream_with(&mut self, sid: StreamId, mut f: impl FnMut(FrameDesc)) {
+    /// Close a stream: deregister it, handing every still-queued
+    /// descriptor to `f` (embeddings that own payload storage reclaim the
+    /// slots; see [`crate::svc::Platform::reclaim`]). The stream's account
+    /// counts each of them as a drop.
+    pub fn close_stream_with(&mut self, sid: StreamId, f: impl FnMut(FrameDesc)) {
+        self.deregister(sid, true, f);
+    }
+
+    /// Deregister a stream whose backlog moves to another queue: every
+    /// still-queued descriptor goes to `f`, and the stream's account keeps
+    /// counting them as queued, not dropped (a chassis migration
+    /// re-enqueues them on the stream's new card).
+    pub fn remove_stream_with(&mut self, sid: StreamId, f: impl FnMut(FrameDesc)) {
+        self.deregister(sid, false, f);
+    }
+
+    fn deregister(&mut self, sid: StreamId, dropped: bool, mut f: impl FnMut(FrameDesc)) {
         let slot = &mut self.streams[sid.index()];
         if slot.active {
             slot.active = false;
             self.queued_frames -= slot.queue.len() as u64;
             for qf in slot.queue.drain(..) {
+                if dropped {
+                    slot.stats.note_dropped();
+                }
                 f(qf.desc);
             }
             self.repr.remove(sid);
@@ -854,6 +870,25 @@ mod tests {
         assert!(s.schedule_next(0).frame.is_none());
         let b = s.add_stream(StreamQos::new(MILLISECOND, 1, 2));
         assert_eq!(b, a, "slot reused");
+    }
+
+    /// A backlog moved out of a stream stays queued in its account; one
+    /// discarded by a close counts as dropped.
+    #[test]
+    fn moved_backlog_stays_queued_and_a_closed_one_is_dropped() {
+        let mut s = sched();
+        let a = s.add_stream(StreamQos::new(MILLISECOND, 1, 2));
+        let b = s.add_stream(StreamQos::new(MILLISECOND, 1, 2));
+        for seq in 0..3 {
+            s.enqueue(a, frame(0, seq), 0);
+            s.enqueue(b, frame(1, seq), 0);
+        }
+        let mut moved = Vec::new();
+        s.remove_stream_with(a, |d| moved.push(d.seq));
+        s.remove_stream(b);
+        assert_eq!(moved, [0, 1, 2]);
+        assert_eq!((s.stats(a).dropped, s.stats(a).queued()), (0, 3));
+        assert_eq!((s.stats(b).dropped, s.stats(b).queued()), (3, 0));
     }
 
     #[test]

@@ -184,11 +184,12 @@ impl<R: ScheduleRepr, P: Platform> SchedService<R, P> {
     /// Close a stream: its backlog is routed through
     /// [`Platform::reclaim`] (slot-per-descriptor accounting survives a
     /// mid-stream close), then the stream is deregistered. Each
-    /// discarded frame is traced as a `Drop`.
+    /// discarded frame is traced as a `Drop` and counted as one in the
+    /// stream's account, so the account and the trace fold agree.
     pub fn close(&mut self, sid: StreamId) {
         let at = if self.trace.is_some() { self.platform.now() } else { 0 };
         let (platform, trace) = (&mut self.platform, &mut self.trace);
-        self.sched.remove_stream_with(sid, |desc| {
+        self.sched.close_stream_with(sid, |desc| {
             if let Some(ring) = trace.as_mut() {
                 ring.push(TraceEvent::Drop {
                     at,
@@ -466,6 +467,8 @@ mod tests {
             .collect();
         assert_eq!(reclaimed, vec![0, 1, 2], "whole backlog reclaimed on close");
         assert_eq!(s.scheduler().stream_count(), 0);
+        let acct = s.scheduler().stats(sid);
+        assert_eq!((acct.dropped, acct.queued()), (3, 0), "the discards count as drops");
     }
 
     /// A traced core: the service pass emits the canonical per-pass event

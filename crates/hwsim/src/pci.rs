@@ -21,7 +21,7 @@ pub enum PciOp {
 }
 
 /// The shared bus cost model. Acquisition/queuing is handled by the
-/// embedding (the chassis bus FIFO in `serversim`); this model prices the
+/// embedding (the chassis bus in `serversim`); this model prices the
 /// occupancy.
 #[derive(Clone, Debug)]
 pub struct PciBus {

@@ -8,7 +8,7 @@
 //! instances — each owning its own `dwcs::svc::SchedService` core (with
 //! that core's `nistream-trace` ring, drained per card into a
 //! `TaggedCapture`) and i960 + Ethernet cost models — behind one host,
-//! all sharing a single arbitrated PCI bus (a FIFO of typed transfers
+//! all sharing a single arbitrated PCI bus (granted in production order
 //! here, `hwsim::PciBus` for cycle pricing) so cross-card Path-B DMA
 //! transfers genuinely contend.
 //!
@@ -24,8 +24,10 @@
 //! * **Path-B sourcing** ([`Sourcing::PathB`]) — producers DMA each frame
 //!   descriptor across the shared bus to the owning scheduler card as an
 //!   I2O `PeerFrameWrite` (PIO message post + payload DMA + completion
-//!   read, priced once by `path_b_frame_hold` and serialized by the bus
-//!   FIFO).
+//!   read, priced once by `path_b_frame_hold`). The bus serializes them
+//!   in production order, pulling each frame from a calendar of every
+//!   stream's next production when it is free, so a frame costs no
+//!   engine event of its own.
 //! * **Rebalancer** — a deterministic card-death event
 //!   ([`CardFailure`]) drains every stream the dead card owned, re-admits
 //!   each on a surviving card, and transfers its state as an I2O
@@ -66,7 +68,7 @@ pub enum Sourcing {
     Preloaded,
     /// Producers DMA each frame across the shared PCI bus to the owning
     /// card on its production period (Path B of the paper's Figure 3);
-    /// transfers contend FIFO on the bus.
+    /// transfers contend for the bus in production order.
     PathB,
 }
 
@@ -258,9 +260,10 @@ pub struct CardReport {
 pub struct BusReport {
     /// Fraction of the time until the bus drained that it was held.
     pub utilization: f64,
-    /// Mean FIFO wait for a bus grant (ms).
+    /// Mean wait from a request (a frame's production) to its bus grant
+    /// (ms).
     pub mean_wait_ms: f64,
-    /// Deepest grant queue observed.
+    /// Most requests ever waiting for the bus at once.
     pub max_queue: usize,
     /// Total grants.
     pub grants: u64,
@@ -286,8 +289,9 @@ pub struct ChassisResult {
     pub lost_frames: u64,
     /// Mean decision time across every card (µs).
     pub mean_decision_us: f64,
-    /// Engine events fired: one per frame produced, per bus transfer and
-    /// per service pass (plus the card-death event of a failure run).
+    /// Engine events fired: one per bus transfer and per service pass,
+    /// one per wake of an idle bus (plus the card-death event of a failure
+    /// run). A frame's production fires none: the bus pulls it.
     pub events: u64,
 }
 
@@ -354,11 +358,14 @@ struct StreamState {
     /// running cursor replaces the old `base + seq × len` arithmetic
     /// (identical addresses when every frame is the mean).
     next_addr: u64,
-    connect_ns: u64,
+    /// The bus calendar's lane for this stream's period.
+    class: usize,
     owner: usize,
     local: StreamId,
     admitted: bool,
-    alive: bool,
+    /// The card-death key at which the stream was torn down, if it was:
+    /// a production keyed after it never happens.
+    stop: Option<Key>,
     migrating: bool,
     produced: u64,
     arrived: u64,
@@ -371,19 +378,128 @@ struct StreamState {
     prior_bw: Vec<Trace>,
 }
 
+impl StreamState {
+    /// Admitted and not torn down: its frames reach a card.
+    fn alive(&self) -> bool {
+        self.admitted && self.stop.is_none()
+    }
+}
+
+/// A bus request's place in the engine's `(time, seq)` order: the instant
+/// it is made, then its rank among the requests made at that instant.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Key {
+    at: u64,
+    rank: u64,
+}
+
+/// The bus requests not yet granted, in the order the engine would have
+/// fired one production event per frame. Each lane is sorted by key, so
+/// the earliest request is the least of the lanes' heads:
+///
+/// * the first production of every stream, ranked by plan order (`run`
+///   posted them first);
+/// * state transfers off a dead card, ranked next (the card-death event
+///   was posted after the first productions and before any run-time
+///   event);
+/// * one lane per distinct period for every later production. A frame's
+///   successor is due one period after it and ranks by when the frame was
+///   pulled, as the production event that posted it fired; pulls go in key
+///   order, so a lane only ever appends.
+struct Calendar<R> {
+    /// `[first productions, state transfers, period classes…]`.
+    lanes: Vec<VecDeque<(Key, R)>>,
+    /// The card-death rank: after every first production.
+    failure_rank: u64,
+    /// Rank of the next run-time request.
+    next_rank: u64,
+}
+
+/// The state-transfer lane; the first productions are lane 0.
+const FAILURE: usize = 1;
+
+impl<R> Calendar<R> {
+    /// A calendar of `first`, each stream's first `(instant, request)` in
+    /// plan order, and one lane per period class, sized by `class_sizes`
+    /// (a class's stream count: its lane holds one request per stream at
+    /// most).
+    fn new(first: impl IntoIterator<Item = (u64, R)>, class_sizes: &[usize]) -> Calendar<R> {
+        let mut first: Vec<(Key, R)> = (0..).zip(first).map(|(rank, (at, r))| (Key { at, rank }, r)).collect();
+        let failure_rank = first.len() as u64;
+        first.sort_by_key(|&(key, _)| key);
+        let mut lanes = vec![VecDeque::from(first), VecDeque::new()];
+        lanes.extend(class_sizes.iter().map(|&n| VecDeque::with_capacity(n)));
+        Calendar {
+            lanes,
+            failure_rank,
+            next_rank: failure_rank + 1,
+        }
+    }
+
+    /// The key of a card death at `at`.
+    fn failure_key(&self, at: u64) -> Key {
+        Key {
+            at,
+            rank: self.failure_rank,
+        }
+    }
+
+    /// A request made by the card death at `at`.
+    fn push_failure(&mut self, at: u64, r: R) {
+        let key = self.failure_key(at);
+        self.push(FAILURE, key, r);
+    }
+
+    /// A run-time request due at `at` in period class `class`, ranked
+    /// after every request already made.
+    fn push_next(&mut self, class: usize, at: u64, r: R) {
+        let key = Key {
+            at,
+            rank: self.next_rank,
+        };
+        self.next_rank += 1;
+        self.push(2 + class, key, r);
+    }
+
+    fn push(&mut self, lane: usize, key: Key, r: R) {
+        let lane = &mut self.lanes[lane];
+        debug_assert!(lane.back().is_none_or(|&(last, _)| last <= key), "lane out of order");
+        lane.push_back((key, r));
+    }
+
+    /// The earliest request's key, and its lane.
+    fn head(&self) -> Option<(Key, usize)> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, lane)| lane.front().map(|&(key, _)| (key, i)))
+            .min()
+    }
+
+    /// Take the earliest request if it is due by `now`.
+    fn pop_ready(&mut self, now: u64) -> Option<(Key, R)> {
+        let (key, lane) = self.head()?;
+        if key.at > now {
+            return None;
+        }
+        self.lanes[lane].pop_front()
+    }
+}
+
+/// A bus request: what the calendar holds until the bus pulls it.
+enum Request {
+    /// The next Path-B frame of chassis-global stream `g`, built when the
+    /// bus pulls it ([`produce`]).
+    Frame(u32),
+    /// A stream's state transfer off a dead card.
+    Migrate(Box<Migration>),
+}
+
 /// What one bus transfer carries to the handler that runs when it
 /// completes.
 enum Transfer {
-    /// A Path-B frame of chassis-global stream `g`, as [`produce`] made
-    /// it. Narrower than a `FrameDesc`: at 16 cards some 21 k frames wait
-    /// for the bus at once.
-    Frame {
-        g: u32,
-        seq: u64,
-        len: u32,
-        kind: FrameKind,
-        addr: u64,
-    },
+    /// A Path-B frame, `stream` holding its chassis-global index.
+    Frame(FrameDesc),
     /// A stream's state transfer off a dead card.
     Migrate(Box<Migration>),
 }
@@ -393,20 +509,28 @@ struct Migration {
     g: usize,
     from: usize,
     target: usize,
+    hold: SimDuration,
     backlog: Vec<FrameDesc>,
     frames_moved: u64,
     bytes_moved: u64,
 }
 
-/// The shared PCI bus: one transfer holds it while the rest wait in FIFO
-/// order. The bus knows nothing of the engine: [`Bus::request`] and
-/// [`Bus::complete`] return the hold whose completion the caller must
-/// schedule, so only the holder ever has a pending event.
-struct Bus<T> {
+/// The shared PCI bus: one transfer holds it, and the requests that wait
+/// for it are the calendar's, granted in key order. Production is
+/// time-driven, so the waiting requests are not materialized: when the
+/// holder's hold ends, or an idle bus wakes, the caller pulls the earliest
+/// due request from the calendar and [`Bus::grant`]s it. Only the holder
+/// (or the wake of an idle bus) ever has a pending event.
+struct Bus<R, T> {
+    calendar: Calendar<R>,
     /// The transfer holding the bus, with its hold.
     current: Option<(SimDuration, T)>,
-    /// Waiting transfers: (requested at, hold, transfer).
-    waiting: VecDeque<(SimTime, SimDuration, T)>,
+    /// When the pending wake of the idle bus fires.
+    wake: Option<SimTime>,
+    /// Instants of the grants made as a hold ended, oldest first, reaching
+    /// back to the oldest request still waiting: the queue a request
+    /// joined is the handovers since its instant, its own included.
+    handovers: VecDeque<SimTime>,
     total_busy: SimDuration,
     grants: u64,
     /// Wait from request to grant (ms), one sample per grant.
@@ -414,11 +538,13 @@ struct Bus<T> {
     max_queue: usize,
 }
 
-impl<T> Bus<T> {
-    fn new() -> Bus<T> {
+impl<R, T> Bus<R, T> {
+    fn new(calendar: Calendar<R>) -> Bus<R, T> {
         Bus {
+            calendar,
             current: None,
-            waiting: VecDeque::new(),
+            wake: None,
+            handovers: VecDeque::new(),
             total_busy: SimDuration::ZERO,
             grants: 0,
             wait: Summary::new(),
@@ -426,36 +552,58 @@ impl<T> Bus<T> {
         }
     }
 
-    /// Ask for the bus at `now`. A free bus is granted at once, and the
-    /// hold returned is when its completion is due; a busy one queues the
-    /// transfer and returns `None`.
-    fn request(&mut self, now: SimTime, hold: SimDuration, t: T) -> Option<SimDuration> {
-        if self.current.is_some() {
-            self.waiting.push_back((now, hold, t));
-            self.max_queue = self.max_queue.max(self.waiting.len());
-            return None;
-        }
-        self.grants += 1;
-        self.wait.add(0.0);
-        self.current = Some((hold, t));
-        Some(hold)
+    fn is_free(&self) -> bool {
+        self.current.is_none()
     }
 
-    /// The holder's hold ended at `now`: the next waiter, if any, becomes
-    /// the holder before the finished transfer is returned, so a request
-    /// made while handling it queues behind every earlier waiter. Returns
-    /// the finished transfer and the new holder's hold, whose completion
-    /// the caller schedules.
-    fn complete(&mut self, now: SimTime) -> (T, Option<SimDuration>) {
+    /// The bus went idle: when to post its wake — at the calendar head,
+    /// unless a wake is already pending no later (or nothing is left).
+    fn arm_wake(&mut self) -> Option<SimTime> {
+        let (head, _) = self.calendar.head()?;
+        let at = SimTime::from_nanos(head.at);
+        if self.wake.is_some_and(|t| t <= at) {
+            return None;
+        }
+        self.wake = Some(at);
+        Some(at)
+    }
+
+    /// A wake fired at `now`: whether the bus is free to take a request.
+    fn wake(&mut self, now: SimTime) -> bool {
+        if self.wake == Some(now) {
+            self.wake = None;
+        }
+        self.is_free()
+    }
+
+    /// The holder's hold ended: take its transfer off the bus.
+    fn complete(&mut self) -> T {
         let (hold, done) = self.current.take().expect("bus completion with no holder");
         self.total_busy += hold;
-        let next = self.waiting.pop_front().map(|(at, hold, t)| {
-            self.grants += 1;
-            self.wait.add(now.since(at).as_millis_f64());
-            self.current = Some((hold, t));
-            hold
-        });
-        (done, next)
+        done
+    }
+
+    /// Give the free bus at `now` to `t`, requested at `at`, for `hold`.
+    /// A `handover` grant follows a hold that ended at `now`, and the
+    /// request was made before that end (a production period outlasts a
+    /// hold, and the card death fires before any hold that ends at its
+    /// instant): the handovers since `at`, this one included, are the
+    /// queue it joined. Otherwise the bus was idle, and the request is
+    /// granted at its own instant, before any other request made then.
+    fn grant(&mut self, now: SimTime, at: SimTime, hold: SimDuration, t: T, handover: bool) {
+        debug_assert!(self.is_free());
+        if handover {
+            while self.handovers.front().is_some_and(|&g| g < at) {
+                self.handovers.pop_front();
+            }
+            self.max_queue = self.max_queue.max(self.handovers.len() + 1);
+            self.handovers.push_back(now);
+        } else {
+            debug_assert_eq!(at, now, "an idle bus waits for a request's instant");
+        }
+        self.grants += 1;
+        self.wait.add(now.since(at).as_millis_f64());
+        self.current = Some((hold, t));
     }
 
     /// Fraction of `[0, now]` the bus was held, through the last completion.
@@ -470,7 +618,7 @@ impl<T> Bus<T> {
 struct World {
     cards: Vec<Card>,
     streams: Vec<StreamState>,
-    bus: Bus<Transfer>,
+    bus: Bus<Request, Transfer>,
     bus_model: PciBus,
     end: SimTime,
     run_end_ns: u64,
@@ -485,10 +633,10 @@ struct World {
 /// nothing.
 #[derive(Clone, Copy)]
 enum Ev {
-    /// Stream `g` produces its next Path-B frame ([`produce`]).
-    Produce(usize),
     /// The bus holder's hold ended ([`bus_done`]).
     BusDone,
+    /// The idle bus's earliest request is due ([`bus_wake`]).
+    BusWake,
     /// Card `c`'s service pass, armed for `at_ns` in card epoch `epoch`
     /// ([`run_pass`]).
     Pass { c: usize, epoch: u64, at_ns: u64 },
@@ -499,8 +647,8 @@ enum Ev {
 impl Event<World> for Ev {
     fn fire(self, w: &mut World, eng: &mut Eng) {
         match self {
-            Ev::Produce(g) => produce(w, eng, g),
             Ev::BusDone => bus_done(w, eng),
+            Ev::BusWake => bus_wake(w, eng),
             Ev::Pass { c, epoch, at_ns } => run_pass(w, eng, c, epoch, at_ns),
             Ev::FailCard(c) => fail_card(w, eng, c),
         }
@@ -509,26 +657,58 @@ impl Event<World> for Ev {
 
 type Eng = Engine<World, Ev>;
 
-/// Put `t` on the bus for `hold`. A free bus grants it at once, so its
-/// completion is scheduled now; otherwise it waits its turn.
-fn request_bus(w: &mut World, eng: &mut Eng, hold: SimDuration, t: Transfer) {
-    if let Some(hold) = w.bus.request(eng.now(), hold, t) {
-        eng.post_in(hold, Ev::BusDone);
+/// Grant the free bus at `now` to the earliest request due by then,
+/// skipping productions that never happen; returns the grant's hold.
+fn pull(w: &mut World, now: SimTime, handover: bool) -> Option<SimDuration> {
+    while let Some((key, request)) = w.bus.calendar.pop_ready(now.as_nanos()) {
+        let (hold, t) = match request {
+            Request::Frame(g) => match produce(w, key, g as usize) {
+                Some(frame) => frame,
+                None => continue,
+            },
+            Request::Migrate(m) => (m.hold, Transfer::Migrate(m)),
+        };
+        w.bus.grant(now, SimTime::from_nanos(key.at), hold, t, handover);
+        return Some(hold);
+    }
+    None
+}
+
+/// The bus is idle: post its wake, if it needs one.
+fn arm_wake(w: &mut World, eng: &mut Eng) {
+    if let Some(at) = w.bus.arm_wake() {
+        eng.post_at(at, Ev::BusWake);
+    }
+}
+
+/// Grant the idle bus to a request made now, or wait for the next one.
+fn start_bus(w: &mut World, eng: &mut Eng) {
+    match pull(w, eng.now(), false) {
+        Some(hold) => {
+            eng.post_in(hold, Ev::BusDone);
+        }
+        None => arm_wake(w, eng),
+    }
+}
+
+/// The idle bus's wake: a wake that finds the bus busy (a state transfer
+/// took it) does nothing.
+fn bus_wake(w: &mut World, eng: &mut Eng) {
+    if w.bus.wake(eng.now()) {
+        start_bus(w, eng);
     }
 }
 
 /// The bus holder's hold ended: hand the bus on, run the finished
 /// transfer's handler, then post the new holder's completion.
 fn bus_done(w: &mut World, eng: &mut Eng) {
-    let (done, next) = w.bus.complete(eng.now());
+    let done = w.bus.complete();
+    let next = pull(w, eng.now(), true);
+    if next.is_none() {
+        arm_wake(w, eng);
+    }
     match done {
-        Transfer::Frame {
-            g,
-            seq,
-            len,
-            kind,
-            addr,
-        } => deliver(w, eng, g, seq, len, kind, addr),
+        Transfer::Frame(d) => deliver(w, eng, d),
         Transfer::Migrate(m) => finish_migration(w, eng, *m),
     }
     if let Some(hold) = next {
@@ -601,71 +781,62 @@ fn run_pass(w: &mut World, eng: &mut Eng, c: usize, epoch: u64, at_ns: u64) {
     schedule_pass(w, eng, c);
 }
 
-/// Produce one Path-B frame for stream `g` and start its bus transfer;
-/// re-arms itself one period later. Production is time-driven — bus
-/// congestion delays *delivery*, not generation, so a saturated bus shows
+/// Produce stream `g`'s frame due at `key`, which the bus has just pulled,
+/// and queue its successor one period after that instant. Returns the
+/// frame's hold and transfer, or `None` for a production that never
+/// happens: past the run end or the stream's frame count, or after the
+/// stream was torn down. Production is time-driven — bus congestion
+/// delays *delivery*, not generation: however late the pull, the frame
+/// keeps its production instant as the start of its bus wait, and its
+/// successor is due one period after that instant. A saturated bus shows
 /// up as arrival lag, exactly like a real producer card filling its
 /// outbound queue.
-fn produce(w: &mut World, eng: &mut Eng, g: usize) {
-    let run_end = w.run_end_ns;
-    let cap = w.frames_per_stream;
-    let now_ns = eng.now().as_nanos();
-    if now_ns >= run_end {
-        return;
+fn produce(w: &mut World, key: Key, g: usize) -> Option<(SimDuration, Transfer)> {
+    let (run_end, cap) = (w.run_end_ns, w.frames_per_stream);
+    let s = &mut w.streams[g];
+    if key.at >= run_end || s.produced >= cap || s.stop.is_some_and(|stop| key > stop) {
+        return None;
     }
-    let (seq, len, kind, addr, period) = {
-        let s = &mut w.streams[g];
-        if !s.alive || s.produced >= cap {
-            return;
+    let seq = s.produced;
+    s.produced += 1;
+    let (len, kind) = match s.gen.as_mut() {
+        Some(gen) => {
+            let f = gen.frame(seq);
+            (f.len, vbr::frame_kind(f.kind))
         }
-        let seq = s.produced;
-        s.produced += 1;
-        let (len, kind) = match s.gen.as_mut() {
-            Some(gen) => {
-                let f = gen.frame(seq);
-                (f.len, vbr::frame_kind(f.kind))
-            }
-            None => (s.len, FrameKind::P),
-        };
-        let addr = s.next_addr;
-        s.next_addr += u64::from(len);
-        (seq, len, kind, addr, s.qos.period)
+        None => (s.len, FrameKind::P),
     };
-    let hold = path_b_frame_hold(&mut w.bus_model, u64::from(len));
-    request_bus(
-        w,
-        eng,
-        hold,
-        Transfer::Frame {
-            g: g as u32,
-            seq,
-            len,
-            kind,
-            addr,
-        },
-    );
-    if now_ns + period < run_end && seq + 1 < cap {
-        eng.post_at(SimTime::from_nanos(now_ns + period), Ev::Produce(g));
+    let addr = s.next_addr;
+    s.next_addr += u64::from(len);
+    let next = key.at + s.qos.period;
+    if next < run_end && seq + 1 < cap {
+        w.bus.calendar.push_next(s.class, next, Request::Frame(g as u32));
     }
-}
-
-/// A Path-B frame of chassis-global stream `g` finished crossing the bus:
-/// hand it to the owning card's scheduler (or park it if the stream is
-/// mid-migration). The frame's `(len, kind, addr)` travel with it from
-/// [`produce`] — delivery never re-derives them, so VBR frames arrive
-/// exactly as generated.
-fn deliver(w: &mut World, eng: &mut Eng, g: u32, seq: u64, len: u32, kind: FrameKind, addr: u64) {
-    let now_ns = eng.now().as_nanos();
-    let d = FrameDesc {
-        stream: StreamId(g),
+    let hold = path_b_frame_hold(&mut w.bus_model, u64::from(len));
+    let frame = FrameDesc {
+        stream: StreamId(g as u32),
         seq,
         len,
         kind,
-        enqueued_at: now_ns,
+        enqueued_at: 0,
         addr,
     };
-    let s = &mut w.streams[g as usize];
-    if !s.alive {
+    Some((hold, Transfer::Frame(frame)))
+}
+
+/// A Path-B frame finished crossing the bus: hand it to the owning card's
+/// scheduler (or park it if the stream is mid-migration), stamped with the
+/// arrival time. The frame's `(len, kind, addr)` travel with it from
+/// [`produce`] — delivery never re-derives them, so VBR frames arrive
+/// exactly as generated.
+fn deliver(w: &mut World, eng: &mut Eng, d: FrameDesc) {
+    let now_ns = eng.now().as_nanos();
+    let d = FrameDesc {
+        enqueued_at: now_ns,
+        ..d
+    };
+    let s = &mut w.streams[d.stream.index()];
+    if !s.alive() {
         w.lost_frames += 1;
     } else if s.migrating {
         s.held.push_back(d);
@@ -699,7 +870,7 @@ fn fail_card(w: &mut World, eng: &mut Eng, c: usize) {
         .streams
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.alive && s.admitted && s.owner == c)
+        .filter(|(_, s)| s.alive() && s.owner == c)
         .map(|(g, _)| g)
         .collect();
     for g in owned {
@@ -712,6 +883,7 @@ fn fail_card(w: &mut World, eng: &mut Eng, c: usize) {
 /// stream down if nowhere can admit it.
 fn start_migration(w: &mut World, eng: &mut Eng, c: usize, g: usize) {
     let end = w.end;
+    let now_ns = eng.now().as_nanos();
     let (local, qos, len) = {
         let s = &mut w.streams[g];
         s.migrating = true;
@@ -743,9 +915,8 @@ fn start_migration(w: &mut World, eng: &mut Eng, c: usize, g: usize) {
             // backlog, and any frame still in flight, is lost.
             w.lost_frames += backlog.len() as u64;
             let s = &mut w.streams[g];
-            s.alive = false;
+            s.stop = Some(w.bus.calendar.failure_key(now_ns));
             s.migrating = false;
-            let now_ns = eng.now().as_nanos();
             w.migrations.push(MigrationRecord {
                 stream: g,
                 from: c,
@@ -785,11 +956,15 @@ fn start_migration(w: &mut World, eng: &mut Eng, c: usize, g: usize) {
                 g,
                 from: c,
                 target,
+                hold,
                 backlog,
                 frames_moved,
                 bytes_moved,
             };
-            request_bus(w, eng, hold, Transfer::Migrate(Box::new(m)));
+            w.bus.calendar.push_failure(now_ns, Request::Migrate(Box::new(m)));
+            if w.bus.is_free() {
+                start_bus(w, eng);
+            }
         }
     }
 }
@@ -910,7 +1085,12 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
 
     // --- Placement + admission, plan order. ---
     let mut streams: Vec<StreamState> = Vec::with_capacity(total);
+    let mut periods: Vec<u64> = Vec::new();
     for (g, c) in cfg.plan.clients.iter().enumerate() {
+        let class = periods.iter().position(|&p| p == c.period).unwrap_or_else(|| {
+            periods.push(c.period);
+            periods.len() - 1
+        });
         let qos = StreamQos::new(c.period, c.loss_num, c.loss_den);
         let len = ClientPlan::frame_bytes(c);
         let service = service_estimate_ns(len, cfg.ni_cache);
@@ -940,11 +1120,11 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
             len,
             gen: c.vbr.clone().map(|spec| VbrTraceGen::new(spec, len)),
             next_addr: 0xA000_0000,
-            connect_ns: c.connect_at.as_nanos(),
+            class,
             owner,
             local,
             admitted,
-            alive: admitted,
+            stop: None,
             migrating: false,
             produced: 0,
             arrived: 0,
@@ -989,13 +1169,25 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
         }
     }
 
+    // --- Path-B sourcing: every admitted stream's first production. ---
+    let mut first = Vec::new();
+    let mut class_sizes = vec![0; periods.len()];
+    if cfg.sourcing == Sourcing::PathB {
+        for (g, c) in cfg.plan.clients.iter().enumerate() {
+            if streams[g].admitted {
+                first.push((c.connect_at.as_nanos(), Request::Frame(g as u32)));
+                class_sizes[streams[g].class] += 1;
+            }
+        }
+    }
+
     // --- Event-driven chassis run. ---
     let end = SimTime::ZERO + cfg.run;
     let mut eng = Eng::new();
     let mut w = World {
         cards,
         streams,
-        bus: Bus::new(),
+        bus: Bus::new(Calendar::new(first, &class_sizes)),
         bus_model: PciBus::new(),
         end,
         run_end_ns: end.as_nanos(),
@@ -1005,15 +1197,9 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
         migrations: Vec::new(),
         lost_frames: 0,
     };
-    if cfg.sourcing == Sourcing::PathB {
-        for g in 0..total {
-            if !w.streams[g].admitted {
-                continue;
-            }
-            let t = SimTime::from_nanos(w.streams[g].connect_ns);
-            eng.post_at(t, Ev::Produce(g));
-        }
-    }
+    // The idle bus wakes for the first production before the card death
+    // can fire, as the first productions' events came before it.
+    arm_wake(&mut w, &mut eng);
     if let Some(f) = cfg.failure {
         eng.post_at(SimTime::ZERO + f.at, Ev::FailCard(f.card));
     }
@@ -1026,11 +1212,11 @@ pub fn run(cfg: ChassisConfig) -> ChassisResult {
     let mut streams_out = Vec::with_capacity(total);
     for (g, c) in cfg.plan.clients.iter().enumerate() {
         let s = &w.streams[g];
-        let (admitted, alive, owner) = (s.admitted, s.alive, s.owner);
+        let (admitted, alive, owner) = (s.admitted, s.alive(), s.owner);
         // Every card's account of the stream: the ones it left, then the
         // serving card's.
         let mut acct = s.prior.clone();
-        let (cur_bw, cur_qd) = if admitted && alive {
+        let (cur_bw, cur_qd) = if alive {
             let card = &mut w.cards[owner];
             acct.absorb(card.ext.scheduler().stats(s.local));
             let li = s.local.index();
@@ -1139,7 +1325,7 @@ pub struct SweepRow {
     pub decisions_per_sec: f64,
     /// Shared-bus utilization.
     pub bus_utilization: f64,
-    /// Mean FIFO wait for a bus grant (ms).
+    /// Mean wait for a bus grant (ms).
     pub mean_dma_wait_ms: f64,
     /// Frames destroyed (always 0 without fault injection).
     pub lost_frames: u64,
@@ -1211,122 +1397,225 @@ pub fn sweep_cards(card_counts: &[usize], per_card: usize, run_for: SimDuration)
 mod tests {
     use super::*;
 
-    /// A world whose bus carries labels: each completion logs the label
-    /// and its completion time, and the first one may request one more
-    /// transfer from inside its handler.
+    /// A world whose bus carries labels: a request is `(hold ms, label)`,
+    /// each completion logs the label and its completion time (ms), and
+    /// the first completion may make one more request from inside its
+    /// handler.
     struct BusWorld {
-        bus: Bus<&'static str>,
+        bus: Bus<(u64, &'static str), &'static str>,
         done: Vec<(&'static str, u64)>,
         follow_up: Option<&'static str>,
     }
 
-    fn bus_world() -> BusWorld {
+    fn ms(n: u64) -> u64 {
+        n * 1_000_000
+    }
+
+    /// A bus whose first requests are `first`, `(ms, hold ms, label)` in
+    /// posting order, with one period class.
+    fn bus_world(first: &[(u64, u64, &'static str)]) -> BusWorld {
+        let requests = first.iter().map(|&(at, hold, t)| (ms(at), (hold, t)));
         BusWorld {
-            bus: Bus::new(),
+            bus: Bus::new(Calendar::new(requests, &[first.len()])),
             done: Vec::new(),
             follow_up: None,
         }
     }
 
-    fn ask(w: &mut BusWorld, eng: &mut Engine<BusWorld>, hold_ms: u64, t: &'static str) {
-        if let Some(hold) = w.bus.request(eng.now(), SimDuration::from_millis(hold_ms), t) {
-            eng.schedule_in(hold, finished);
+    /// `pull`'s loop over labels, where every request is granted.
+    fn pull_label(w: &mut BusWorld, now: SimTime, handover: bool) -> Option<SimDuration> {
+        let (key, (hold_ms, t)) = w.bus.calendar.pop_ready(now.as_nanos())?;
+        let hold = SimDuration::from_millis(hold_ms);
+        w.bus.grant(now, SimTime::from_nanos(key.at), hold, t, handover);
+        Some(hold)
+    }
+
+    fn arm(w: &mut BusWorld, eng: &mut Engine<BusWorld>) {
+        if let Some(at) = w.bus.arm_wake() {
+            eng.schedule_at(at, |w, eng| {
+                if w.bus.wake(eng.now()) {
+                    start(w, eng);
+                }
+            });
+        }
+    }
+
+    /// `start_bus` over labels.
+    fn start(w: &mut BusWorld, eng: &mut Engine<BusWorld>) {
+        match pull_label(w, eng.now(), false) {
+            Some(hold) => {
+                eng.schedule_in(hold, finished);
+            }
+            None => arm(w, eng),
         }
     }
 
     /// `bus_done`'s order: hand over, run the handler, then schedule.
     fn finished(w: &mut BusWorld, eng: &mut Engine<BusWorld>) {
-        let (t, next) = w.bus.complete(eng.now());
+        let t = w.bus.complete();
+        let next = pull_label(w, eng.now(), true);
+        if next.is_none() {
+            arm(w, eng);
+        }
         w.done.push((t, eng.now().as_nanos() / 1_000_000));
         if let Some(f) = w.follow_up.take() {
-            ask(w, eng, 1, f);
+            w.bus.calendar.push_next(0, eng.now().as_nanos(), (1, f));
         }
         if let Some(hold) = next {
             eng.schedule_in(hold, finished);
         }
     }
 
+    /// Run a bus world from an idle bus at t = 0.
+    fn run_bus(w: &mut BusWorld) -> Engine<BusWorld> {
+        let mut eng = Engine::new();
+        arm(w, &mut eng);
+        eng.run(w);
+        eng
+    }
+
     #[test]
     fn bus_grants_in_fifo_order() {
+        let mut w = bus_world(&[(0, 1, "a"), (0, 1, "b"), (0, 1, "c")]);
         let mut eng = Engine::new();
-        let mut w = bus_world();
-        for t in ["a", "b", "c"] {
-            ask(&mut w, &mut eng, 1, t);
-        }
+        arm(&mut w, &mut eng);
+        eng.step(&mut w);
         // Only the holder has an event; the waiters have none.
         assert_eq!(eng.pending(), 1);
         eng.run(&mut w);
         assert_eq!(w.done, vec![("a", 1), ("b", 2), ("c", 3)]);
         assert_eq!(w.bus.grants, 3);
-        assert_eq!(eng.events_fired(), 3);
+        // One wake, then one completion per grant.
+        assert_eq!(eng.events_fired(), 4);
     }
 
     #[test]
     fn free_bus_grants_with_zero_wait() {
-        let mut eng = Engine::new();
-        let mut w = bus_world();
-        ask(&mut w, &mut eng, 1, "a");
-        assert!(w.bus.current.is_some());
-        eng.run(&mut w);
-        assert!(w.bus.current.is_none());
-        // Idle since 1 ms: a request at 5 ms is granted at once too.
-        eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
-        ask(&mut w, &mut eng, 1, "b");
-        eng.run(&mut w);
+        let mut w = bus_world(&[(0, 1, "a"), (5, 1, "b")]);
+        let eng = run_bus(&mut w);
+        assert!(w.bus.is_free());
+        // Idle since 1 ms: the request at 5 ms is granted at once too.
         assert_eq!(w.done, vec![("a", 1), ("b", 6)]);
         assert_eq!((w.bus.wait.count(), w.bus.wait.max()), (2, 0.0));
+        assert_eq!((w.bus.max_queue, eng.events_fired()), (0, 4));
     }
 
     #[test]
     fn bus_busy_time_counts_every_hold() {
-        let mut eng = Engine::new();
-        let mut w = bus_world();
-        ask(&mut w, &mut eng, 1, "a");
-        ask(&mut w, &mut eng, 3, "b");
-        eng.run(&mut w);
+        let mut w = bus_world(&[(0, 1, "a"), (0, 3, "b")]);
+        run_bus(&mut w);
         assert_eq!(w.bus.total_busy, SimDuration::from_millis(4));
-        assert_eq!(w.bus.utilization(SimTime::from_nanos(8_000_000)), 0.5);
+        assert_eq!(w.bus.utilization(SimTime::from_nanos(ms(8))), 0.5);
         assert_eq!(w.bus.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]
     fn bus_wait_is_request_to_grant() {
-        let mut eng = Engine::new();
-        let mut w = bus_world();
         // Holds of 1, 2 and 3 ms requested at 0: waits 0, 1 and 3 ms.
-        for (hold, t) in [(1, "a"), (2, "b"), (3, "c")] {
-            ask(&mut w, &mut eng, hold, t);
-        }
-        eng.run(&mut w);
+        let mut w = bus_world(&[(0, 1, "a"), (0, 2, "b"), (0, 3, "c")]);
+        run_bus(&mut w);
         assert_eq!(w.bus.wait.count(), 3);
         assert!((w.bus.wait.mean() - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!((w.bus.wait.min(), w.bus.wait.max()), (0.0, 3.0));
     }
 
+    /// The queue depth a request joined is read back when it is granted:
+    /// six requests at 0 leave five waiting.
     #[test]
     fn bus_queue_depth_is_tracked() {
-        let mut eng = Engine::new();
-        let mut w = bus_world();
-        for _ in 0..6 {
-            ask(&mut w, &mut eng, 1, "x");
-        }
-        assert_eq!((w.bus.waiting.len(), w.bus.max_queue), (5, 5));
-        eng.run(&mut w);
-        assert_eq!((w.bus.waiting.len(), w.bus.max_queue), (0, 5));
+        let mut w = bus_world(&[(0, 1, "x"); 6]);
+        run_bus(&mut w);
+        assert_eq!(w.bus.max_queue, 5);
     }
 
-    /// A transfer requested while a completion is handled queues behind
-    /// every transfer that was already waiting.
+    /// Staggered requests, against the FIFO depths they joined: `b` (1 ms)
+    /// and `c` (2 ms) wait behind `a`'s 10 ms hold, one then two deep; at
+    /// 12 ms `b` has the bus and `d` joins `c`, two deep. Grants older
+    /// than the oldest waiting request drop out of the handover log.
+    #[test]
+    fn bus_queue_depth_counts_grants_since_the_request() {
+        let mut w = bus_world(&[(0, 10, "a"), (1, 10, "b"), (2, 10, "c"), (12, 10, "d")]);
+        run_bus(&mut w);
+        assert_eq!(w.done, vec![("a", 10), ("b", 20), ("c", 30), ("d", 40)]);
+        assert_eq!(w.bus.max_queue, 2);
+        assert_eq!(
+            w.bus.handovers,
+            [SimTime::from_nanos(ms(20)), SimTime::from_nanos(ms(30))]
+        );
+    }
+
+    /// A request made while a completion is handled queues behind every
+    /// request that was already waiting: the bus was handed on first.
     #[test]
     fn request_from_a_completion_handler_queues_behind_waiters() {
-        let mut eng = Engine::new();
-        let mut w = bus_world();
-        w.follow_up = Some("c");
-        ask(&mut w, &mut eng, 1, "a");
-        ask(&mut w, &mut eng, 1, "b");
-        eng.run(&mut w);
-        assert_eq!(w.done, vec![("a", 1), ("b", 2), ("c", 3)]);
-        assert_eq!(w.bus.max_queue, 1);
+        let mut w = bus_world(&[(0, 1, "a"), (0, 1, "b"), (0, 1, "c")]);
+        w.follow_up = Some("d");
+        run_bus(&mut w);
+        assert_eq!(w.done, vec![("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
+    }
+
+    /// At one instant the calendar yields the engine's order: first
+    /// productions by plan order, then the card death's state transfers
+    /// in the order it made them, then run-time productions in the order
+    /// they were queued, whatever their period class.
+    #[test]
+    fn calendar_ranks_first_productions_then_the_death_then_run_time_requests() {
+        let mut cal = Calendar::new([(5, "f0"), (0, "early"), (5, "f2")], &[1, 1]);
+        cal.push_next(0, 3, "r2");
+        cal.push_next(1, 5, "r0");
+        cal.push_failure(5, "m0");
+        cal.push_next(0, 5, "r1");
+        cal.push_failure(5, "m1");
+        assert_eq!(cal.failure_key(5), Key { at: 5, rank: 3 });
+        assert_eq!(cal.pop_ready(0).map(|(_, r)| r), Some("early"));
+        assert_eq!(cal.pop_ready(2).map(|(_, r)| r), None, "nothing else is due by 2");
+        let order: Vec<_> = std::iter::from_fn(|| cal.pop_ready(5).map(|(_, r)| r)).collect();
+        assert_eq!(order, ["r2", "f0", "f2", "m0", "m1", "r0", "r1"]);
+        assert_eq!(cal.head(), None);
+    }
+
+    /// An idle bus has at most one wake pending, at its calendar head; a
+    /// wake that finds the bus taken does nothing.
+    #[test]
+    fn idle_bus_arms_one_wake_at_its_head() {
+        let mut bus: Bus<&str, &str> = Bus::new(Calendar::new([(7, "a"), (9, "b")], &[]));
+        let t7 = SimTime::from_nanos(7);
+        assert_eq!(bus.arm_wake(), Some(t7));
+        assert_eq!(bus.arm_wake(), None, "already pending at the head");
+        bus.grant(t7, t7, SimDuration::from_nanos(1), "a", false);
+        assert!(!bus.wake(t7), "the bus is taken");
+        assert_eq!(bus.wake, None);
+        let _ = bus.complete();
+        let _ = bus.calendar.pop_ready(7);
+        assert_eq!(bus.arm_wake(), Some(SimTime::from_nanos(9)));
+    }
+
+    /// A one-card chassis whose card dies one period in, the instant
+    /// stream 0's second frame and stream 1's first frame are both due.
+    /// The first production ranks before the death, so that frame is made,
+    /// crosses the bus and is lost; the run-time one ranks after it and is
+    /// never made.
+    #[test]
+    fn a_death_stops_the_productions_ranked_after_it() {
+        let period = Cadence::NTSC.period_ns();
+        let mut plan = uniform_plan(2, SimDuration::from_secs(1));
+        plan.clients[1].connect_at = SimTime::from_nanos(period);
+        let r = run(ChassisConfig {
+            plan,
+            frames_per_stream: 10,
+            run: SimDuration::from_secs(1),
+            sourcing: Sourcing::PathB,
+            failure: Some(CardFailure {
+                card: 0,
+                at: SimDuration::from_nanos(period),
+            }),
+            ..ChassisConfig::default()
+        });
+        assert!(r.migrations.iter().all(|m| m.to.is_none()));
+        let counts: Vec<_> = r.streams.iter().map(|s| (s.produced, s.arrived, s.alive)).collect();
+        assert_eq!(counts, [(1, 1, false), (1, 0, false)]);
+        assert_eq!(r.bus.grants, 2);
+        assert!(r.lost_frames >= 1);
     }
 
     #[test]
@@ -1436,9 +1725,11 @@ mod tests {
 
     /// A small saturated Path-B chassis: 12 cards × 40 uniform streams
     /// offer 1.04 times the bus for 0.25 s. Its `BusReport` is pinned bit
-    /// for bit, and so is the engine's event count: one per frame
-    /// produced, one per bus transfer and one per service pass. At two
-    /// events per transfer (a grant event, then the hold) it was 13,793.
+    /// for bit, and so is the engine's event count: one per bus transfer,
+    /// one per service pass and one wake of the idle bus at the first
+    /// production. With an event per frame produced as well it was
+    /// 10,192, and at two events per transfer (a grant event, then the
+    /// hold) 13,793.
     #[test]
     fn saturated_bus_report_and_event_count_are_pinned() {
         let run_for = SimDuration::from_millis(250);
@@ -1461,7 +1752,7 @@ mod tests {
         let produced: u64 = r.streams.iter().map(|s| s.produced).sum();
         let passes: u64 = r.cards.iter().map(|c| c.decisions).sum();
         assert_eq!((produced, passes), (3_601, 2_990));
-        assert_eq!(r.events, 10_192);
-        assert_eq!(r.events, produced + r.bus.grants + passes);
+        assert_eq!(r.events, 6_592);
+        assert_eq!(r.events, r.bus.grants + passes + 1);
     }
 }

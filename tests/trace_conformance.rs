@@ -11,6 +11,8 @@
 //! placement's scheduler accounts also equal the fold of its own trace,
 //! stream by stream: the scheduler and the host fold keep one
 //! `StreamAccount` type, updated by the same code at the same instants.
+//! Every placement closes one stream mid-run with frames still queued, so
+//! the comparison covers a close's discards too.
 
 mod common;
 
@@ -27,6 +29,11 @@ use nistream::trace::{to_lines, Aggregate, StreamAccount, TraceCapture, TraceEve
 use std::cell::RefCell;
 
 const CAP: usize = 4096;
+
+/// The script stream every placement closes mid-run, still backlogged…
+const CLOSED: usize = 2;
+/// …right after this many service passes, stamped at that pass's time.
+const CLOSE_AFTER: usize = 16;
 
 /// Serialize a capture to its canonical byte form (overflow header plus
 /// one line per event) so placement comparison is a plain `assert_eq!`
@@ -72,12 +79,19 @@ fn run_svc<P: Platform>(cfg: SchedulerConfig, platform: P) -> Traced {
     }
     {
         let svc = RefCell::new(&mut svc);
+        let mut passes = 0;
         drive(
             || svc.borrow_mut().next_eligible(),
             |t| {
                 let mut s = svc.borrow_mut();
                 s.platform_mut().set_now(t);
                 s.service_once();
+                passes += 1;
+                if passes == CLOSE_AFTER {
+                    assert!(s.scheduler().stats(sids[CLOSED]).queued() > 0, "closed backlogged");
+                    s.platform_mut().set_now(t);
+                    s.close(sids[CLOSED]);
+                }
             },
             || svc.borrow().has_pending(),
         );
@@ -126,11 +140,19 @@ fn trace_host_engine(cfg: SchedulerConfig) -> Traced {
     {
         let clock = &clock;
         let svc = RefCell::new(&mut svc);
+        let mut passes = 0;
         drive(
             || svc.borrow_mut().next_eligible(),
             |t| {
                 clock.set_ns(t);
                 svc.borrow_mut().service_once();
+                passes += 1;
+                if passes == CLOSE_AFTER {
+                    let mut s = svc.borrow_mut();
+                    assert!(s.scheduler().stats(sids[CLOSED]).queued() > 0, "closed backlogged");
+                    clock.set_ns(t);
+                    s.close(sids[CLOSED]);
+                }
             },
             || svc.borrow().has_pending(),
         );
@@ -182,11 +204,21 @@ fn trace_ni_extension(cfg: SchedulerConfig) -> Traced {
     }
     {
         let ext = RefCell::new(&mut ext);
+        let mut passes = 0;
         drive(
             || ext.borrow_mut().scheduler_mut().next_eligible(),
             |t| {
                 ext.borrow_mut().poll_decision(t);
                 while ext.borrow_mut().pop_dispatch().is_some() {}
+                passes += 1;
+                if passes == CLOSE_AFTER {
+                    let queued = ext.borrow().scheduler().stats(sids[CLOSED]).queued();
+                    assert!(queued > 0, "closed backlogged");
+                    let reply = ext
+                        .borrow_mut()
+                        .on_instruction(VcmInstruction::CloseStream(sids[CLOSED]), t);
+                    assert_eq!(reply.status, 0, "close");
+                }
             },
             || ext.borrow().has_pending(),
         );
